@@ -22,9 +22,6 @@
 //                 threads (at 1 thread the two are within noise — there
 //                 is no concurrent pass to hide the merge behind)
 //                                                (default 0)
-//   --batch=N     pipeline batch width for the single-thread runs
-//                 (0 = kernel default)           (default 0)
-//   --sweep-batch=0|1  also time batch widths {1,2,4,8}  (default 1)
 //   --reps=N      timed repetitions, best-of-N   (default 3)
 //   --gate-mrefs=F fail (exit 1) if the single-thread kernel run falls
 //                 under F Mrefs/s (0 = no gate)  (default 0)
@@ -103,8 +100,6 @@ int main(int argc, char** argv) {
   const size_t max_threads = static_cast<size_t>(args.GetInt("threads", 0));
   const bool pin = args.GetBool("pin", true);
   const bool gate_overlap = args.GetBool("gate-overlap", false);
-  const size_t batch = static_cast<size_t>(args.GetInt("batch", 0));
-  const bool sweep_batch = args.GetBool("sweep-batch", true);
   const int reps = static_cast<int>(args.GetInt("reps", 3));
   const double gate_mrefs = args.GetDouble("gate-mrefs", 0.0);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -142,13 +137,12 @@ int main(int argc, char** argv) {
   }
   const StackDistanceHistogram& reference = legacy.histogram();
 
-  // The headline single-thread kernel run (at --batch if given).
+  // The headline single-thread kernel run.
   double kernel_s = 0;
   StackDistanceKernel kernel(trace.size());
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     StackDistanceKernel run(trace.size());
-    if (batch > 0) run.set_pipeline_batch(batch);
     run.AccessAll(trace);
     double s = SecondsSince(t0);
     if (r == 0 || s < kernel_s) kernel_s = s;
@@ -171,30 +165,6 @@ int main(int argc, char** argv) {
       .Cell(kernel_s, 3)
       .Cell(kernel_mrefs, 2)
       .Cell(speedup, 2);
-
-  // Pipeline batch widths: single rep each — the point is the identity
-  // proof plus a trend line, not a headline number.
-  std::vector<VariantResult> batch_runs;
-  if (sweep_batch) {
-    for (size_t b : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      StackDistanceKernel run(trace.size());
-      run.set_pipeline_batch(b);
-      auto t0 = std::chrono::steady_clock::now();
-      run.AccessAll(trace);
-      VariantResult v;
-      v.name = "batch=" + std::to_string(b);
-      v.seconds = SecondsSince(t0);
-      v.bit_identical = run.histogram() == reference;
-      v.detail = b;
-      identical = identical && v.bit_identical;
-      batch_runs.push_back(v);
-      table.AddRow()
-          .Cell("kernel, " + v.name)
-          .Cell(v.seconds, 3)
-          .Cell(static_cast<double>(refs) / v.seconds / 1e6, 2)
-          .Cell(legacy_s / v.seconds, 2);
-    }
-  }
 
   // Hugepage arena A/B: advice off must be output-neutral; whether it is
   // *speed*-neutral depends on the machine (containers without THP grant
@@ -363,22 +333,7 @@ int main(int argc, char** argv) {
        << "  \"kernel_seconds\": " << kernel_s << ",\n"
        << "  \"legacy_mrefs_per_s\": " << legacy_mrefs << ",\n"
        << "  \"kernel_mrefs_per_s\": " << kernel_mrefs << ",\n"
-       << "  \"single_thread_speedup\": " << speedup << ",\n"
-       << "  \"pipeline_batch\": "
-       << (batch > 0 ? batch : kernel.pipeline_batch()) << ",\n";
-  if (!batch_runs.empty()) {
-    json << "  \"batch_sweep\": [\n";
-    for (size_t i = 0; i < batch_runs.size(); ++i) {
-      const VariantResult& v = batch_runs[i];
-      json << "    {\"batch\": " << v.detail
-           << ", \"seconds\": " << v.seconds << ", \"mrefs_per_s\": "
-           << static_cast<double>(refs) / v.seconds / 1e6
-           << ", \"bit_identical\": "
-           << (v.bit_identical ? "true" : "false") << "}"
-           << (i + 1 < batch_runs.size() ? "," : "") << '\n';
-    }
-    json << "  ],\n";
-  }
+       << "  \"single_thread_speedup\": " << speedup << ",\n";
   json << "  \"hugepages_off_seconds\": " << no_huge.seconds << ",\n"
        << "  \"hugepages_off_bit_identical\": "
        << (no_huge.bit_identical ? "true" : "false") << ",\n";

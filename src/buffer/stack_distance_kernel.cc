@@ -17,9 +17,8 @@ constexpr size_t kMaxInitialWindow = size_t{1} << 16;
 // oversized slot array is scanned in full by every compaction.
 constexpr size_t kMaxInitialTableSize = size_t{1} << 17;
 
-// How far ahead the scalar (batch == 1) loop prefetches last-access
-// slots. Far enough to cover memory latency, near enough that the lines
-// are still resident.
+// How far ahead AccessAll prefetches last-access slots. Far enough to
+// cover memory latency, near enough that the lines are still resident.
 constexpr size_t kPrefetchAhead = 8;
 
 // Reuse spans at most this many bitmap words wide are resolved by a
@@ -145,64 +144,18 @@ void StackDistanceKernel::AccessSampled(PageId page_id) {
   }
 }
 
-void StackDistanceKernel::set_pipeline_batch(size_t batch) {
-  pipeline_batch_ = std::clamp<size_t>(batch, 1, 64);
-}
-
-// The software pipeline. Three stages per batch of B references, all
-// prefetch-only except the last:
-//
-//   1. *Probe prefetch*, two batches ahead: the first slot line of each
-//      upcoming key's probe sequence, issued ~2B resolved references
-//      before the key is needed — enough lead for a DRAM line.
-//   2. *Line peek*, one batch ahead: a stats-free table peek (the slot
-//      line is hot from stage 1) reads each key's tentative previous
-//      timestamp and prefetches the live-bitmap word and first Fenwick
-//      node its distance query will touch. The peek may be stale when a
-//      page repeats within the batch window — that only mis-aims a
-//      prefetch, never the resolution.
-//   3. *Resolve*, strictly in trace order: the exact scalar path.
-//
-// Because stages 1–2 issue hints and nothing else, the histogram is
-// bit-identical to the scalar loop for every batch width.
-void StackDistanceKernel::AccessRunPipelined(const PageId* refs,
-                                             size_t count) {
-  const size_t batch = pipeline_batch_;
-  if (batch <= 1 || count < batch * 3) {
-    for (size_t i = 0; i < count; ++i) {
-      if (i + kPrefetchAhead < count) {
-        last_access_.Prefetch(refs[i + kPrefetchAhead]);
-      }
-      AccessSampled(refs[i]);
+void StackDistanceKernel::AccessRun(const PageId* refs, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    if (i + kPrefetchAhead < count) {
+      last_access_.Prefetch(refs[i + kPrefetchAhead]);
     }
-    return;
+    AccessSampled(refs[i]);
   }
-  // Warm the first two batches' probe lines.
-  for (size_t j = 0; j < batch * 2; ++j) last_access_.Prefetch(refs[j]);
-  size_t i = 0;
-  for (; i + batch <= count; i += batch) {
-    size_t stage1_end = std::min(i + batch * 3, count);
-    for (size_t j = i + batch * 2; j < stage1_end; ++j) {
-      last_access_.Prefetch(refs[j]);
-    }
-    size_t stage2_end = std::min(i + batch * 2, count);
-    for (size_t j = i + batch; j < stage2_end; ++j) {
-      if (const uint64_t* prev = last_access_.Peek(refs[j])) {
-        // Long spans take the Fenwick/bitmap walk at *prev; short spans
-        // scan words near now_, which are hot by construction.
-        if ((now_ >> 6) - (*prev >> 6) > kScanWords) {
-          live_.PrefetchCount(static_cast<size_t>(*prev));
-        }
-      }
-    }
-    for (size_t j = i; j < i + batch; ++j) AccessSampled(refs[j]);
-  }
-  for (; i < count; ++i) AccessSampled(refs[i]);
 }
 
 void StackDistanceKernel::AccessAll(const PageId* trace, size_t count) {
   if (!sampling_.enabled()) {
-    AccessRunPipelined(trace, count);
+    AccessRun(trace, count);
     return;
   }
   total_refs_ += count;
@@ -210,7 +163,7 @@ void StackDistanceKernel::AccessAll(const PageId* trace, size_t count) {
     // Fixed-rate: the threshold is static, so the filter can run for a
     // whole chunk up front — first-touch bitmap marks for every
     // reference, survivors gathered densely — and the survivors then go
-    // through the same pipelined run as an unfiltered trace. The
+    // through the same in-order run as an unfiltered trace. The
     // decisions are identical to the interleaved scalar loop because
     // nothing the kernel does can change them.
     PageId kept[512];
@@ -220,12 +173,12 @@ void StackDistanceKernel::AccessAll(const PageId* trace, size_t count) {
       if (SampleHash(trace[i]) < threshold_) {
         kept[n++] = trace[i];
         if (n == sizeof(kept) / sizeof(kept[0])) {
-          AccessRunPipelined(kept, n);
+          AccessRun(kept, n);
           n = 0;
         }
       }
     }
-    if (n > 0) AccessRunPipelined(kept, n);
+    if (n > 0) AccessRun(kept, n);
     return;
   }
   // Adaptive mode: the threshold can drop inside any AccessSampled (an

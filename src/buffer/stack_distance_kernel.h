@@ -25,8 +25,8 @@ namespace epfis {
 ///  1. **Flat last-access table.** `unordered_map<PageId, uint64_t>`
 ///     chases a bucket pointer per reference; FlatHashMap keeps (page,
 ///     last access) inline in an open-addressed array, so a lookup is the
-///     probe sequence's cache lines and nothing else, and the batched
-///     AccessAll prefetches the first probe slot a few references ahead.
+///     probe sequence's cache lines and nothing else, and AccessAll
+///     prefetches the first probe slot a few references ahead.
 ///
 ///  2. **One-sided Fenwick query.** Every live bit sits at some page's
 ///     last-access time < now, so PrefixSum(now-1) is just the live-bit
@@ -87,20 +87,11 @@ class StackDistanceKernel {
   }
 
   /// Processes `count` references from a buffer (chunked streaming; the
-  /// main entry point). Software-pipelined: references are consumed in
-  /// batches of `pipeline_batch()`, with the flat-table probe lines of
-  /// upcoming batches and the live-bitmap/Fenwick lines of the next
-  /// batch's reuse positions prefetched before any reference of the
-  /// current batch is resolved. The resolution itself stays strictly in
-  /// trace order, so the histogram is bit-identical for every batch size
-  /// (the property tests sweep {1, 2, 4, 8}).
+  /// main entry point). Each reference prefetches the flat-table probe
+  /// slot of the reference a few positions ahead; resolution stays
+  /// strictly in trace order, so the histogram does not depend on how
+  /// the caller chunks the trace.
   void AccessAll(const PageId* trace, size_t count);
-
-  /// Pipeline batch width for AccessAll. 1 disables the pipelined layout
-  /// entirely (pure scalar loop with rolling prefetch); clamped to
-  /// [1, 64]. Output never depends on it.
-  void set_pipeline_batch(size_t batch);
-  size_t pipeline_batch() const { return pipeline_batch_; }
 
   /// Number of page fetches a `buffer_size`-slot LRU buffer would have
   /// performed on the trace so far. `buffer_size == 0` returns the total
@@ -276,19 +267,6 @@ class StackDistanceKernel {
       return sum;
     }
 
-    /// Hints the CPU to load the bitmap word and first Fenwick node a
-    /// CountBelow/CountRange at position `i` would touch (pipeline peek
-    /// stage; purely advisory).
-    void PrefetchCount(size_t i) const {
-#if defined(__GNUC__) || defined(__clang__)
-      size_t word = i >> 6;
-      __builtin_prefetch(&bits_[word]);
-      __builtin_prefetch(&tree_[word]);
-#else
-      (void)i;
-#endif
-    }
-
     /// Reinitializes to `n` positions with [0, ones) live, in O(n / 64).
     void AssignPrefixOnes(size_t ones, size_t n) {
       size_t words = (n >> 6) + 1;
@@ -325,10 +303,9 @@ class StackDistanceKernel {
   // reference and applied the hash filter when sampling is enabled.
   void AccessSampled(PageId page_id);
 
-  // Pipelined run over references that already passed the filter (or an
-  // unfiltered trace): probe/line prefetch for whole batches ahead of
-  // strictly-in-order resolution.
-  void AccessRunPipelined(const PageId* refs, size_t count);
+  // In-order run over references that already passed the filter (or an
+  // unfiltered trace), with a rolling probe-slot prefetch.
+  void AccessRun(const PageId* refs, size_t count);
 
   // Drops the threshold to the largest sample hash present and evicts
   // the pages holding it, until the set fits `max_pages` again.
@@ -336,7 +313,6 @@ class StackDistanceKernel {
 
   uint64_t now_ = 0;   // Next timestamp on the (compacted) time axis.
   size_t window_ = 0;  // Fenwick capacity; now_ < window_ between accesses.
-  size_t pipeline_batch_ = 4;  // AccessAll batch width (output-neutral).
   LiveTree live_;
   FlatHashMap<PageId, uint64_t, kInvalidPageId> last_access_;
   StackDistanceHistogram histogram_;

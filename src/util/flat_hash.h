@@ -26,7 +26,7 @@ namespace epfis {
 /// `kEmptyKey` marks unoccupied slots and must never be inserted (the
 /// simulators use kInvalidPageId, which no trace contains). Values are
 /// stored inline next to their key, so a lookup touches exactly the cache
-/// lines of its probe sequence, and `Prefetch` lets a batched caller pull
+/// lines of its probe sequence, and `Prefetch` lets a caller pull
 /// the first probe slot of an upcoming key into cache ahead of time.
 ///
 /// Grows at a 0.7 load factor by doubling and reinserting; pointers
@@ -94,19 +94,6 @@ class FlatHashMap {
   }
   const Value* Find(Key key) const {
     return const_cast<FlatHashMap*>(this)->Find(key);
-  }
-
-  /// Stats-free lookup for speculative pipeline peeks: same probe
-  /// sequence as Find, but the instrumentation counters stay untouched,
-  /// so probes/lookups keep describing the resolving loop alone.
-  const Value* Peek(Key key) const {
-    size_t i = IndexFor(key);
-    for (;;) {
-      const Slot& slot = slots_[i];
-      if (slot.key == key) return &slot.value;
-      if (slot.key == kEmptyKey) return nullptr;
-      i = (i + 1) & mask_;
-    }
   }
 
   /// Inserts (key, value) if `key` is absent. Returns the slot's value

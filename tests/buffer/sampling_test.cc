@@ -182,23 +182,38 @@ TEST(SamplingTest, FixedRateMatchesPrefilteredExactKernel) {
 
 // Sampled kernel runs are insensitive to chunking and compaction: feeding
 // the trace in ragged chunks with a tiny window produces the same
-// histogram as one whole-trace call.
+// histogram as one whole-trace call. Fixed-rate and adaptive mode filter
+// on separate paths in AccessAll (a batched prefilter vs. a per-reference
+// check against a moving threshold), so both are fed.
 TEST(SamplingTest, SampledChunkedAccessEqualsWholeTrace) {
   auto trace = ZipfTrace(8'192, 600, 0.86, 11);
-  SamplingOptions options;
-  options.rate = 0.2;
-  StackDistanceKernel whole(trace.size(), 0, options);
-  whole.AccessAll(trace);
-  StackDistanceKernel chunked(16, 32, options);
-  for (size_t i = 0; i < trace.size(); i += 777) {
-    size_t n = std::min<size_t>(777, trace.size() - i);
-    chunked.AccessAll(trace.data() + i, n);
+  SamplingOptions fixed_rate;
+  fixed_rate.rate = 0.2;
+  SamplingOptions adaptive;
+  adaptive.max_pages = 128;
+  for (const SamplingOptions& options : {fixed_rate, adaptive}) {
+    SCOPED_TRACE(options.max_pages > 0 ? "adaptive" : "fixed-rate");
+    StackDistanceKernel whole(trace.size(), 0, options);
+    whole.AccessAll(trace);
+    StackDistanceKernel chunked(16, 32, options);
+    for (size_t i = 0; i < trace.size(); i += 777) {
+      size_t n = std::min<size_t>(777, trace.size() - i);
+      chunked.AccessAll(trace.data() + i, n);
+    }
+    EXPECT_TRUE(whole.histogram() == chunked.histogram());
+    EXPECT_TRUE(whole.sampled_result().histogram ==
+                chunked.sampled_result().histogram);
+    SamplingSummary a = whole.sampling_summary();
+    SamplingSummary b = chunked.sampling_summary();
+    EXPECT_EQ(a.total_refs, b.total_refs);
+    EXPECT_EQ(a.sampled_refs, b.sampled_refs);
+    EXPECT_EQ(a.evicted_pages, b.evicted_pages);
+    if (options.max_pages > 0) {
+      // The eviction path actually ran, on both feeds.
+      EXPECT_GT(b.evicted_pages, 0u);
+      EXPECT_LE(chunked.sampled_pages(), options.max_pages);
+    }
   }
-  EXPECT_TRUE(whole.histogram() == chunked.histogram());
-  EXPECT_EQ(whole.sampling_summary().total_refs,
-            chunked.sampling_summary().total_refs);
-  EXPECT_EQ(whole.sampling_summary().sampled_refs,
-            chunked.sampling_summary().sampled_refs);
 }
 
 // Serial and sharded fixed-rate runs agree exactly for every shard count:
