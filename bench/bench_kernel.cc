@@ -49,7 +49,6 @@
 #include "epfis/trace_source.h"
 #include "epfis/uring_trace_source.h"
 #include "obs/metrics.h"
-#include "util/arena.h"
 #include "util/arg_parser.h"
 #include "util/numa.h"
 #include "util/random.h"
@@ -113,9 +112,7 @@ int main(int argc, char** argv) {
 
   const NumaTopology& topo = NumaTopology::Get();
   std::cout << "topology: " << topo.num_nodes() << " NUMA node(s), "
-            << topo.num_cpus() << " CPU(s); hugepage arena "
-            << (HugePageArena::hugepages_enabled() ? "advising" : "off")
-            << "; io_uring "
+            << topo.num_cpus() << " CPU(s); io_uring "
             << (UringTraceSource::Supported() ? "available" : "unavailable")
             << '\n';
   std::cout << "generating Zipf(" << theta << ") trace: " << refs
@@ -165,28 +162,6 @@ int main(int argc, char** argv) {
       .Cell(kernel_s, 3)
       .Cell(kernel_mrefs, 2)
       .Cell(speedup, 2);
-
-  // Hugepage arena A/B: advice off must be output-neutral; whether it is
-  // *speed*-neutral depends on the machine (containers without THP grant
-  // nothing either way — the JSON records the config so CI curves are
-  // comparable across hosts).
-  VariantResult no_huge;
-  {
-    bool saved = HugePageArena::set_hugepages_enabled(false);
-    StackDistanceKernel run(trace.size());
-    auto t0 = std::chrono::steady_clock::now();
-    run.AccessAll(trace);
-    no_huge.name = "hugepages-off";
-    no_huge.seconds = SecondsSince(t0);
-    no_huge.bit_identical = run.histogram() == reference;
-    HugePageArena::set_hugepages_enabled(saved);
-    identical = identical && no_huge.bit_identical;
-    table.AddRow()
-        .Cell("kernel, hugepages off")
-        .Cell(no_huge.seconds, 3)
-        .Cell(static_cast<double>(refs) / no_huge.seconds / 1e6, 2)
-        .Cell(legacy_s / no_huge.seconds, 2);
-  }
 
   // Sharded scaling sweep: 1, 2, 4, 8, ... threads up to --threads, each
   // on a pool whose workers are (optionally) pinned round-robin across
@@ -323,10 +298,6 @@ int main(int argc, char** argv) {
        << "  \"theta\": " << theta << ",\n"
        << "  \"numa_nodes\": " << topo.num_nodes() << ",\n"
        << "  \"cpus\": " << topo.num_cpus() << ",\n"
-       << "  \"hugepages_advised\": "
-       << (HugePageArena::hugepages_enabled() ? "true" : "false") << ",\n"
-       << "  \"huge_allocs\": " << HugePageArena::stats().huge_allocs
-       << ",\n"
        << "  \"uring_supported\": "
        << (UringTraceSource::Supported() ? "true" : "false") << ",\n"
        << "  \"legacy_seconds\": " << legacy_s << ",\n"
@@ -334,9 +305,6 @@ int main(int argc, char** argv) {
        << "  \"legacy_mrefs_per_s\": " << legacy_mrefs << ",\n"
        << "  \"kernel_mrefs_per_s\": " << kernel_mrefs << ",\n"
        << "  \"single_thread_speedup\": " << speedup << ",\n";
-  json << "  \"hugepages_off_seconds\": " << no_huge.seconds << ",\n"
-       << "  \"hugepages_off_bit_identical\": "
-       << (no_huge.bit_identical ? "true" : "false") << ",\n";
   if (!scaling.empty()) {
     json << "  \"pin_workers\": " << (pin ? "true" : "false") << ",\n"
          << "  \"scaling\": [\n";

@@ -10,7 +10,6 @@
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "storage/page.h"
-#include "util/arena.h"
 #include "util/flat_hash.h"
 
 namespace epfis {
@@ -289,11 +288,8 @@ class StackDistanceKernel {
       }
     }
 
-    // Hugepage-backed (util/arena.h): once the compacted window spans
-    // hundreds of KB these are probed at reuse-distance-sized strides,
-    // and 2MB TLB entries keep those probes walk-free.
-    std::vector<uint64_t, HugeAllocator<uint64_t>> bits_;  // Live bits.
-    std::vector<uint32_t, HugeAllocator<uint32_t>> tree_;  // Word popcounts.
+    std::vector<uint64_t> bits_;  // Live bits.
+    std::vector<uint32_t> tree_;  // Word popcounts.
   };
 
   void Compact();

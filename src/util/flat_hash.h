@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
-
 // Mirrors the build-wide gate from obs/metrics.h without depending on it:
 // this header sits below the obs layer.
 #ifndef EPFIS_METRICS_ENABLED
@@ -30,9 +28,7 @@ namespace epfis {
 /// the first probe slot of an upcoming key into cache ahead of time.
 ///
 /// Grows at a 0.7 load factor by doubling and reinserting; pointers
-/// returned by Find/TryEmplace are invalidated by any later insert. The
-/// slot array is hugepage-backed (util/arena.h): once it outgrows the
-/// arena threshold, random probes stop paying 4KB-page TLB walks.
+/// returned by Find/TryEmplace are invalidated by any later insert.
 ///
 /// When the caller knows how many keys are coming (the kernel passes the
 /// adaptive sampling cap, an exact bound), `SetGrowthHint` lets a
@@ -217,7 +213,7 @@ class FlatHashMap {
   static constexpr size_t kRebuildPrefetchAhead = 8;
 
   void Rebuild(size_t new_capacity) {
-    std::vector<Slot, HugeAllocator<Slot>> old = std::move(slots_);
+    std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_capacity, Slot{kEmptyKey, Value{}});
     mask_ = new_capacity - 1;
     shift_ = 64;
@@ -238,7 +234,7 @@ class FlatHashMap {
     }
   }
 
-  std::vector<Slot, HugeAllocator<Slot>> slots_;
+  std::vector<Slot> slots_;
   size_t size_ = 0;
   size_t mask_ = 0;
   unsigned shift_ = 64;
