@@ -28,8 +28,7 @@
 //   --seed=S      RNG seed                       (default 42)
 //   --json=PATH   output JSON path               (default BENCH_kernel.json)
 //   --trace=PATH  also save the trace there and time ingestion through
-//                 OpenTraceSource (mmap) and the forced io_uring path
-//                 (default: skip)
+//                 OpenTraceSource (mmap)         (default: skip)
 //
 // Acceptance targets: kernel >= 3x legacy single-thread on the default
 // 10M-reference Zipf(0.86) trace (ISSUE 2); every variant bit-identical;
@@ -47,8 +46,6 @@
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_io.h"
 #include "epfis/trace_source.h"
-#include "epfis/uring_trace_source.h"
-#include "obs/metrics.h"
 #include "util/arg_parser.h"
 #include "util/numa.h"
 #include "util/random.h"
@@ -112,9 +109,7 @@ int main(int argc, char** argv) {
 
   const NumaTopology& topo = NumaTopology::Get();
   std::cout << "topology: " << topo.num_nodes() << " NUMA node(s), "
-            << topo.num_cpus() << " CPU(s); io_uring "
-            << (UringTraceSource::Supported() ? "available" : "unavailable")
-            << '\n';
+            << topo.num_cpus() << " CPU(s)\n";
   std::cout << "generating Zipf(" << theta << ") trace: " << refs
             << " refs over " << pages << " pages...\n";
   std::vector<PageId> trace = MakeZipfTrace(refs, pages, theta, seed);
@@ -227,59 +222,38 @@ int main(int argc, char** argv) {
     scaling.push_back(point);
   }
 
-  // Ingestion: the trace streamed back through the autodetected source
-  // (mmap on any reasonable host) and through the forced io_uring path.
+  // Ingestion: the trace streamed back through OpenTraceSource (mmap on
+  // any reasonable host).
   double mmap_s = 0;
-  double uring_s = 0;
-  uint64_t uring_fallbacks = 0;
   if (!trace_path.empty()) {
     if (Status s = SavePageTrace(trace, trace_path); !s.ok()) {
       std::cerr << s.ToString() << '\n';
       return 1;
     }
-    auto timed_stream = [&](const TraceOpenOptions& options,
-                            double* out_s) -> bool {
-      auto source = OpenTraceSource(trace_path, options);
-      if (!source.ok()) {
-        std::cerr << source.status().ToString() << '\n';
-        return false;
+    auto source = OpenTraceSource(trace_path);
+    if (!source.ok()) {
+      std::cerr << source.status().ToString() << '\n';
+      return 1;
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    StackDistanceKernel streamed((*source)->size_hint().value_or(refs));
+    std::vector<PageId> chunk(size_t{1} << 16);
+    while (true) {
+      auto got = (*source)->Next(chunk.data(), chunk.size());
+      if (!got.ok()) {
+        std::cerr << got.status().ToString() << '\n';
+        return 1;
       }
-      auto t0 = std::chrono::steady_clock::now();
-      StackDistanceKernel streamed((*source)->size_hint().value_or(refs));
-      std::vector<PageId> chunk(size_t{1} << 16);
-      while (true) {
-        auto got = (*source)->Next(chunk.data(), chunk.size());
-        if (!got.ok()) {
-          std::cerr << got.status().ToString() << '\n';
-          return false;
-        }
-        if (*got == 0) break;
-        streamed.AccessAll(chunk.data(), *got);
-      }
-      *out_s = SecondsSince(t0);
-      identical = identical && (streamed.histogram() == reference);
-      return true;
-    };
-    if (!timed_stream({}, &mmap_s)) return 1;
+      if (*got == 0) break;
+      streamed.AccessAll(chunk.data(), *got);
+    }
+    mmap_s = SecondsSince(t0);
+    identical = identical && (streamed.histogram() == reference);
     table.AddRow()
         .Cell("kernel, mmap-streamed trace")
         .Cell(mmap_s, 3)
         .Cell(static_cast<double>(refs) / mmap_s / 1e6, 2)
         .Cell(legacy_s / mmap_s, 2);
-    uint64_t fallbacks_before =
-        MetricsRegistry::Global().Snapshot().counters["trace.uring_fallbacks"];
-    TraceOpenOptions force;
-    force.force_uring = true;
-    if (!timed_stream(force, &uring_s)) return 1;
-    uring_fallbacks =
-        MetricsRegistry::Global().Snapshot().counters["trace.uring_fallbacks"] -
-        fallbacks_before;
-    table.AddRow()
-        .Cell(uring_fallbacks == 0 ? "kernel, io_uring-streamed trace"
-                                   : "kernel, io_uring (fell back)")
-        .Cell(uring_s, 3)
-        .Cell(static_cast<double>(refs) / uring_s / 1e6, 2)
-        .Cell(legacy_s / uring_s, 2);
   }
 
   table.Print(std::cout);
@@ -298,8 +272,6 @@ int main(int argc, char** argv) {
        << "  \"theta\": " << theta << ",\n"
        << "  \"numa_nodes\": " << topo.num_nodes() << ",\n"
        << "  \"cpus\": " << topo.num_cpus() << ",\n"
-       << "  \"uring_supported\": "
-       << (UringTraceSource::Supported() ? "true" : "false") << ",\n"
        << "  \"legacy_seconds\": " << legacy_s << ",\n"
        << "  \"kernel_seconds\": " << kernel_s << ",\n"
        << "  \"legacy_mrefs_per_s\": " << legacy_mrefs << ",\n"
@@ -328,10 +300,6 @@ int main(int argc, char** argv) {
   }
   if (mmap_s > 0) {
     json << "  \"mmap_stream_seconds\": " << mmap_s << ",\n";
-  }
-  if (uring_s > 0) {
-    json << "  \"uring_stream_seconds\": " << uring_s << ",\n"
-         << "  \"uring_fallbacks\": " << uring_fallbacks << ",\n";
   }
   json << "  \"kernel_compactions\": " << kernel.compactions() << ",\n"
        << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "epfis/uring_trace_source.h"
 #include "obs/metrics.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -19,23 +18,6 @@
 #endif
 
 namespace epfis {
-namespace {
-
-// Size probe for the autodetect's uring threshold; nullopt (stat failed,
-// platform without stat) just skips the uring attempt — the next access
-// path will produce the real error.
-std::optional<uint64_t> FileByteSize(const std::string& path) {
-#ifdef EPFIS_HAS_MMAP
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  return static_cast<uint64_t>(st.st_size);
-#else
-  (void)path;
-  return std::nullopt;
-#endif
-}
-
-}  // namespace
 
 Result<size_t> VectorTraceSource::Next(PageId* buffer, size_t capacity) {
   size_t n = std::min(capacity, data_->size() - pos_);
@@ -214,34 +196,6 @@ Result<std::unique_ptr<TraceSource>> OpenTraceSource(
     const std::string& path, const TraceOpenOptions& options) {
   static Counter fallbacks =
       MetricsRegistry::Global().GetCounter("trace.mmap_fallbacks");
-  static Counter uring_fallbacks =
-      MetricsRegistry::Global().GetCounter("trace.uring_fallbacks");
-  // io_uring first, and only when the file is large enough (or forced):
-  // the ring's win is streaming a colder-than-cache trace without
-  // flushing the page cache under the simulator. Stat through the uring
-  // Open itself — it validates geometry before touching the ring, so a
-  // corrupt file fails here with the final verdict and never falls back.
-  if (options.force_uring ||
-      (UringTraceSource::Supported() && options.uring_min_bytes > 0)) {
-    bool try_uring = options.force_uring;
-    if (!try_uring) {
-      if (auto size = FileByteSize(path);
-          size.has_value() && *size >= options.uring_min_bytes) {
-        try_uring = true;
-      }
-    }
-    if (try_uring) {
-      Result<UringTraceSource> source = UringTraceSource::Open(path, options);
-      if (source.ok()) {
-        return std::unique_ptr<TraceSource>(
-            new UringTraceSource(std::move(*source)));
-      }
-      if (source.status().code() == StatusCode::kCorruption) {
-        return source.status();
-      }
-      uring_fallbacks.Increment();
-    }
-  }
   if (MmapTraceSource::Supported()) {
     Result<MmapTraceSource> source = MmapTraceSource::Open(path, options);
     if (source.ok()) {

@@ -15,8 +15,6 @@
 
 namespace epfis {
 
-class Watchdog;
-
 /// Pull-based producer of an index reference string.
 ///
 /// §4.1's statistics scan emits one data-page reference per index entry in
@@ -82,22 +80,8 @@ class VectorTraceSource final : public TraceSource {
   size_t pos_ = 0;
 };
 
-/// Knobs for OpenTraceSource's access-path autodetection, plus the
-/// robustness controls shared by every file-backed source.
+/// Robustness controls shared by every file-backed source.
 struct TraceOpenOptions {
-  /// Files at least this large try O_DIRECT/io_uring ingestion first
-  /// (UringTraceSource). The default keeps everything on mmap: page-cache
-  /// reads win whenever the trace fits in (or is already in) memory, and
-  /// O_DIRECT's advantage — streaming a cold trace without evicting the
-  /// simulator's working set — only materializes on traces big enough to
-  /// fight the cache for residency. Lower it (or set force_uring) to
-  /// route smaller files through the ring.
-  uint64_t uring_min_bytes = uint64_t{4} << 30;
-
-  /// Try UringTraceSource regardless of size (benchmarks, fallback
-  /// drills). Unavailability still falls back; corruption still fails.
-  bool force_uring = false;
-
   /// Cooperative cancellation for the source's read loop: every Next
   /// polls the token first and returns Status::Cancelled once it fires,
   /// so a consumer never sits in a stuck read. The default null token
@@ -116,13 +100,6 @@ struct TraceOpenOptions {
   /// Corruption never retries — the file is bad, not the path to it.
   int open_retry_attempts = 1;
   std::chrono::nanoseconds open_retry_initial = std::chrono::milliseconds(1);
-
-  /// When set, the io_uring source registers a heartbeat with this
-  /// watchdog and beats once per block drained; a drain silent past
-  /// `watchdog_budget` trips a Child() of `cancel` and the next Next
-  /// returns Cancelled instead of waiting forever on a wedged ring.
-  Watchdog* watchdog = nullptr;
-  std::chrono::nanoseconds watchdog_budget = std::chrono::seconds(30);
 };
 
 /// TraceSource over a SavePageTrace file, read in chunks through
@@ -205,13 +182,11 @@ class MmapTraceSource final : public TraceSource {
 };
 
 /// Opens the fastest available TraceSource for a SavePageTrace file:
-/// UringTraceSource for very large files (see TraceOpenOptions), then
-/// MmapTraceSource where mmap exists, then FileTraceSource. Format errors
+/// MmapTraceSource where mmap exists, else FileTraceSource. Format errors
 /// propagate from whichever reader sees the file first (no silent
-/// fallback on a corrupt file — all three reject it with the same
-/// taxonomy); access-path failures — io_uring missing (ENOSYS, seccomp,
-/// EPFIS_URING=OFF), a filesystem that cannot back the mapping — degrade
-/// to the next path and bump trace.uring_fallbacks / trace.mmap_fallbacks.
+/// fallback on a corrupt file — both reject it with the same taxonomy);
+/// an access-path failure — a filesystem that cannot back the mapping —
+/// degrades to the streaming reader and bumps trace.mmap_fallbacks.
 Result<std::unique_ptr<TraceSource>> OpenTraceSource(
     const std::string& path, const TraceOpenOptions& options = {});
 

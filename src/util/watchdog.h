@@ -15,8 +15,8 @@
 
 namespace epfis {
 
-/// Detects stalled workers. A long-running activity (a shard worker, a
-/// uring drain) registers a Heartbeat with a budget and its owning
+/// Detects stalled workers. A long-running activity (a shard worker)
+/// registers a Heartbeat with a budget and its owning
 /// CancellationToken, then calls Beat() at loop boundaries. A background
 /// monitor thread scans registered heartbeats; one that goes silent past
 /// its budget is "tripped": the owning token fires (cancelling the whole

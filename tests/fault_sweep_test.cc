@@ -135,19 +135,6 @@ class FaultSweepTest : public testing::Test {
     auto any_source = OpenTraceSource(trace_path_, source_options);
     record(any_source.ok() ? Status::Ok() : any_source.status());
 
-    // io_uring open + degrade path (trace.uring.setup). Forced through
-    // the ring — the autodetect's size threshold would skip this small
-    // fixture — so the point is consulted on every pass; an injected
-    // setup fault (or a kernel without io_uring) falls back to mmap
-    // transparently, like trace.mmap.map one rung further down.
-    {
-      TraceOpenOptions uring_options;
-      uring_options.cancel = cancel;
-      uring_options.force_uring = true;
-      auto uring_source = OpenTraceSource(trace_path_, uring_options);
-      record(uring_source.ok() ? Status::Ok() : uring_source.status());
-    }
-
     // Sharded simulation (sd.shard.task).
     {
       ThreadPool pool(4);
@@ -280,10 +267,9 @@ TEST_F(FaultSweepTest, EveryPointDegradesGracefullyAndRecovers) {
     EXPECT_FALSE(HasTmpLeak()) << "tmp file leaked under fault";
     // The fault must surface somewhere: at least one stage failed, except
     // at points whose whole purpose is transparent degradation
-    // (uring -> mmap and mmap -> streaming fallbacks hide access-path
-    // errors by design).
-    if (std::string(point) != "trace.mmap.map" &&
-        std::string(point) != "trace.uring.setup") {
+    // (the mmap -> streaming fallback hides access-path errors by
+    // design).
+    if (std::string(point) != "trace.mmap.map") {
       EXPECT_FALSE(faulted.all_ok())
           << "injected error vanished without degrading anything";
     }
