@@ -16,7 +16,6 @@
 //   --threads=N   sharded-scaling sweep ceiling: runs 1,2,4,8,... up to N,
 //                 each with the streaming overlap merge on AND off
 //                 (0 = skip the sweep)           (default 0)
-//   --pin=0|1     pin shard workers to CPUs, NUMA round-robin (default 1)
 //   --gate-overlap=0|1  fail (exit 1) if overlap-on throughput falls more
 //                 than 5% under overlap-off at any swept count >= 2
 //                 threads (at 1 thread the two are within noise — there
@@ -47,7 +46,6 @@
 #include "epfis/trace_io.h"
 #include "epfis/trace_source.h"
 #include "util/arg_parser.h"
-#include "util/numa.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -94,7 +92,6 @@ int main(int argc, char** argv) {
       args.GetInt("pages", static_cast<int64_t>(refs / 50)));
   const double theta = args.GetDouble("theta", 0.86);
   const size_t max_threads = static_cast<size_t>(args.GetInt("threads", 0));
-  const bool pin = args.GetBool("pin", true);
   const bool gate_overlap = args.GetBool("gate-overlap", false);
   const int reps = static_cast<int>(args.GetInt("reps", 3));
   const double gate_mrefs = args.GetDouble("gate-mrefs", 0.0);
@@ -107,9 +104,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const NumaTopology& topo = NumaTopology::Get();
-  std::cout << "topology: " << topo.num_nodes() << " NUMA node(s), "
-            << topo.num_cpus() << " CPU(s)\n";
+  std::cout << "hardware threads: " << ThreadPool::DefaultThreadCount()
+            << '\n';
   std::cout << "generating Zipf(" << theta << ") trace: " << refs
             << " refs over " << pages << " pages...\n";
   std::vector<PageId> trace = MakeZipfTrace(refs, pages, theta, seed);
@@ -167,15 +163,12 @@ int main(int argc, char** argv) {
     size_t threads = 0;
     double overlap_s = 0;   // Best-of-reps, overlap merge on.
     double barrier_s = 0;   // Best-of-reps, overlap merge off.
-    uint64_t pinned = 0;
     bool bit_identical = false;
   };
   std::vector<ScalingPoint> scaling;
   bool overlap_gate_ok = true;
   for (size_t t = 1; t <= max_threads; t *= 2) {
-    ThreadPool::Options pool_options;
-    pool_options.pin_workers = pin;
-    ThreadPool pool(t, pool_options);
+    ThreadPool pool(t);
     VectorTraceSource source = VectorTraceSource::View(trace);
     ScalingPoint point;
     point.threads = t;
@@ -203,15 +196,11 @@ int main(int argc, char** argv) {
       (overlap ? point.overlap_s : point.barrier_s) = best_s;
       table.AddRow()
           .Cell("sharded, " + std::to_string(t) + " thread(s)" +
-                (pin ? ", pinned" : "") +
                 (overlap ? ", overlap" : ", barrier"))
           .Cell(best_s, 3)
           .Cell(static_cast<double>(refs) / best_s / 1e6, 2)
           .Cell(legacy_s / best_s, 2);
     }
-    // Read after the runs: workers pin themselves on thread startup, so
-    // sampling the counter right after construction would race with them.
-    point.pinned = pool.pinned_workers();
     identical = identical && point.bit_identical;
     if (gate_overlap && t >= 2 && point.overlap_s > point.barrier_s * 1.05) {
       std::cerr << "FAIL: overlap merge slower than barrier at " << t
@@ -270,16 +259,14 @@ int main(int argc, char** argv) {
        << "  \"refs\": " << refs << ",\n"
        << "  \"pages\": " << pages << ",\n"
        << "  \"theta\": " << theta << ",\n"
-       << "  \"numa_nodes\": " << topo.num_nodes() << ",\n"
-       << "  \"cpus\": " << topo.num_cpus() << ",\n"
+       << "  \"cpus\": " << ThreadPool::DefaultThreadCount() << ",\n"
        << "  \"legacy_seconds\": " << legacy_s << ",\n"
        << "  \"kernel_seconds\": " << kernel_s << ",\n"
        << "  \"legacy_mrefs_per_s\": " << legacy_mrefs << ",\n"
        << "  \"kernel_mrefs_per_s\": " << kernel_mrefs << ",\n"
        << "  \"single_thread_speedup\": " << speedup << ",\n";
   if (!scaling.empty()) {
-    json << "  \"pin_workers\": " << (pin ? "true" : "false") << ",\n"
-         << "  \"scaling\": [\n";
+    json << "  \"scaling\": [\n";
     double base = scaling.front().overlap_s;
     for (size_t i = 0; i < scaling.size(); ++i) {
       const ScalingPoint& v = scaling[i];
@@ -291,7 +278,6 @@ int main(int argc, char** argv) {
            << ", \"barrier_mrefs_per_s\": "
            << static_cast<double>(refs) / v.barrier_s / 1e6
            << ", \"overlap_gain\": " << v.barrier_s / v.overlap_s
-           << ", \"pinned_workers\": " << v.pinned
            << ", \"bit_identical\": "
            << (v.bit_identical ? "true" : "false") << "}"
            << (i + 1 < scaling.size() ? "," : "") << '\n';

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "util/numa.h"
 
 namespace epfis {
 
@@ -15,7 +14,7 @@ ThreadPool::ThreadPool(size_t num_threads, Options options)
   num_threads = std::max<size_t>(num_threads, 1);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -86,16 +85,7 @@ void ThreadPool::Enqueue(Item item) {
   }
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  if (options_.pin_workers) {
-    // Each worker pins itself before its first task, so everything it
-    // allocates — including every shard structure it first-touches —
-    // faults onto its own node's memory from the start.
-    const NumaTopology& topo = NumaTopology::Get();
-    if (PinThreadToCpu(topo.CpuForWorker(worker_index))) {
-      pinned_workers_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+void ThreadPool::WorkerLoop() {
   for (;;) {
     Item item;
     {

@@ -62,16 +62,6 @@ class ThreadPool {
   };
 
   struct Options {
-    /// Pin worker i to NumaTopology::Get().CpuForWorker(i) — round-robin
-    /// across NUMA nodes, then across the CPUs within each node. Shard
-    /// structures are allocated and first-touched inside the worker task
-    /// (ProcessShard builds its table and tree on the worker), so a pinned
-    /// worker keeps its shards' memory on its own node for the whole
-    /// parallel phase. Best-effort: a failed sched_setaffinity (platform
-    /// without it, restrictive cgroup cpuset) leaves the worker unpinned
-    /// and is counted in pinned_workers(), never an error.
-    bool pin_workers = false;
-
     /// Maximum queued (unstarted) tasks; 0 means unbounded.
     size_t max_queue = 0;
 
@@ -131,13 +121,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Workers whose affinity pin succeeded. 0 unless Options::pin_workers;
-  /// may lag briefly after construction (each worker pins itself as it
-  /// starts) and is at most num_threads().
-  size_t pinned_workers() const {
-    return pinned_workers_.load(std::memory_order_relaxed);
-  }
-
   /// Tasks whose future resolved to PoolRejectedError (kReject submissions
   /// plus kShedOldest displacements) on this pool.
   uint64_t rejected_tasks() const {
@@ -159,7 +142,7 @@ class ThreadPool {
   };
 
   void Enqueue(Item item);
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
 
   const Options options_;
   mutable std::mutex mu_;
@@ -167,7 +150,6 @@ class ThreadPool {
   std::condition_variable space_cv_;  // kBlock submitters wait for a slot
   std::deque<Item> queue_;            // Guarded by mu_.
   bool stopping_ = false;             // Guarded by mu_.
-  std::atomic<size_t> pinned_workers_{0};
   std::atomic<uint64_t> rejected_tasks_{0};
   std::vector<std::thread> workers_;
 };
