@@ -1,7 +1,5 @@
-// Old-vs-new Mattson kernel throughput, plus the raw-speed surfaces the
-// kernel grew on top of it: the software-pipelined batch widths, the
-// hugepage arena, NUMA-pinned sharded scaling at 1/2/4/8 threads, and
-// the mmap / io_uring trace-ingestion paths.
+// Old-vs-new Mattson kernel throughput, plus sharded scaling at
+// 1/2/4/8 threads and mmap trace ingestion.
 //
 // Generates a Zipf(theta) page trace (the reuse pattern of a secondary
 // index over a hot/cold table), runs the legacy StackDistanceSimulator
@@ -13,14 +11,8 @@
 //   --refs=N      references in the trace        (default 10000000)
 //   --pages=N     distinct data pages            (default refs/50)
 //   --theta=F     Zipf skew                      (default 0.86)
-//   --threads=N   sharded-scaling sweep ceiling: runs 1,2,4,8,... up to N,
-//                 each with the streaming overlap merge on AND off
+//   --threads=N   sharded-scaling sweep ceiling: runs 1,2,4,8,... up to N
 //                 (0 = skip the sweep)           (default 0)
-//   --gate-overlap=0|1  fail (exit 1) if overlap-on throughput falls more
-//                 than 5% under overlap-off at any swept count >= 2
-//                 threads (at 1 thread the two are within noise — there
-//                 is no concurrent pass to hide the merge behind)
-//                                                (default 0)
 //   --reps=N      timed repetitions, best-of-N   (default 3)
 //   --gate-mrefs=F fail (exit 1) if the single-thread kernel run falls
 //                 under F Mrefs/s (0 = no gate)  (default 0)
@@ -73,15 +65,6 @@ std::vector<PageId> MakeZipfTrace(uint64_t refs, uint64_t pages,
   return trace;
 }
 
-// One timed variant: what ran, how fast, and whether its histogram
-// matched the legacy reference exactly.
-struct VariantResult {
-  std::string name;
-  double seconds = 0;
-  bool bit_identical = false;
-  uint64_t detail = 0;  // Variant-specific (threads, batch, pins...).
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -92,7 +75,6 @@ int main(int argc, char** argv) {
       args.GetInt("pages", static_cast<int64_t>(refs / 50)));
   const double theta = args.GetDouble("theta", 0.86);
   const size_t max_threads = static_cast<size_t>(args.GetInt("threads", 0));
-  const bool gate_overlap = args.GetBool("gate-overlap", false);
   const int reps = static_cast<int>(args.GetInt("reps", 3));
   const double gate_mrefs = args.GetDouble("gate-mrefs", 0.0);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -154,60 +136,41 @@ int main(int argc, char** argv) {
       .Cell(kernel_mrefs, 2)
       .Cell(speedup, 2);
 
-  // Sharded scaling sweep: 1, 2, 4, 8, ... threads up to --threads, each
-  // on a pool whose workers are (optionally) pinned round-robin across
-  // NUMA nodes before they first-touch their shard structures. Each
-  // thread count runs twice — streaming overlap merge on, then off — so
-  // the curve shows what hiding the merge behind the shard passes buys.
+  // Sharded scaling sweep: 1, 2, 4, 8, ... threads up to --threads, at
+  // the default geometry (2 shards per worker) with the barrier merge.
   struct ScalingPoint {
     size_t threads = 0;
-    double overlap_s = 0;   // Best-of-reps, overlap merge on.
-    double barrier_s = 0;   // Best-of-reps, overlap merge off.
+    double seconds = 0;  // Best-of-reps.
     bool bit_identical = false;
   };
   std::vector<ScalingPoint> scaling;
-  bool overlap_gate_ok = true;
   for (size_t t = 1; t <= max_threads; t *= 2) {
     ThreadPool pool(t);
     VectorTraceSource source = VectorTraceSource::View(trace);
     ScalingPoint point;
     point.threads = t;
     point.bit_identical = true;
-    for (bool overlap : {true, false}) {
-      StackDistanceOptions sd_options;
-      sd_options.overlap_merge = overlap;
-      double best_s = 0;
-      for (int r = 0; r < reps; ++r) {
-        if (Status st = source.Reset(); !st.ok()) {
-          std::cerr << st.ToString() << '\n';
-          return 1;
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        auto parallel = ComputeStackDistances(source, &pool, sd_options);
-        double s = SecondsSince(t0);
-        if (!parallel.ok()) {
-          std::cerr << parallel.status().ToString() << '\n';
-          return 1;
-        }
-        if (r == 0 || s < best_s) best_s = s;
-        point.bit_identical =
-            point.bit_identical && (*parallel == reference);
+    for (int r = 0; r < reps; ++r) {
+      if (Status st = source.Reset(); !st.ok()) {
+        std::cerr << st.ToString() << '\n';
+        return 1;
       }
-      (overlap ? point.overlap_s : point.barrier_s) = best_s;
-      table.AddRow()
-          .Cell("sharded, " + std::to_string(t) + " thread(s)" +
-                (overlap ? ", overlap" : ", barrier"))
-          .Cell(best_s, 3)
-          .Cell(static_cast<double>(refs) / best_s / 1e6, 2)
-          .Cell(legacy_s / best_s, 2);
+      auto t0 = std::chrono::steady_clock::now();
+      auto parallel = ComputeStackDistances(source, &pool);
+      double s = SecondsSince(t0);
+      if (!parallel.ok()) {
+        std::cerr << parallel.status().ToString() << '\n';
+        return 1;
+      }
+      if (r == 0 || s < point.seconds) point.seconds = s;
+      point.bit_identical = point.bit_identical && (*parallel == reference);
     }
     identical = identical && point.bit_identical;
-    if (gate_overlap && t >= 2 && point.overlap_s > point.barrier_s * 1.05) {
-      std::cerr << "FAIL: overlap merge slower than barrier at " << t
-                << " threads (" << point.overlap_s << "s vs "
-                << point.barrier_s << "s)\n";
-      overlap_gate_ok = false;
-    }
+    table.AddRow()
+        .Cell("sharded, " + std::to_string(t) + " thread(s)")
+        .Cell(point.seconds, 3)
+        .Cell(static_cast<double>(refs) / point.seconds / 1e6, 2)
+        .Cell(legacy_s / point.seconds, 2);
     scaling.push_back(point);
   }
 
@@ -259,7 +222,8 @@ int main(int argc, char** argv) {
        << "  \"refs\": " << refs << ",\n"
        << "  \"pages\": " << pages << ",\n"
        << "  \"theta\": " << theta << ",\n"
-       << "  \"cpus\": " << ThreadPool::DefaultThreadCount() << ",\n"
+       << "  \"hardware_threads\": " << ThreadPool::DefaultThreadCount()
+       << ",\n"
        << "  \"legacy_seconds\": " << legacy_s << ",\n"
        << "  \"kernel_seconds\": " << kernel_s << ",\n"
        << "  \"legacy_mrefs_per_s\": " << legacy_mrefs << ",\n"
@@ -267,17 +231,13 @@ int main(int argc, char** argv) {
        << "  \"single_thread_speedup\": " << speedup << ",\n";
   if (!scaling.empty()) {
     json << "  \"scaling\": [\n";
-    double base = scaling.front().overlap_s;
+    double base = scaling.front().seconds;
     for (size_t i = 0; i < scaling.size(); ++i) {
       const ScalingPoint& v = scaling[i];
       json << "    {\"threads\": " << v.threads
-           << ", \"seconds\": " << v.overlap_s << ", \"mrefs_per_s\": "
-           << static_cast<double>(refs) / v.overlap_s / 1e6
-           << ", \"speedup_vs_1t\": " << base / v.overlap_s
-           << ", \"barrier_seconds\": " << v.barrier_s
-           << ", \"barrier_mrefs_per_s\": "
-           << static_cast<double>(refs) / v.barrier_s / 1e6
-           << ", \"overlap_gain\": " << v.barrier_s / v.overlap_s
+           << ", \"seconds\": " << v.seconds << ", \"mrefs_per_s\": "
+           << static_cast<double>(refs) / v.seconds / 1e6
+           << ", \"speedup_vs_1t\": " << base / v.seconds
            << ", \"bit_identical\": "
            << (v.bit_identical ? "true" : "false") << "}"
            << (i + 1 < scaling.size() ? "," : "") << '\n';
@@ -297,6 +257,5 @@ int main(int argc, char** argv) {
               << gate_mrefs << " Mrefs/s floor\n";
     return 1;
   }
-  if (!overlap_gate_ok) return 1;
   return identical ? 0 : 1;
 }

@@ -18,21 +18,11 @@ class Watchdog;
 
 /// Tuning knobs for the sharded stack-distance computation.
 struct StackDistanceOptions {
-  /// Number of trace shards. 0 picks a geometry automatically: a multiple
-  /// of the pool's worker count, with the oversubscription factor sized
-  /// from the merge-to-pass cost ratio measured on previous parallel runs
-  /// (smaller shards shrink the non-overlappable merge tail of the last
-  /// shard — see DESIGN.md §15). More shards than workers is fine (they
-  /// queue); results are independent of the shard count.
+  /// Number of trace shards. 0 = 2 shards per pool worker (a 3-worker
+  /// pool splits the trace 6 ways, subject to `min_shard_refs`). More
+  /// shards than workers is fine (they queue); results are independent
+  /// of the shard count.
   size_t num_shards = 0;
-
-  /// Stream the merge: apply shard k's merge the moment its future
-  /// resolves (on the reader thread, between chunk fills) while shards
-  /// k+1… still execute on the pool, instead of draining every future
-  /// first and merging behind a barrier. Merge order is submission order
-  /// either way, so the two modes are bit-identical; this flag exists for
-  /// A/B measurement (bench_kernel sweeps it) and as an escape hatch.
-  bool overlap_merge = true;
 
   /// Floor on the references per shard, so tiny traces are not split into
   /// shards whose fixed costs dominate. Tests lower this to exercise

@@ -48,7 +48,8 @@ struct LruFitOptions {
   /// indexes instead and resets this to avoid pool self-deadlock.
   ThreadPool* pool = nullptr;
 
-  /// Trace shards when `pool` is set; 0 = one shard per pool worker.
+  /// Trace shards when `pool` is set; 0 = 2 shards per pool worker (see
+  /// StackDistanceOptions::num_shards).
   size_t num_shards = 0;
 
   /// SHARDS spatial sampling of the statistics pass (DESIGN.md §10): keep

@@ -8,6 +8,7 @@
 
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
+#include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -129,31 +130,23 @@ TEST(ParallelStackDistanceTest, NullPoolMatchesSimulator) {
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped merge: the streaming merge (applied the moment each shard
-// future resolves) must be bit-identical to the barrier merge (applied
-// after a full drain) and to the serial kernel — across shard counts,
-// sampling modes, and shard-size floors.
+// Sharded merge: the barrier merge must be bit-identical to the serial
+// kernel across shard counts, sampling modes, and shard-size floors.
 
-// Runs the same trace through overlap mode, barrier mode, and the serial
-// path for one sampling configuration, and requires all three histograms
-// (and the sampled summaries) to be exactly equal.
-void ExpectModesBitIdentical(const std::vector<PageId>& trace,
-                             ThreadPool& pool, size_t num_shards,
-                             double sample_rate, size_t min_shard_refs) {
+// Runs the same trace sharded and serially for one sampling
+// configuration, and requires both histograms (and the sampled
+// summaries) to be exactly equal.
+void ExpectShardedMatchesSerial(const std::vector<PageId>& trace,
+                                ThreadPool& pool, size_t num_shards,
+                                double sample_rate, size_t min_shard_refs) {
   StackDistanceOptions options;
   options.num_shards = num_shards;
   options.min_shard_refs = min_shard_refs;
   options.sampling.rate = sample_rate;
 
-  options.overlap_merge = true;
-  VectorTraceSource overlap_source = VectorTraceSource::View(trace);
-  auto overlap = ComputeSampledStackDistances(overlap_source, &pool, options);
-  ASSERT_TRUE(overlap.ok()) << overlap.status().ToString();
-
-  options.overlap_merge = false;
-  VectorTraceSource barrier_source = VectorTraceSource::View(trace);
-  auto barrier = ComputeSampledStackDistances(barrier_source, &pool, options);
-  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  VectorTraceSource sharded_source = VectorTraceSource::View(trace);
+  auto sharded = ComputeSampledStackDistances(sharded_source, &pool, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
   VectorTraceSource serial_source = VectorTraceSource::View(trace);
   auto serial = ComputeSampledStackDistances(serial_source, nullptr, options);
@@ -164,84 +157,96 @@ void ExpectModesBitIdentical(const std::vector<PageId>& trace,
   ctx.resize(static_cast<size_t>(snprintf(ctx.data(), ctx.size(), ctx_fmt,
                                           num_shards, sample_rate,
                                           min_shard_refs)));
-  EXPECT_TRUE(overlap->histogram == barrier->histogram)
-      << "overlap vs barrier: " << ctx;
-  EXPECT_TRUE(overlap->histogram == serial->histogram)
-      << "overlap vs serial: " << ctx;
-  EXPECT_EQ(overlap->sampling.sampled_refs, barrier->sampling.sampled_refs)
+  EXPECT_TRUE(sharded->histogram == serial->histogram) << ctx;
+  EXPECT_EQ(sharded->sampling.sampled_refs, serial->sampling.sampled_refs)
       << ctx;
-  EXPECT_EQ(overlap->sampling.sampled_refs, serial->sampling.sampled_refs)
-      << ctx;
-  EXPECT_EQ(overlap->sampling.exact_distinct, barrier->sampling.exact_distinct)
+  EXPECT_EQ(sharded->sampling.exact_distinct, serial->sampling.exact_distinct)
       << ctx;
 }
 
-TEST(OverlapMergeTest, BitIdenticalToBarrierAndSerialUnfiltered) {
+TEST(ShardedMergeTest, MatchesSerialUnfiltered) {
   ThreadPool pool(3);
   auto trace = ZipfTrace(30'000, 1'500, 0.85, 77);
   for (size_t shards : {1u, 2u, 3u, 8u}) {
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/1.0,
-                            /*min_shard_refs=*/1);
+    ExpectShardedMatchesSerial(trace, pool, shards, /*sample_rate=*/1.0,
+                               /*min_shard_refs=*/1);
   }
 }
 
-TEST(OverlapMergeTest, BitIdenticalToBarrierAndSerialFixedRate) {
+TEST(ShardedMergeTest, MatchesSerialFixedRate) {
   ThreadPool pool(3);
   auto trace = ZipfTrace(30'000, 1'500, 0.85, 78);
   for (size_t shards : {1u, 2u, 3u, 8u}) {
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/0.25,
-                            /*min_shard_refs=*/1);
+    ExpectShardedMatchesSerial(trace, pool, shards, /*sample_rate=*/0.25,
+                               /*min_shard_refs=*/1);
   }
 }
 
-TEST(OverlapMergeTest, BitIdenticalUnderShardRefsFloor) {
+TEST(ShardedMergeTest, MatchesSerialUnderShardRefsFloor) {
   // A floor far above refs/shards collapses the requested split into a few
   // big shards; one above the trace length forces a single shard. The
   // geometry must stay invisible in the output either way.
   ThreadPool pool(3);
   auto trace = UniformTrace(12'000, 800, 79);
   for (size_t shards : {2u, 8u}) {
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/1.0,
-                            /*min_shard_refs=*/5'000);
-    ExpectModesBitIdentical(trace, pool, shards, /*sample_rate=*/0.25,
-                            /*min_shard_refs=*/20'000);
+    ExpectShardedMatchesSerial(trace, pool, shards, /*sample_rate=*/1.0,
+                               /*min_shard_refs=*/5'000);
+    ExpectShardedMatchesSerial(trace, pool, shards, /*sample_rate=*/0.25,
+                               /*min_shard_refs=*/20'000);
   }
 }
 
-TEST(OverlapMergeTest, AutoGeometryMatchesSerial) {
-  // num_shards = 0 lets the tuner pick the shard count (seeded by the
-  // merge-to-pass ratio of whatever ran earlier in this process); whatever
-  // it picks must not show in the result.
+TEST(ShardedMergeTest, DefaultGeometryIsTwoShardsPerWorker) {
+  // num_shards = 0 splits the trace into 2 shards per pool worker, no
+  // matter what ran earlier in this process; the split must not show in
+  // the result.
   ThreadPool pool(3);
   auto trace = ZipfTrace(25'000, 1'000, 0.9, 80);
   StackDistanceHistogram serial = SerialHistogram(trace);
   StackDistanceOptions options;
   options.num_shards = 0;
   options.min_shard_refs = 1;
-  VectorTraceSource source = VectorTraceSource::View(trace);
-  auto parallel = ComputeStackDistances(source, &pool, options);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_TRUE(*parallel == serial);
+  for (int run = 0; run < 2; ++run) {
+    uint64_t shards_before =
+        MetricsRegistry::Global().Snapshot().counters["sd.shards"];
+    VectorTraceSource source = VectorTraceSource::View(trace);
+    auto parallel = ComputeStackDistances(source, &pool, options);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_TRUE(*parallel == serial);
+#if EPFIS_METRICS_ENABLED
+    EXPECT_EQ(MetricsRegistry::Global().Snapshot().counters["sd.shards"] -
+                  shards_before,
+              6u)
+        << "run " << run;
+#else
+    (void)shards_before;
+#endif
+  }
 }
 
-TEST(OverlapMergeTest, MergeFaultSurfacesAndDrainsInOverlapMode) {
-  // A fault at the streaming merge step must come back as the injected
-  // Status — after every in-flight shard future has been drained (a hang
-  // here would time the test out), and without poisoning the next run.
+TEST(ShardedMergeTest, MergeFaultSurfacesDrainsAndRecovers) {
+  // A fault at a merge step, after two shards have merged, must come back
+  // as the injected Status — with every shard future drained first (a
+  // hang here would time the test out) — and must not poison the next
+  // run.
   ThreadPool pool(4);
   auto trace = UniformTrace(20'000, 600, 81);
   StackDistanceOptions options;
   options.num_shards = 8;
   options.min_shard_refs = 1;
-  options.overlap_merge = true;
   FaultSpec spec;
   spec.max_fires = 1;
+  spec.skip_calls = 2;
   spec.code = StatusCode::kInternal;
+  uint64_t fires_before =
+      FaultInjector::Global().counters("sd.merge.step").fires;
   FaultInjector::Global().Arm("sd.merge.step", spec);
   VectorTraceSource source = VectorTraceSource::View(trace);
   auto result = ComputeStackDistances(source, &pool, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(FaultInjector::Global().counters("sd.merge.step").fires,
+            fires_before + 1);
   FaultInjector::Global().DisarmAll();
 
   // Recovery: the very next pass over the same source succeeds and is
@@ -250,26 +255,6 @@ TEST(OverlapMergeTest, MergeFaultSurfacesAndDrainsInOverlapMode) {
   auto retry = ComputeStackDistances(retry_source, &pool, options);
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_TRUE(*retry == SerialHistogram(trace));
-}
-
-TEST(OverlapMergeTest, MergeFaultSurfacesInBarrierMode) {
-  // Same fault point, deferred merge: fires during the post-drain loop.
-  ThreadPool pool(2);
-  auto trace = UniformTrace(10'000, 400, 82);
-  StackDistanceOptions options;
-  options.num_shards = 4;
-  options.min_shard_refs = 1;
-  options.overlap_merge = false;
-  FaultSpec spec;
-  spec.max_fires = 1;
-  spec.skip_calls = 2;  // Let two shards merge first.
-  spec.code = StatusCode::kInternal;
-  FaultInjector::Global().Arm("sd.merge.step", spec);
-  VectorTraceSource source = VectorTraceSource::View(trace);
-  auto result = ComputeStackDistances(source, &pool, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  FaultInjector::Global().DisarmAll();
 }
 
 TEST(StackDistanceHistogramTest, FetchesAtZeroBufferIsTotalReferences) {
