@@ -86,9 +86,9 @@ Status ValidateOptions(const EstIoOptions& options) {
 }
 
 // The one evaluation core (paper §4.3 steps 4-7). Every public entry
-// point — legacy wrapper, validating single-probe, catalog-backed, and
-// batch — funnels through this function over an IndexStatsView, which is
-// what makes their results bit-identical by construction.
+// point — single-probe, catalog-backed, and batch — funnels through this
+// function over an IndexStatsView, which is what makes their results
+// bit-identical by construction.
 double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
                          const EstIoOptions& options) {
   EstIoMetrics& metrics = EstIoMetrics::Get();
@@ -152,11 +152,6 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
   double qualifying = s_sarg * sigma * n;
   if (estimate > qualifying) metrics.clamped.Increment();
   return Clamp(estimate, 0.0, qualifying);
-}
-
-double FullScanCore(const IndexStats& stats, uint64_t buffer_pages) {
-  EstIoMetrics::Get().full_scans.Increment();
-  return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 
 // Degraded mode: no trusted FPF curve, so fall back to the classical
@@ -361,17 +356,8 @@ Result<double> EstIo::EstimateFullScan(const IndexStats& stats,
     EstIoMetrics::Get().rejected.Increment();
     return Status::InvalidArgument("Est-IO: buffer_pages must be >= 1");
   }
-  return FullScanCore(stats, buffer_pages);
-}
-
-double EstimateFullScanFetches(const IndexStats& stats,
-                               uint64_t buffer_pages) {
-  return FullScanCore(stats, buffer_pages);
-}
-
-double EstimatePageFetches(const IndexStats& stats, const ScanSpec& scan,
-                           const EstIoOptions& options) {
-  return EstimatePagesCore(stats.View(), scan, options);
+  EstIoMetrics::Get().full_scans.Increment();
+  return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 
 }  // namespace epfis
