@@ -52,10 +52,9 @@ void FenwickTree::Resize(size_t n) {
   // Rebuild in O(old + new): down-convert the tree to point values in
   // place (the exact inverse of the bottom-up build — subtracting each
   // node from its parent leaves node i holding the value at position
-  // i - 1), then re-run the build over the widened array. The streaming
-  // overlap merge grows its position axis geometrically as shards land,
-  // so a doubling rebuild must be linear, not the old O(n log n)
-  // per-point extraction.
+  // i - 1), then re-run the build over the widened array. The legacy
+  // simulator grows its time axis by doubling, so a doubling rebuild
+  // must be linear, not O(n log n) per-point extraction.
   std::vector<int64_t> values = std::move(tree_);
   for (size_t i = values.size() - 1; i >= 1; --i) {
     size_t parent = i + (i & (~i + 1));
