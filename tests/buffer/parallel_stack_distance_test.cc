@@ -225,10 +225,9 @@ TEST(ShardedMergeTest, DefaultGeometryIsTwoShardsPerWorker) {
 }
 
 TEST(ShardedMergeTest, MergeFaultSurfacesDrainsAndRecovers) {
-  // A fault at a merge step, after two shards have merged, must come back
-  // as the injected Status — with every shard future drained first (a
-  // hang here would time the test out) — and must not poison the next
-  // run.
+  // A fault at the first merge step must come back as the injected Status
+  // — with every shard future drained first (a hang here would time the
+  // test out) — and must not poison the next run.
   ThreadPool pool(4);
   auto trace = UniformTrace(20'000, 600, 81);
   StackDistanceOptions options;
@@ -236,7 +235,33 @@ TEST(ShardedMergeTest, MergeFaultSurfacesDrainsAndRecovers) {
   options.min_shard_refs = 1;
   FaultSpec spec;
   spec.max_fires = 1;
-  spec.skip_calls = 2;
+  spec.code = StatusCode::kInternal;
+  FaultInjector::Global().Arm("sd.merge.step", spec);
+  VectorTraceSource source = VectorTraceSource::View(trace);
+  auto result = ComputeStackDistances(source, &pool, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  FaultInjector::Global().DisarmAll();
+
+  // Recovery: the very next pass over the same source succeeds and is
+  // still bit-identical to serial.
+  VectorTraceSource retry_source = VectorTraceSource::View(trace);
+  auto retry = ComputeStackDistances(retry_source, &pool, options);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_TRUE(*retry == SerialHistogram(trace));
+}
+
+TEST(ShardedMergeTest, MergeFaultSurfacesAfterEarlierShardsMerge) {
+  // Same fault point, fired mid-merge: two shards have already been folded
+  // into the result when the third step fails.
+  ThreadPool pool(2);
+  auto trace = UniformTrace(10'000, 400, 82);
+  StackDistanceOptions options;
+  options.num_shards = 4;
+  options.min_shard_refs = 1;
+  FaultSpec spec;
+  spec.max_fires = 1;
+  spec.skip_calls = 2;  // Let two shards merge first.
   spec.code = StatusCode::kInternal;
   uint64_t fires_before =
       FaultInjector::Global().counters("sd.merge.step").fires;
@@ -248,13 +273,6 @@ TEST(ShardedMergeTest, MergeFaultSurfacesDrainsAndRecovers) {
   EXPECT_EQ(FaultInjector::Global().counters("sd.merge.step").fires,
             fires_before + 1);
   FaultInjector::Global().DisarmAll();
-
-  // Recovery: the very next pass over the same source succeeds and is
-  // still bit-identical to serial.
-  VectorTraceSource retry_source = VectorTraceSource::View(trace);
-  auto retry = ComputeStackDistances(retry_source, &pool, options);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_TRUE(*retry == SerialHistogram(trace));
 }
 
 TEST(StackDistanceHistogramTest, FetchesAtZeroBufferIsTotalReferences) {
