@@ -15,7 +15,6 @@
 #include "util/fenwick.h"
 #include "util/flat_hash.h"
 #include "util/thread_pool.h"
-#include "util/watchdog.h"
 
 namespace epfis {
 namespace {
@@ -64,9 +63,9 @@ void PublishSamplingMetrics(const SamplingSummary& summary) {
 // slots (matches the serial kernel's scheme).
 constexpr size_t kPrefetchAhead = 8;
 
-// Cancellation-poll / heartbeat cadence inside a shard pass: one relaxed
-// poll (and optional watchdog beat) every this many references. Power of
-// two so the gate is a mask test on the loop index.
+// Cancellation-poll cadence inside a shard pass: one relaxed poll every
+// this many references. Power of two so the gate is a mask test on the
+// loop index.
 constexpr size_t kCancelCheckMask = (size_t{1} << 16) - 1;
 
 // Chunk size (in references) of the streaming read buffer, shared by the
@@ -114,8 +113,7 @@ struct ShardResult {
 Result<ShardResult> ProcessShard(const std::vector<PageId>& shard,
                                  uint64_t offset,
                                  const CancellationToken& token,
-                                 const Deadline& deadline,
-                                 Watchdog::Heartbeat* heartbeat) {
+                                 const Deadline& deadline) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   static Counter shards_counter = registry.GetCounter("sd.shards");
   static Counter shard_refs_counter = registry.GetCounter("sd.shard_refs");
@@ -129,7 +127,6 @@ Result<ShardResult> ProcessShard(const std::vector<PageId>& shard,
   FlatHashMap<PageId, uint64_t, kInvalidPageId> last(shard.size() / 4 + 8);
   for (size_t i = 0; i < shard.size(); ++i) {
     if ((i & kCancelCheckMask) == 0) {
-      if (heartbeat != nullptr) heartbeat->Beat();
       EPFIS_RETURN_IF_ERROR(CheckCancel(token, deadline,
                                         "stack distance shard"));
     }
@@ -279,11 +276,7 @@ Result<StackDistanceHistogram> ComputeParallel(
                           ? options.num_shards
                           : kShardsPerWorker * pool.num_threads();
   size_t min_refs = std::max<size_t>(options.min_shard_refs, 1);
-  // The run's token. With a watchdog, shard workers beat per ~64K refs and
-  // a stalled worker fires this token; a Child() keeps the watchdog from
-  // ever firing the caller's own token.
-  CancellationToken run_token =
-      options.watchdog != nullptr ? options.cancel.Child() : options.cancel;
+  const CancellationToken& token = options.cancel;
   const Deadline deadline = options.deadline;
   const bool filtered = threshold < kSampleModulus;
   const double rate = static_cast<double>(threshold) /
@@ -360,16 +353,11 @@ Result<StackDistanceHistogram> ComputeParallel(
   auto submit = [&] {
     uint64_t offset = sampled_refs - shard.size();
     futures.push_back(pool.Submit(
-        [shard = std::move(shard), offset, run_token, deadline,
-         watchdog = options.watchdog,
-         budget = options.watchdog_budget]() mutable -> Result<ShardResult> {
+        [shard = std::move(shard), offset, token,
+         deadline]() mutable -> Result<ShardResult> {
           try {
             EPFIS_RETURN_IF_ERROR(FaultPoint("sd.shard.task"));
-            std::shared_ptr<Watchdog::Heartbeat> hb;
-            if (watchdog != nullptr) {
-              hb = watchdog->Watch("sd.shard", budget, run_token);
-            }
-            return ProcessShard(shard, offset, run_token, deadline, hb.get());
+            return ProcessShard(shard, offset, token, deadline);
           } catch (const std::exception& e) {
             return Status::Internal(
                 std::string("stack distance shard failed: ") + e.what());
@@ -384,7 +372,7 @@ Result<StackDistanceHistogram> ComputeParallel(
   PageSeenSet seen;
   Status read_error;
   while (first_error.ok()) {
-    if (Status cs = CheckCancel(run_token, deadline, "stack distance");
+    if (Status cs = CheckCancel(token, deadline, "stack distance");
         !cs.ok()) {
       first_error = cs;
       break;
@@ -433,7 +421,7 @@ Result<StackDistanceHistogram> ComputeParallel(
     for (const ShardResult& shard_result : results) {
       EPFIS_RETURN_IF_ERROR(FaultPoint("sd.merge.step"));
       EPFIS_RETURN_IF_ERROR(
-          CheckCancel(run_token, deadline, "stack distance merge"));
+          CheckCancel(token, deadline, "stack distance merge"));
       MergeShard(shard_result, live, global_last, out);
     }
   }

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 
-#include <chrono>
-
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
@@ -14,7 +12,6 @@
 namespace epfis {
 
 class ThreadPool;
-class Watchdog;
 
 /// Tuning knobs for the sharded stack-distance computation.
 struct StackDistanceOptions {
@@ -51,14 +48,6 @@ struct StackDistanceOptions {
   /// poll points as `cancel` and surfaces as Status::DeadlineExceeded.
   /// Defaults to infinite.
   Deadline deadline;
-
-  /// When set, every shard pass registers a heartbeat with this watchdog
-  /// and beats per ~64K references; a worker silent past
-  /// `watchdog_budget` trips the run's token (a Child() of `cancel`, so
-  /// the caller's token is never fired by the watchdog) and the run
-  /// cancels cooperatively. Null (the default) disables stall detection.
-  Watchdog* watchdog = nullptr;
-  std::chrono::nanoseconds watchdog_budget = std::chrono::seconds(30);
 };
 
 /// Computes the LRU stack-distance histogram of `trace`.

@@ -10,24 +10,14 @@ namespace epfis {
 
 struct CancellationToken::State {
   std::atomic<bool> fired{false};
-  std::shared_ptr<State> parent;  // null for a root token
 };
 
 CancellationToken CancellationToken::Create() {
   return CancellationToken(std::make_shared<State>());
 }
 
-CancellationToken CancellationToken::Child() const {
-  auto child = std::make_shared<State>();
-  child->parent = state_;
-  return CancellationToken(std::move(child));
-}
-
 bool CancellationToken::cancelled() const {
-  for (const State* s = state_.get(); s != nullptr; s = s->parent.get()) {
-    if (s->fired.load(std::memory_order_relaxed)) return true;
-  }
-  return false;
+  return state_ != nullptr && state_->fired.load(std::memory_order_relaxed);
 }
 
 void CancellationToken::Cancel() const {

@@ -20,21 +20,15 @@ namespace epfis {
 ///
 /// A default-constructed token is "null": it can never be cancelled and
 /// cancelled() is a single branch, so hot loops may poll unconditionally.
-/// Polling a live token is one relaxed atomic load per ancestor (chains are
-/// short — a child made with Child() observes its own flag and its
-/// parent's), cheap enough for per-chunk granularity.
+/// Polling a live token is one relaxed atomic load, cheap enough for
+/// per-chunk granularity.
 class CancellationToken {
  public:
   /// Null token: valid to poll, never cancelled, Cancel() is a no-op.
   CancellationToken() = default;
 
-  /// Makes a fresh root token.
+  /// Makes a fresh live token.
   static CancellationToken Create();
-
-  /// Makes a child token: cancelled when either the child itself or this
-  /// (or any transitive parent) is cancelled. Cancelling the child does not
-  /// affect the parent. Calling Child() on a null token returns a root.
-  CancellationToken Child() const;
 
   /// True when this is a live handle (not default-constructed).
   bool valid() const { return state_ != nullptr; }
@@ -42,7 +36,7 @@ class CancellationToken {
   /// Relaxed-atomic poll; false for a null token.
   bool cancelled() const;
 
-  /// Idempotently fires the token (and thus all children). The first fire
+  /// Idempotently fires the token (and thus every copy). The first fire
   /// on a given token bumps the "cancel.fired" counter.
   void Cancel() const;
 

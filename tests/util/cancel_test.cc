@@ -34,31 +34,6 @@ TEST(CancellationTokenTest, CopiesShareTheFlag) {
   EXPECT_TRUE(a.cancelled());
 }
 
-TEST(CancellationTokenTest, ChildObservesParentNotViceVersa) {
-  CancellationToken parent = CancellationToken::Create();
-  CancellationToken child = parent.Child();
-  CancellationToken grandchild = child.Child();
-
-  child.Cancel();
-  EXPECT_FALSE(parent.cancelled());
-  EXPECT_TRUE(child.cancelled());
-  EXPECT_TRUE(grandchild.cancelled());
-
-  CancellationToken other_child = parent.Child();
-  EXPECT_FALSE(other_child.cancelled());
-  parent.Cancel();
-  EXPECT_TRUE(other_child.cancelled());
-}
-
-TEST(CancellationTokenTest, ChildOfNullIsARoot) {
-  CancellationToken null_token;
-  CancellationToken child = null_token.Child();
-  EXPECT_TRUE(child.valid());
-  EXPECT_FALSE(child.cancelled());
-  child.Cancel();
-  EXPECT_TRUE(child.cancelled());
-}
-
 TEST(DeadlineTest, DefaultIsInfinite) {
   Deadline d;
   EXPECT_TRUE(d.infinite());
