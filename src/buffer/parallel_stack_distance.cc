@@ -331,18 +331,7 @@ Result<StackDistanceHistogram> ComputeParallel(
   shard.reserve(shard_reserve);
 
   auto drain_one = [&] {
-    // A pool configured with a bounded queue or non-draining shutdown may
-    // resolve a future exceptionally instead of running the task; map
-    // those back into the status taxonomy like any other shard failure.
-    Result<ShardResult> r = [&]() -> Result<ShardResult> {
-      try {
-        return futures[drained].get();
-      } catch (const TaskCancelledError& e) {
-        return Status::Cancelled(e.what());
-      } catch (const PoolRejectedError& e) {
-        return Status::Unavailable(e.what());
-      }
-    }();
+    Result<ShardResult> r = futures[drained].get();
     ++drained;
     if (!r.ok()) {
       if (first_error.ok()) first_error = r.status();

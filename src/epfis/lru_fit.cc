@@ -247,20 +247,9 @@ LruFitBatchResult RunLruFitBatch(std::vector<LruFitJob> jobs,
     }));
   }
   // Always drain every future — even after failures — so no task is left
-  // running against a destroyed LruFitJob. A job the pool never ran
-  // (shutdown cancelled it, or a bounded queue rejected it) resolves its
-  // future exceptionally; map those to the matching Status so callers see
-  // Cancelled/Unavailable per job instead of a batch-wide abort.
+  // running against a destroyed LruFitJob.
   for (size_t i = 0; i < futures.size(); ++i) {
-    batch.statuses[i] = [&]() -> Status {
-      try {
-        return futures[i].get();
-      } catch (const TaskCancelledError&) {
-        return Status::Cancelled("LRU-Fit batch: job cancelled before start");
-      } catch (const PoolRejectedError&) {
-        return Status::Unavailable("LRU-Fit batch: pool queue full");
-      }
-    }();
+    batch.statuses[i] = futures[i].get();
     if (batch.statuses[i].ok()) ++batch.num_ok;
   }
   jobs_ok.Increment(batch.num_ok);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "util/status.h"
@@ -83,24 +82,6 @@ class Deadline {
 /// decision outranks the clock).
 Status CheckCancel(const CancellationToken& token, const Deadline& deadline,
                    const char* what);
-
-/// Thrown through a ThreadPool future when its task was cancelled before it
-/// ever started (non-draining shutdown or an explicit token). Drain loops
-/// catch this and map it back to Status::Cancelled.
-class TaskCancelledError : public std::runtime_error {
- public:
-  explicit TaskCancelledError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// Thrown by ThreadPool::Submit when a bounded queue rejects the task
-/// (Overflow::kReject), and through the future of a task displaced by
-/// Overflow::kShedOldest. Maps to Status::Unavailable at drain sites.
-class PoolRejectedError : public std::runtime_error {
- public:
-  explicit PoolRejectedError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 /// Policy for RetryWithBackoff. Delays grow geometrically from `initial`
 /// (capped at `max_delay`) with deterministic jitter in [0.5, 1.0) of the

@@ -86,161 +86,5 @@ TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
 }
 
-// Holds the pool's single worker busy until released, so queue contents
-// are deterministic while a test arranges overflow.
-struct WorkerGate {
-  std::atomic<bool> release{false};
-  std::atomic<bool> entered{false};
-
-  std::future<void> Occupy(ThreadPool& pool) {
-    auto f = pool.Submit([this] {
-      entered.store(true);
-      while (!release.load()) std::this_thread::yield();
-    });
-    while (!entered.load()) std::this_thread::yield();
-    return f;
-  }
-};
-
-TEST(ThreadPoolBackpressureTest, RejectResolvesFutureWithoutRunning) {
-  ThreadPool::Options options;
-  options.max_queue = 1;
-  options.overflow = ThreadPool::Overflow::kReject;
-  ThreadPool pool(1, options);
-  WorkerGate gate;
-  auto busy = gate.Occupy(pool);
-
-  std::atomic<int> ran{0};
-  auto queued = pool.Submit([&ran] { ++ran; });   // Takes the one slot.
-  auto rejected = pool.Submit([&ran] { ++ran; }); // Queue full: rejected.
-  EXPECT_THROW(rejected.get(), PoolRejectedError);
-  EXPECT_EQ(pool.rejected_tasks(), 1u);
-
-  gate.release.store(true);
-  busy.get();
-  queued.get();
-  EXPECT_EQ(ran.load(), 1);  // The rejected task never ran.
-}
-
-TEST(ThreadPoolBackpressureTest, ShedOldestDisplacesTheQueuedTask) {
-  ThreadPool::Options options;
-  options.max_queue = 1;
-  options.overflow = ThreadPool::Overflow::kShedOldest;
-  ThreadPool pool(1, options);
-  WorkerGate gate;
-  auto busy = gate.Occupy(pool);
-
-  auto oldest = pool.Submit([] { return 1; });
-  auto newest = pool.Submit([] { return 2; });  // Displaces `oldest`.
-  EXPECT_THROW(oldest.get(), PoolRejectedError);
-  EXPECT_EQ(pool.rejected_tasks(), 1u);
-
-  gate.release.store(true);
-  busy.get();
-  EXPECT_EQ(newest.get(), 2);  // Freshest work wins.
-}
-
-TEST(ThreadPoolBackpressureTest, BlockWaitsForASlotAndThenRuns) {
-  ThreadPool::Options options;
-  options.max_queue = 1;
-  options.overflow = ThreadPool::Overflow::kBlock;
-  ThreadPool pool(1, options);
-  WorkerGate gate;
-  auto busy = gate.Occupy(pool);
-
-  auto queued = pool.Submit([] { return 1; });
-  // The next Submit must block until the worker frees the slot; release
-  // the gate from another thread after a short delay.
-  std::thread releaser([&gate] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    gate.release.store(true);
-  });
-  auto blocked = pool.Submit([] { return 2; });
-  releaser.join();
-  busy.get();
-  EXPECT_EQ(queued.get(), 1);
-  EXPECT_EQ(blocked.get(), 2);
-  EXPECT_EQ(pool.rejected_tasks(), 0u);
-}
-
-TEST(ThreadPoolShutdownTest, NonDrainingDestructorCancelsQueuedTasks) {
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  {
-    ThreadPool::Options options;
-    options.drain_on_shutdown = false;
-    ThreadPool pool(1, options);
-    WorkerGate gate;
-    auto busy = gate.Occupy(pool);
-    for (int i = 0; i < 8; ++i) {
-      futures.push_back(pool.Submit([&ran] { ++ran; }));
-    }
-    gate.release.store(true);
-    busy.get();
-    // Destructor: whatever is still queued when the workers stop is
-    // abandoned, not run.
-  }
-  int cancelled = 0;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (const TaskCancelledError&) {
-      ++cancelled;
-    }
-  }
-  EXPECT_EQ(ran.load() + cancelled, 8);
-}
-
-TEST(ThreadPoolShutdownTest, TenThousandQueuedTasksDestructPromptly) {
-  // Regression: a non-draining destructor must abandon a deep queue in
-  // about the time it takes to resolve 10k promises — not run them.
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(10000);
-  auto begin = std::chrono::steady_clock::now();
-  {
-    ThreadPool::Options options;
-    options.drain_on_shutdown = false;
-    ThreadPool pool(1, options);
-    WorkerGate gate;
-    auto busy = gate.Occupy(pool);
-    for (int i = 0; i < 10000; ++i) {
-      futures.push_back(pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++ran;
-      }));
-    }
-    gate.release.store(true);
-    busy.get();
-  }
-  auto elapsed = std::chrono::steady_clock::now() - begin;
-  // Draining would take 10k+ milliseconds; abandoning is far under the
-  // generous bound (kept loose for sanitizer builds).
-  EXPECT_LT(elapsed, std::chrono::seconds(5));
-  int cancelled = 0;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (const TaskCancelledError&) {
-      ++cancelled;
-    }
-  }
-  EXPECT_EQ(ran.load() + cancelled, 10000);
-  EXPECT_GT(cancelled, 0);
-}
-
-TEST(ThreadPoolShutdownTest, DrainingDestructorStillRunsEverything) {
-  // The default policy is unchanged by the backpressure rework.
-  std::atomic<int> ran{0};
-  {
-    ThreadPool::Options options;
-    options.max_queue = 4;
-    options.overflow = ThreadPool::Overflow::kBlock;
-    ThreadPool pool(2, options);
-    for (int i = 0; i < 50; ++i) pool.Submit([&ran] { ++ran; });
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
-
 }  // namespace
 }  // namespace epfis
