@@ -259,20 +259,10 @@ Status OnlineLruFit::PublishStats(double drift_error) {
   EPFIS_ASSIGN_OR_RETURN(IndexStats stats, BuildStats());
   stats.drift_error = drift_error;
   catalog_->Put(std::move(stats));
-  // The RCU swap is atomic — a failed Publish leaves readers on the
-  // previous generation — so a transient failure (catalog spill hitting
-  // descriptor pressure) is safe to retry in place; retrying shortens the
-  // window during which Est-IO serves stale statistics.
-  if (options_.publish_retry_attempts > 1) {
-    BackoffOptions backoff;
-    backoff.max_attempts = options_.publish_retry_attempts;
-    backoff.initial = options_.publish_retry_initial;
-    backoff.cancel = options_.cancel;
-    EPFIS_RETURN_IF_ERROR(RetryWithBackoff(
-        backoff, [&] { return catalog_->Publish(); }, "catalog publish"));
-  } else {
-    EPFIS_RETURN_IF_ERROR(catalog_->Publish());
-  }
+  // The RCU swap is atomic: a failed Publish leaves readers on the
+  // previous generation, and the caller keeps the detector streak, so the
+  // next interval retriggers the refresh.
+  EPFIS_RETURN_IF_ERROR(catalog_->Publish());
   ++publishes_;
   return Status::Ok();
 }

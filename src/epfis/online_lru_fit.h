@@ -1,7 +1,6 @@
 #ifndef EPFIS_EPFIS_ONLINE_LRU_FIT_H_
 #define EPFIS_EPFIS_ONLINE_LRU_FIT_H_
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -126,17 +125,6 @@ struct OnlineLruFitOptions {
   /// token fires. The engine stays consistent — absorbed references stay
   /// absorbed, and the next Ingest after the token is cleared resumes.
   CancellationToken cancel;
-
-  /// Attempts for the catalog Publish inside a drift-triggered refresh
-  /// when it fails with a transient IoError/Unavailable: 1 (the default)
-  /// publishes exactly once; larger values retry with jittered
-  /// exponential backoff, honoring `cancel` between attempts. A refresh
-  /// whose publish still fails leaves the detector streak intact, so the
-  /// next interval retriggers — retries here just shorten the degraded
-  /// window. Non-transient publish errors never retry.
-  int publish_retry_attempts = 1;
-  std::chrono::nanoseconds publish_retry_initial =
-      std::chrono::milliseconds(1);
 
   Status Validate() const;
 };

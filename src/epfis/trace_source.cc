@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -213,29 +212,9 @@ Result<std::unique_ptr<TraceSource>> OpenTraceSource(
   } else {
     fallbacks.Increment();
   }
-  // Last resort is the streaming reader; a transient IoError here (NFS
-  // hiccup, descriptor pressure) optionally retries with jittered
-  // backoff — corruption and cancellation never do.
-  auto open_streaming = [&]() -> Result<FileTraceSource> {
-    if (options.open_retry_attempts <= 1) {
-      return FileTraceSource::Open(path, options);
-    }
-    std::optional<Result<FileTraceSource>> last;
-    BackoffOptions backoff;
-    backoff.max_attempts = options.open_retry_attempts;
-    backoff.initial = options.open_retry_initial;
-    backoff.cancel = options.cancel;
-    Status st = RetryWithBackoff(
-        backoff,
-        [&]() -> Status {
-          last.emplace(FileTraceSource::Open(path, options));
-          return last->ok() ? Status::Ok() : last->status();
-        },
-        "trace open");
-    if (st.ok()) return std::move(*last);
-    return st;
-  };
-  EPFIS_ASSIGN_OR_RETURN(FileTraceSource source, open_streaming());
+  // Last resort is the streaming reader, opened once.
+  EPFIS_ASSIGN_OR_RETURN(FileTraceSource source,
+                         FileTraceSource::Open(path, options));
   return std::unique_ptr<TraceSource>(new FileTraceSource(std::move(source)));
 }
 

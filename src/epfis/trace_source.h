@@ -1,7 +1,6 @@
 #ifndef EPFIS_EPFIS_TRACE_SOURCE_H_
 #define EPFIS_EPFIS_TRACE_SOURCE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -92,14 +91,6 @@ struct TraceOpenOptions {
   /// the streaming reader fails with IoError; see
   /// PageTraceReader::Open. Clamped to >= 1.
   int eintr_retry_budget = kDefaultEintrRetryBudget;
-
-  /// Attempts for the open itself when it fails with a transient IoError
-  /// (NFS hiccup, descriptor pressure): 1 (the default) opens exactly
-  /// once; larger values retry with jittered exponential backoff from
-  /// `open_retry_initial`, honoring `cancel` between attempts.
-  /// Corruption never retries — the file is bad, not the path to it.
-  int open_retry_attempts = 1;
-  std::chrono::nanoseconds open_retry_initial = std::chrono::milliseconds(1);
 };
 
 /// TraceSource over a SavePageTrace file, read in chunks through

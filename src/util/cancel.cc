@@ -1,10 +1,8 @@
 #include "util/cancel.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "obs/metrics.h"
-#include "util/random.h"
 
 namespace epfis {
 
@@ -63,61 +61,6 @@ Status CheckCancel(const CancellationToken& token, const Deadline& deadline,
     return Status::DeadlineExceeded(std::string(what) + " deadline exceeded");
   }
   return Status::Ok();
-}
-
-namespace {
-
-bool IsTransient(const Status& st) {
-  return st.code() == StatusCode::kIoError ||
-         st.code() == StatusCode::kUnavailable;
-}
-
-// Sleeps up to `delay` in short slices so a token fire or deadline expiry
-// is noticed within ~1ms rather than after the full backoff.
-Status SlicedSleep(std::chrono::nanoseconds delay,
-                   const CancellationToken& token, const Deadline& deadline,
-                   const char* what) {
-  constexpr auto kSlice = std::chrono::milliseconds(1);
-  auto left = delay;
-  while (left.count() > 0) {
-    EPFIS_RETURN_IF_ERROR(CheckCancel(token, deadline, what));
-    auto step = std::min<std::chrono::nanoseconds>(left, kSlice);
-    std::this_thread::sleep_for(step);
-    left -= step;
-  }
-  return CheckCancel(token, deadline, what);
-}
-
-}  // namespace
-
-Status RetryWithBackoff(const BackoffOptions& options,
-                        const std::function<Status()>& fn, const char* what) {
-  static Counter retries =
-      MetricsRegistry::Global().GetCounter("retry.attempts");
-  Rng jitter(options.jitter_seed);
-  const int attempts = std::max(options.max_attempts, 1);
-  std::chrono::nanoseconds delay =
-      std::max(options.initial, std::chrono::nanoseconds(0));
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    EPFIS_RETURN_IF_ERROR(CheckCancel(options.cancel, options.deadline, what));
-    last = fn();
-    if (last.ok() || !IsTransient(last)) return last;
-    if (attempt + 1 >= attempts) break;
-    retries.Increment();
-    // Jitter in [0.5, 1.0) of the nominal delay keeps retries from
-    // synchronizing while staying deterministic for a fixed seed.
-    auto jittered = std::chrono::nanoseconds(static_cast<int64_t>(
-        static_cast<double>(delay.count()) * (0.5 + 0.5 * jitter.NextDouble())));
-    EPFIS_RETURN_IF_ERROR(SlicedSleep(jittered, options.cancel,
-                                      options.deadline, what));
-    double next = static_cast<double>(delay.count()) *
-                  std::max(options.multiplier, 1.0);
-    double cap = static_cast<double>(options.max_delay.count());
-    delay = std::chrono::nanoseconds(
-        static_cast<int64_t>(std::min(next, cap)));
-  }
-  return last;
 }
 
 }  // namespace epfis

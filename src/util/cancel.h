@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -82,28 +81,6 @@ class Deadline {
 /// decision outranks the clock).
 Status CheckCancel(const CancellationToken& token, const Deadline& deadline,
                    const char* what);
-
-/// Policy for RetryWithBackoff. Delays grow geometrically from `initial`
-/// (capped at `max_delay`) with deterministic jitter in [0.5, 1.0) of the
-/// nominal delay, seeded from `jitter_seed` so schedules reproduce.
-struct BackoffOptions {
-  int max_attempts = 3;
-  std::chrono::nanoseconds initial = std::chrono::milliseconds(1);
-  double multiplier = 2.0;
-  std::chrono::nanoseconds max_delay = std::chrono::milliseconds(100);
-  uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
-  CancellationToken cancel;
-  Deadline deadline;
-};
-
-/// Runs `fn` up to max_attempts times, sleeping a jittered exponential
-/// backoff between attempts. Only transient failures retry (kIoError,
-/// kUnavailable); any other code returns immediately. The sleep is sliced
-/// so a token fire or deadline expiry interrupts it promptly, returning
-/// Cancelled / DeadlineExceeded naming `what`. Bumps "retry.attempts" per
-/// retry sleep; the final attempt's status is returned verbatim.
-Status RetryWithBackoff(const BackoffOptions& options,
-                        const std::function<Status()>& fn, const char* what);
 
 }  // namespace epfis
 

@@ -45,6 +45,18 @@ class TraceFaultTest : public testing::Test {
     return out;
   }
 
+  std::vector<PageId> ReadAll(TraceSource& source) {
+    std::vector<PageId> out;
+    PageId buf[128];
+    for (;;) {
+      auto n = source.Next(buf, 128);
+      EXPECT_TRUE(n.ok()) << n.status().message();
+      if (!n.ok() || *n == 0) break;
+      out.insert(out.end(), buf, buf + *n);
+    }
+    return out;
+  }
+
   std::string dir_;
   std::string path_;
   std::vector<PageId> trace_;
@@ -136,15 +148,7 @@ TEST_F(TraceFaultTest, MmapFailureDegradesToStreaming) {
   ASSERT_TRUE(source.ok()) << source.status().message();
   EXPECT_EQ(FaultInjector::Global().counters("trace.mmap.map").fires, 1u);
   // The fallback source streams the identical trace.
-  std::vector<PageId> out;
-  PageId buf[128];
-  for (;;) {
-    auto n = (*source)->Next(buf, 128);
-    ASSERT_TRUE(n.ok());
-    if (*n == 0) break;
-    out.insert(out.end(), buf, buf + *n);
-  }
-  EXPECT_EQ(out, trace_);
+  EXPECT_EQ(ReadAll(**source), trace_);
 }
 
 TEST_F(TraceFaultTest, CorruptionStillPropagatesThroughOpenTraceSource) {
@@ -203,21 +207,22 @@ TEST_F(TraceFaultTest, TraceOpenOptionsForwardsEintrBudget) {
       << n.status().message();
 }
 
-// Transient open failures retry with backoff when asked; a single-attempt
-// open (the default) still fails on the first fault.
-TEST_F(TraceFaultTest, OpenRetriesTransientFailuresWhenConfigured) {
+// The streaming fallback opens exactly once: a failed open surfaces as
+// IoError instead of being retried, and the next OpenTraceSource opens
+// and reads the trace cleanly.
+TEST_F(TraceFaultTest, StreamingFallbackOpenFailsOnceThenRecovers) {
   FaultSpec one_shot;
   one_shot.max_fires = 1;
   FaultInjector::Global().Arm("trace.open", one_shot);
   // mmap must also fail so OpenTraceSource reaches the streaming opener.
   FaultInjector::Global().Arm("trace.mmap.map", FaultSpec{});
 
-  TraceOpenOptions options;
-  options.open_retry_attempts = 3;
-  options.open_retry_initial = std::chrono::microseconds(50);
-  auto source = OpenTraceSource(path_, options);
-  ASSERT_TRUE(source.ok()) << source.status().message();
+  EXPECT_EQ(OpenTraceSource(path_).status().code(), StatusCode::kIoError);
   EXPECT_EQ(FaultInjector::Global().counters("trace.open").fires, 1u);
+
+  auto source = OpenTraceSource(path_);
+  ASSERT_TRUE(source.ok()) << source.status().message();
+  EXPECT_EQ(ReadAll(**source), trace_);
 }
 
 TEST_F(TraceFaultTest, CancelledTokenStopsEveryTraceSourceRead) {

@@ -79,114 +79,5 @@ TEST(CheckCancelTest, TokenWinsOverExpiredDeadline) {
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
 }
 
-TEST(RetryWithBackoffTest, TransientFailuresRetryUntilSuccess) {
-  BackoffOptions options;
-  options.max_attempts = 5;
-  options.initial = std::chrono::microseconds(10);
-  int calls = 0;
-  Status st = RetryWithBackoff(
-      options,
-      [&]() -> Status {
-        ++calls;
-        if (calls < 3) return Status::IoError("flaky");
-        return Status::Ok();
-      },
-      "open");
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RetryWithBackoffTest, NonTransientFailsImmediately) {
-  BackoffOptions options;
-  options.max_attempts = 5;
-  int calls = 0;
-  Status st = RetryWithBackoff(
-      options,
-      [&]() -> Status {
-        ++calls;
-        return Status::Corruption("bad file");
-      },
-      "open");
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(RetryWithBackoffTest, ExhaustionReturnsLastTransientStatus) {
-  BackoffOptions options;
-  options.max_attempts = 3;
-  options.initial = std::chrono::microseconds(1);
-  int calls = 0;
-  Status st = RetryWithBackoff(
-      options,
-      [&]() -> Status {
-        ++calls;
-        return Status::Unavailable("still down");
-      },
-      "publish");
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RetryWithBackoffTest, PreCancelledTokenSkipsTheFirstAttempt) {
-  CancellationToken token = CancellationToken::Create();
-  token.Cancel();
-  BackoffOptions options;
-  options.cancel = token;
-  int calls = 0;
-  Status st = RetryWithBackoff(
-      options,
-      [&]() -> Status {
-        ++calls;
-        return Status::Ok();
-      },
-      "open");
-  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(RetryWithBackoffTest, CancelDuringBackoffSleepInterrupts) {
-  CancellationToken token = CancellationToken::Create();
-  BackoffOptions options;
-  options.max_attempts = 2;
-  options.initial = std::chrono::seconds(30);  // Sliced sleep must not wait.
-  options.cancel = token;
-  std::atomic<bool> started{false};
-  std::thread firer([&] {
-    while (!started.load()) std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    token.Cancel();
-  });
-  auto begin = std::chrono::steady_clock::now();
-  Status st = RetryWithBackoff(
-      options,
-      [&]() -> Status {
-        started.store(true);
-        return Status::IoError("transient");
-      },
-      "open");
-  auto elapsed = std::chrono::steady_clock::now() - begin;
-  firer.join();
-  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-  EXPECT_LT(elapsed, std::chrono::seconds(10));
-}
-
-TEST(RetryWithBackoffTest, DeadlineBoundsTheWholeRetryLoop) {
-  BackoffOptions options;
-  options.max_attempts = 100;
-  options.initial = std::chrono::milliseconds(5);
-  options.multiplier = 1.0;
-  options.deadline = Deadline::AfterMillis(20);
-  int calls = 0;
-  Status st = RetryWithBackoff(
-      options,
-      [&]() -> Status {
-        ++calls;
-        return Status::IoError("down");
-      },
-      "open");
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(calls, 100);
-}
-
 }  // namespace
 }  // namespace epfis
