@@ -59,12 +59,10 @@ Status WriteBody(std::ofstream& out, const void* data, size_t len,
 
 class PageTraceReader::Impl {
  public:
-  static Result<std::unique_ptr<Impl>> Open(const std::string& path,
-                                            int eintr_retry_budget) {
+  static Result<std::unique_ptr<Impl>> Open(const std::string& path) {
     EPFIS_RETURN_IF_ERROR(FaultPoint("trace.open"));
     auto impl = std::unique_ptr<Impl>(new Impl);
     impl->path_ = path;
-    impl->eintr_retry_budget_ = std::max(eintr_retry_budget, 1);
 #ifdef EPFIS_TRACE_POSIX_IO
     impl->fd_ = ::open(path.c_str(), O_RDONLY);
     if (impl->fd_ < 0) return Status::IoError("cannot open " + path);
@@ -93,12 +91,12 @@ class PageTraceReader::Impl {
   Result<size_t> ReadFull(void* buffer, size_t len, const char* point) {
     char* out = static_cast<char*>(buffer);
     size_t got = 0;
-    int eintr_budget = eintr_retry_budget_;
+    int eintr_budget = kDefaultEintrRetryBudget;
     auto exhausted = [this, &eintr_budget] {
       return Status::IoError(
           "read of " + path_ + " interrupted too many times (" +
-          std::to_string(eintr_retry_budget_ - eintr_budget) +
-          " of " + std::to_string(eintr_retry_budget_) +
+          std::to_string(kDefaultEintrRetryBudget - eintr_budget) +
+          " of " + std::to_string(kDefaultEintrRetryBudget) +
           " retries consumed)");
     };
     while (got < len) {
@@ -153,7 +151,6 @@ class PageTraceReader::Impl {
   Impl() = default;
 
   std::string path_;
-  int eintr_retry_budget_ = kDefaultEintrRetryBudget;
 #ifdef EPFIS_TRACE_POSIX_IO
   int fd_ = -1;
 #else
@@ -169,10 +166,8 @@ PageTraceReader& PageTraceReader::operator=(PageTraceReader&&) noexcept =
     default;
 PageTraceReader::~PageTraceReader() = default;
 
-Result<PageTraceReader> PageTraceReader::Open(const std::string& path,
-                                              int eintr_retry_budget) {
-  EPFIS_ASSIGN_OR_RETURN(std::unique_ptr<Impl> impl,
-                         Impl::Open(path, eintr_retry_budget));
+Result<PageTraceReader> PageTraceReader::Open(const std::string& path) {
+  EPFIS_ASSIGN_OR_RETURN(std::unique_ptr<Impl> impl, Impl::Open(path));
   char header[kPageTraceHeaderSize];
   EPFIS_ASSIGN_OR_RETURN(
       size_t got, impl->ReadFull(header, sizeof(header), "trace.read.header"));

@@ -31,12 +31,11 @@ inline constexpr char kPageTraceMagic[8] = {'E', 'P', 'F', 'T',
 /// Header size of a SavePageTrace file: magic plus the u64 entry count.
 inline constexpr size_t kPageTraceHeaderSize = 8 + sizeof(uint64_t);
 
-/// Default ceiling on consecutive interrupted reads (EINTR) the reader
-/// retries before failing with IoError. Real EINTR storms resolve in a
-/// handful of retries; the bound exists so an injected `eintr` schedule
-/// (or a pathological signal load) turns into a clean error instead of an
-/// unbounded spin. Overridable per reader via PageTraceReader::Open /
-/// TraceOpenOptions::eintr_retry_budget.
+/// Ceiling on consecutive interrupted reads (EINTR) the reader retries
+/// before failing with IoError. Real EINTR storms resolve in a handful of
+/// retries; the bound exists so an injected `eintr` schedule (or a
+/// pathological signal load) turns into a clean error instead of an
+/// unbounded spin.
 inline constexpr int kDefaultEintrRetryBudget = 100;
 
 /// Saves a plain data-page trace (what RunLruFit consumes).
@@ -51,19 +50,16 @@ Result<std::vector<PageId>> LoadPageTrace(const std::string& path);
 /// to be materialized whole (FileTraceSource builds on this). Move-only.
 ///
 /// Reads go through a raw-descriptor backend (POSIX fd where available)
-/// that retries interrupted system calls (EINTR) up to a bounded budget
-/// and transparently continues after short reads, so a signal-heavy host
-/// or a pipe-backed file never surfaces as spurious Corruption. The I/O
-/// boundary carries the `trace.open` / `trace.read.header` /
-/// `trace.read.body` fault-injection points (util/fault.h).
+/// that retries interrupted system calls (EINTR) up to
+/// kDefaultEintrRetryBudget times and transparently continues after short
+/// reads, so a signal-heavy host or a pipe-backed file never surfaces as
+/// spurious Corruption. An exhausted budget fails with IoError reporting
+/// how many retries were consumed. The I/O boundary carries the
+/// `trace.open` / `trace.read.header` / `trace.read.body`
+/// fault-injection points (util/fault.h).
 class PageTraceReader {
  public:
-  /// `eintr_retry_budget` bounds consecutive interrupted reads before the
-  /// reader gives up with IoError (clamped to >= 1); the failure Status
-  /// reports how many retries were consumed.
-  static Result<PageTraceReader> Open(
-      const std::string& path,
-      int eintr_retry_budget = kDefaultEintrRetryBudget);
+  static Result<PageTraceReader> Open(const std::string& path);
 
   PageTraceReader(PageTraceReader&&) noexcept;
   PageTraceReader& operator=(PageTraceReader&&) noexcept;

@@ -33,9 +33,7 @@ Result<FileTraceSource> FileTraceSource::Open(const std::string& path) {
 
 Result<FileTraceSource> FileTraceSource::Open(const std::string& path,
                                               const TraceOpenOptions& options) {
-  EPFIS_ASSIGN_OR_RETURN(
-      PageTraceReader reader,
-      PageTraceReader::Open(path, options.eintr_retry_budget));
+  EPFIS_ASSIGN_OR_RETURN(PageTraceReader reader, PageTraceReader::Open(path));
   static Counter file_opens =
       MetricsRegistry::Global().GetCounter("trace.file_opens");
   file_opens.Increment();

@@ -86,11 +86,6 @@ struct TraceOpenOptions {
   /// so a consumer never sits in a stuck read. The default null token
   /// costs one branch per Next.
   CancellationToken cancel;
-
-  /// Consecutive interrupted reads (EINTR) tolerated per ReadFull before
-  /// the streaming reader fails with IoError; see
-  /// PageTraceReader::Open. Clamped to >= 1.
-  int eintr_retry_budget = kDefaultEintrRetryBudget;
 };
 
 /// TraceSource over a SavePageTrace file, read in chunks through
