@@ -1,6 +1,7 @@
 #include "util/cancel.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "obs/metrics.h"
 
@@ -42,14 +43,6 @@ bool Deadline::expired() const {
                     std::chrono::steady_clock::now().time_since_epoch())
                     .count();
   return now >= ns_;
-}
-
-std::chrono::nanoseconds Deadline::remaining() const {
-  if (infinite()) return std::chrono::nanoseconds(kInfiniteNs);
-  int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count();
-  return std::chrono::nanoseconds(std::max<int64_t>(ns_ - now, 0));
 }
 
 Status CheckCancel(const CancellationToken& token, const Deadline& deadline,

@@ -1,7 +1,6 @@
 #ifndef EPFIS_UTIL_CANCEL_H_
 #define EPFIS_UTIL_CANCEL_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -66,9 +65,6 @@ class Deadline {
 
   /// True when the steady clock has passed the deadline.
   bool expired() const;
-
-  /// Time left; zero when expired, a very large value when infinite.
-  std::chrono::nanoseconds remaining() const;
 
  private:
   static constexpr int64_t kInfiniteNs = INT64_MAX;

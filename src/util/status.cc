@@ -28,8 +28,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Cancelled";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

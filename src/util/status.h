@@ -22,7 +22,6 @@ enum class StatusCode {
   kInternal,
   kCancelled,
   kDeadlineExceeded,
-  kUnavailable,
 };
 
 /// Returns a stable human-readable name for `code` (e.g. "InvalidArgument").
@@ -78,9 +77,6 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

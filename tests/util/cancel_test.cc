@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 namespace epfis {
 namespace {
@@ -38,18 +36,16 @@ TEST(DeadlineTest, DefaultIsInfinite) {
   Deadline d;
   EXPECT_TRUE(d.infinite());
   EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining().count(), int64_t{1} << 60);
 }
 
 TEST(DeadlineTest, ExpiresOnTheSteadyClock) {
   Deadline d = Deadline::After(std::chrono::nanoseconds(0));
   EXPECT_FALSE(d.infinite());
   EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.remaining().count(), 0);
 
   Deadline far = Deadline::After(std::chrono::hours(24));
+  EXPECT_FALSE(far.infinite());
   EXPECT_FALSE(far.expired());
-  EXPECT_GT(far.remaining().count(), 0);
 }
 
 TEST(DeadlineTest, HugeDurationSaturatesToInfinite) {
