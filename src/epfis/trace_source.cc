@@ -210,7 +210,7 @@ Result<std::unique_ptr<TraceSource>> OpenTraceSource(
   } else {
     fallbacks.Increment();
   }
-  // Last resort is the streaming reader, opened once.
+  // Last resort is the streaming reader.
   EPFIS_ASSIGN_OR_RETURN(FileTraceSource source,
                          FileTraceSource::Open(path, options));
   return std::unique_ptr<TraceSource>(new FileTraceSource(std::move(source)));
