@@ -7,11 +7,17 @@
 //  * EstIo::Estimate — the optimizer-time path; the paper's pitch is
 //    that estimation "only involves computing a simple formula", so this
 //    must be nanoseconds-to-microseconds.
+//  * AccessPathOptimizer::Choose — that formula inside a whole plan
+//    choice off the published catalog snapshot.
 //  * B-tree insert/seek and buffer pool hits — substrate costs.
 //  * Piecewise-linear fitting — the once-per-index statistics cost.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <iterator>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -19,10 +25,13 @@
 #include "buffer/stack_distance.h"
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/epfis.h"
+#include "exec/optimizer.h"
 #include "index/btree.h"
 #include "storage/disk_manager.h"
 #include "util/piecewise.h"
 #include "util/random.h"
+#include "workload/data_gen.h"
+#include "workload/scan_gen.h"
 
 namespace epfis {
 namespace {
@@ -103,6 +112,75 @@ void BM_EstIo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstIo);
+
+// AccessPathOptimizer::Choose over a published catalog of the lifecycle
+// `query` workload's four tables (N = 10^5, theta = 0.86, K in
+// {.05, .2, .5, 1}, one index each), cycling through that workload's mix:
+// a mixed-size scan range's sigma, B from 5% to 90% of the table, and a
+// sargable predicate on 30% of the queries.
+void BM_Choose(benchmark::State& state) {
+  constexpr double kWindows[] = {0.05, 0.2, 0.5, 1.0};
+  constexpr double kSargable[] = {0.1, 0.25, 0.5};
+  Catalog catalog;
+  std::vector<std::unique_ptr<Dataset>> datasets;
+  std::vector<ScanGenerator> scans;
+  for (size_t i = 0; i < std::size(kWindows); ++i) {
+    SyntheticSpec spec;
+    spec.name = "q" + std::to_string(i);
+    spec.num_records = 100000;
+    spec.num_distinct = 1000;
+    spec.records_per_page = 40;
+    spec.theta = 0.86;
+    spec.window_fraction = kWindows[i];
+    spec.seed = 41 + i;
+    std::unique_ptr<Dataset> dataset = GenerateSynthetic(spec).value();
+    std::string index = spec.name + ".key";
+    if (!catalog.RegisterTable(spec.name, dataset->table()).ok() ||
+        !catalog.RegisterIndex(index, spec.name, 0, dataset->index()).ok()) {
+      state.SkipWithError("catalog registration failed");
+      return;
+    }
+    catalog.stats().Put(RunLruFit(dataset->FullIndexPageTrace().value(),
+                                  dataset->num_pages(),
+                                  dataset->num_distinct(), index)
+                            .value());
+    scans.emplace_back(dataset.get(), 43 + i);
+    datasets.push_back(std::move(dataset));
+  }
+  if (!catalog.stats().Publish().ok()) {
+    state.SkipWithError("publish failed");
+    return;
+  }
+
+  struct Planned {
+    Query query;
+    uint64_t buffer_pages = 0;
+  };
+  Rng rng(47);
+  std::vector<Planned> queries(1024);
+  for (Planned& q : queries) {
+    size_t t = rng.NextBounded(datasets.size());
+    ScanRange range = scans[t].Next(ScanMix::kMixed);
+    double pages = static_cast<double>(datasets[t]->num_pages());
+    q.query.table = "q" + std::to_string(t);
+    q.query.range = KeyRange::Closed(range.lo_key, range.hi_key);
+    q.query.sigma = range.sigma;
+    q.query.sargable_selectivity =
+        rng.NextBernoulli(0.3) ? kSargable[rng.NextBounded(3)] : 1.0;
+    q.buffer_pages = static_cast<uint64_t>(
+        std::llround(0.05 * static_cast<double>(1 + rng.NextBounded(18)) *
+                     pages));
+  }
+
+  AccessPathOptimizer optimizer(&catalog);
+  size_t i = 0;
+  for (auto _ : state) {
+    const Planned& q = queries[i++ % queries.size()];
+    benchmark::DoNotOptimize(
+        optimizer.Choose(q.query, q.buffer_pages).value().total_cost);
+  }
+}
+BENCHMARK(BM_Choose);
 
 void BM_PiecewiseFit(benchmark::State& state) {
   Rng rng(23);

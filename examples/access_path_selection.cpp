@@ -43,6 +43,11 @@ int main() {
   catalog.stats().Put(RunLruFit(trace, dataset.num_pages(),
                                 dataset.num_distinct(), "events.key")
                           .value());
+  // The optimizer plans against the published snapshot.
+  if (Status published = catalog.stats().Publish(); !published.ok()) {
+    std::cerr << published.ToString() << '\n';
+    return 1;
+  }
 
   AccessPathOptimizer optimizer(&catalog);
   ScanGenerator scans(&dataset, 3);

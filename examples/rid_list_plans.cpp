@@ -101,6 +101,11 @@ int main() {
   catalog.stats().Put(RunLruFit(full_trace, dataset.num_pages(),
                                 dataset.num_distinct(), "sales.day")
                           .value());
+  // The optimizer plans against the published snapshot.
+  if (Status published = catalog.stats().Publish(); !published.ok()) {
+    std::cerr << published.ToString() << '\n';
+    return 1;
+  }
   OptimizerOptions opt;
   opt.consider_rid_list = true;
   AccessPathOptimizer optimizer(&catalog, opt);

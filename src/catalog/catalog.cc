@@ -1,5 +1,6 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -12,7 +13,7 @@ Status Catalog::RegisterTable(const std::string& name, TableHeap* heap) {
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table " + name + " already registered");
   }
-  tables_[name] = TableInfo{name, heap};
+  tables_[name] = TableInfo{name, heap, {}};
   return Status::Ok();
 }
 
@@ -29,31 +30,31 @@ Status Catalog::RegisterIndex(const std::string& name,
   if (key_column >= table_it->second.heap->schema().num_columns()) {
     return Status::InvalidArgument("RegisterIndex: column out of range");
   }
-  if (indexes_.count(name) > 0) {
+  auto [index, inserted] =
+      indexes_.emplace(name, IndexInfo{name, table, key_column, tree});
+  if (!inserted) {
     return Status::AlreadyExists("index " + name + " already registered");
   }
-  indexes_[name] = IndexInfo{name, table, key_column, tree};
+  std::vector<const IndexInfo*>& on_table = table_it->second.indexes;
+  on_table.insert(std::upper_bound(on_table.begin(), on_table.end(), name,
+                                   [](const std::string& n,
+                                      const IndexInfo* info) {
+                                     return n < info->name;
+                                   }),
+                  &index->second);
   return Status::Ok();
 }
 
-Result<TableInfo> Catalog::GetTable(const std::string& name) const {
+Result<const TableInfo*> Catalog::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("unknown table " + name);
-  return it->second;
+  return &it->second;
 }
 
 Result<IndexInfo> Catalog::GetIndex(const std::string& name) const {
   auto it = indexes_.find(name);
   if (it == indexes_.end()) return Status::NotFound("unknown index " + name);
   return it->second;
-}
-
-std::vector<IndexInfo> Catalog::IndexesOnTable(const std::string& table) const {
-  std::vector<IndexInfo> out;
-  for (const auto& [name, info] : indexes_) {
-    if (info.table == table) out.push_back(info);
-  }
-  return out;
 }
 
 Status Catalog::PutHistogram(const std::string& index_name,
@@ -114,15 +115,6 @@ Status Catalog::LoadHistogramsFromFile(const std::string& path) {
     EPFIS_RETURN_IF_ERROR(PutHistogram(name, std::move(histogram)));
   }
   return Status::Ok();
-}
-
-std::vector<IndexInfo> Catalog::IndexesOnColumn(const std::string& table,
-                                                size_t column) const {
-  std::vector<IndexInfo> out;
-  for (const auto& [name, info] : indexes_) {
-    if (info.table == table && info.key_column == column) out.push_back(info);
-  }
-  return out;
 }
 
 }  // namespace epfis

@@ -13,19 +13,22 @@
 
 namespace epfis {
 
-/// Registered table (non-owning: the heap is owned by the Dataset or the
-/// caller).
-struct TableInfo {
-  std::string name;
-  TableHeap* heap = nullptr;
-};
-
 /// Registered index over one column of a table (non-owning).
 struct IndexInfo {
   std::string name;
   std::string table;
   size_t key_column = 0;
   BTree* tree = nullptr;
+};
+
+/// Registered table (non-owning: the heap is owned by the Dataset or the
+/// caller).
+struct TableInfo {
+  std::string name;
+  TableHeap* heap = nullptr;
+  /// The indexes defined on this table, in name order. The entries live
+  /// in the owning Catalog, which never moves or drops them.
+  std::vector<const IndexInfo*> indexes;
 };
 
 /// Minimal schema catalog: tables, the indexes defined on them, and their
@@ -42,16 +45,11 @@ class Catalog {
   Status RegisterIndex(const std::string& name, const std::string& table,
                        size_t key_column, BTree* tree);
 
-  Result<TableInfo> GetTable(const std::string& name) const;
+  /// The table's entry, read in place (valid as long as the Catalog).
+  /// Its `indexes` whose key column is the predicate column are the
+  /// "relevant" indexes for a single-column range predicate.
+  Result<const TableInfo*> GetTable(const std::string& name) const;
   Result<IndexInfo> GetIndex(const std::string& name) const;
-
-  /// All indexes defined on `table`.
-  std::vector<IndexInfo> IndexesOnTable(const std::string& table) const;
-
-  /// Indexes on `table` whose key column is `column` — the "relevant"
-  /// indexes for a single-column range predicate.
-  std::vector<IndexInfo> IndexesOnColumn(const std::string& table,
-                                         size_t column) const;
 
   StatsCatalog& stats() { return stats_; }
   const StatsCatalog& stats() const { return stats_; }

@@ -74,7 +74,8 @@ CatalogSnapshot::Handle CatalogSnapshot::Resolve(
   return Handle{static_cast<uint32_t>(it - entries_.begin())};
 }
 
-Result<IndexStats> CatalogSnapshot::Get(std::string_view index_name) const {
+Result<CatalogSnapshot::Handle> CatalogSnapshot::ResolveTrusted(
+    std::string_view index_name) const {
   Handle handle = Resolve(index_name);
   if (!handle.valid()) {
     return Status::NotFound("no statistics for index " +
@@ -86,6 +87,12 @@ Result<IndexStats> CatalogSnapshot::Get(std::string_view index_name) const {
                               std::string(index_name) + " are quarantined: " +
                               std::string(entry.quarantine_reason));
   }
+  return handle;
+}
+
+Result<IndexStats> CatalogSnapshot::Get(std::string_view index_name) const {
+  EPFIS_ASSIGN_OR_RETURN(Handle handle, ResolveTrusted(index_name));
+  const Entry& entry = entries_[handle.slot];
   IndexStats stats;
   stats.index_name = std::string(entry.name);
   stats.table_pages = entry.view.table_pages;

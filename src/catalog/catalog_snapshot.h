@@ -88,6 +88,10 @@ class CatalogSnapshot {
   /// snapshot has no entry (good or quarantined) under that name.
   Handle Resolve(std::string_view index_name) const;
 
+  /// Resolves an index name to the handle of a trusted entry, failing as
+  /// Get does: NotFound when absent, Corruption when quarantined.
+  Result<Handle> ResolveTrusted(std::string_view index_name) const;
+
   /// Precondition: `handle` is valid and came from this snapshot.
   const Entry& EntryAt(Handle handle) const { return entries_[handle.slot]; }
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/stats_catalog.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/formulas.h"
@@ -15,9 +14,8 @@
 namespace epfis {
 namespace {
 
-// One registration per process; Est-IO runs at query-compilation time in
-// microseconds, so a handful of counter bumps is noise there but gives
-// operators the estimate volume and which formula paths actually fire.
+// One registration per process. The counters give operators the estimate
+// volume and which formula paths actually fire.
 struct EstIoMetrics {
   Counter estimates;
   Counter full_scans;
@@ -52,37 +50,62 @@ struct EstIoMetrics {
   }
 };
 
-// Written so NaN fails every check (NaN comparisons are false).
-Status ValidateScanSpec(const ScanSpec& scan) {
+// Per-probe counts, tallied in a local and flushed to the registry once
+// per call or batch (DESIGN.md §9.1): a probe costs the formula, not a
+// string of registry updates.
+struct Tally {
+  uint64_t estimates = 0;
+  uint64_t rejected = 0;
+  uint64_t correction_applied = 0;
+  uint64_t sargable_reductions = 0;
+  uint64_t clamped = 0;
+  uint64_t degraded = 0;
+  uint64_t deadline_shed = 0;
+
+  void Flush() const {
+    EstIoMetrics& metrics = EstIoMetrics::Get();
+    auto add = [](Counter& counter, uint64_t n) {
+      if (n != 0) counter.Increment(n);
+    };
+    add(metrics.estimates, estimates);
+    add(metrics.rejected, rejected);
+    add(metrics.correction_applied, correction_applied);
+    add(metrics.sargable_reductions, sargable_reductions);
+    add(metrics.clamped, clamped);
+    add(metrics.degraded, degraded);
+    add(metrics.deadline_shed, deadline_shed);
+  }
+};
+
+// The checks return null when their input is valid, so the hot path
+// builds no Status. Written so NaN fails every check (NaN comparisons are
+// false).
+const char* ScanSpecError(const ScanSpec& scan) {
   if (!(scan.sigma >= 0.0 && scan.sigma <= 1.0)) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument("Est-IO: sigma must be in [0, 1]");
+    return "Est-IO: sigma must be in [0, 1]";
   }
   if (!(scan.sargable_selectivity > 0.0 &&
         scan.sargable_selectivity <= 1.0)) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument(
-        "Est-IO: sargable_selectivity must be in (0, 1]");
+    return "Est-IO: sargable_selectivity must be in (0, 1]";
   }
-  if (scan.buffer_pages == 0) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument("Est-IO: buffer_pages must be >= 1");
-  }
-  return Status::Ok();
+  if (scan.buffer_pages == 0) return "Est-IO: buffer_pages must be >= 1";
+  return nullptr;
 }
 
-// NaN fails the > checks, so it is rejected along with non-positives.
-Status ValidateOptions(const EstIoOptions& options) {
+const char* OptionsError(const EstIoOptions& options) {
   if (!(options.nu_threshold > 0.0)) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument("Est-IO: nu_threshold must be positive");
+    return "Est-IO: nu_threshold must be positive";
   }
   if (!(options.correction_divisor > 0.0)) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument(
-        "Est-IO: correction_divisor must be positive");
+    return "Est-IO: correction_divisor must be positive";
   }
-  return Status::Ok();
+  return nullptr;
+}
+
+// A call the checks above refused.
+Status Rejected(const char* error) {
+  EstIoMetrics::Get().rejected.Increment();
+  return Status::InvalidArgument(error);
 }
 
 // The one evaluation core (paper §4.3 steps 4-7). Every public entry
@@ -90,9 +113,8 @@ Status ValidateOptions(const EstIoOptions& options) {
 // function over an IndexStatsView, which is what makes their results
 // bit-identical by construction.
 double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
-                         const EstIoOptions& options) {
-  EstIoMetrics& metrics = EstIoMetrics::Get();
-  metrics.estimates.Increment();
+                         const EstIoOptions& options, Tally& tally) {
+  ++tally.estimates;
 
   double sigma = Clamp(scan.sigma, 0.0, 1.0);
   double s_sarg = Clamp(scan.sargable_selectivity, 0.0, 1.0);
@@ -119,17 +141,21 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
   // thresholds scale together through the options): nu decides *whether*
   // the Cardenas term applies, the min(1, .) factor only ramps it in as
   // sigma shrinks. sigma > 0 here (zero returned early), so the divisions
-  // are well-defined.
+  // are well-defined. Every factor after nu is finite and non-negative,
+  // so with nu = 0 the term is +0.0 and is skipped without changing a bit
+  // of the final (clamped) estimate.
   if (options.enable_correction && t > 0.0) {
     double ratio = b / t;
     double phi = options.phi_mode == PhiMode::kPaperMax
                      ? std::max(1.0, ratio)
                      : std::min(1.0, ratio);
     double nu = (phi >= options.nu_threshold * sigma) ? 1.0 : 0.0;
-    double damping =
-        std::min(1.0, phi / (options.correction_divisor * sigma));
-    estimate += nu * damping * (1.0 - c) * CardenasPages(t, sigma * n);
-    if (nu == 1.0) metrics.correction_applied.Increment();
+    if (nu == 1.0) {
+      double damping =
+          std::min(1.0, phi / (options.correction_divisor * sigma));
+      estimate += nu * damping * (1.0 - c) * CardenasPages(t, sigma * n);
+      ++tally.correction_applied;
+    }
   }
 
   // Step 7: urn-model reduction for index-sargable predicates. The paper's
@@ -144,13 +170,13 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
       double log_miss = std::log1p(-1.0 / q);
       double factor = -std::expm1(k * log_miss);  // 1 - (1 - 1/Q)^k
       estimate *= Clamp(factor, 0.0, 1.0);
-      metrics.sargable_reductions.Increment();
+      ++tally.sargable_reductions;
     }
   }
 
   // A scan fetches a page at most once per qualifying record.
   double qualifying = s_sarg * sigma * n;
-  if (estimate > qualifying) metrics.clamped.Increment();
+  if (estimate > qualifying) ++tally.clamped;
   return Clamp(estimate, 0.0, qualifying);
 }
 
@@ -160,8 +186,8 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
 // better fit when the record count is known, Cardenas otherwise.
 CatalogEstimate DegradedEstimate(const ScanSpec& scan,
                                  const TableShape& shape,
-                                 Status stats_status) {
-  EstIoMetrics::Get().degraded.Increment();
+                                 Status stats_status, Tally& tally) {
+  ++tally.degraded;
   double t = static_cast<double>(shape.table_pages);
   double n = static_cast<double>(shape.table_records);
   double k = scan.sigma * scan.sargable_selectivity * n;
@@ -189,20 +215,23 @@ CatalogEstimate EstimateResolvedProbe(const CatalogSnapshot& snapshot,
                                       CatalogSnapshot::Handle handle,
                                       const ScanSpec& scan,
                                       const TableShape& shape,
-                                      const EstIoOptions& options) {
+                                      const EstIoOptions& options,
+                                      Tally& tally) {
   if (!handle.valid()) {
     return DegradedEstimate(
-        scan, shape, Status::NotFound("Est-IO: no statistics for index"));
+        scan, shape, Status::NotFound("Est-IO: no statistics for index"),
+        tally);
   }
   const CatalogSnapshot::Entry& entry = snapshot.EntryAt(handle);
   if (entry.quarantined) {
     return DegradedEstimate(
         scan, shape,
         Status::Corruption("Est-IO: statistics quarantined: " +
-                           std::string(entry.quarantine_reason)));
+                           std::string(entry.quarantine_reason)),
+        tally);
   }
   CatalogEstimate out;
-  out.fetches = EstimatePagesCore(entry.view, scan, options);
+  out.fetches = EstimatePagesCore(entry.view, scan, options, tally);
   out.source = EstimateSource::kLruFitCurve;
   return out;
 }
@@ -211,57 +240,39 @@ CatalogEstimate EstimateResolvedProbe(const CatalogSnapshot& snapshot,
 
 Result<double> EstIo::Estimate(const IndexStats& stats, const ScanSpec& scan,
                                const EstIoOptions& options) {
-  EPFIS_RETURN_IF_ERROR(ValidateOptions(options));
-  EPFIS_RETURN_IF_ERROR(ValidateScanSpec(scan));
-  return EstimatePagesCore(stats.View(), scan, options);
-}
-
-Result<CatalogEstimate> EstIo::EstimateFromCatalog(
-    const StatsCatalog& catalog, const std::string& index_name,
-    const ScanSpec& scan, const TableShape& shape,
-    const EstIoOptions& options) {
-  EPFIS_RETURN_IF_ERROR(ValidateOptions(options));
-  EPFIS_RETURN_IF_ERROR(ValidateScanSpec(scan));
-  // The fault point feeds the injected status through the same switch as
-  // a real catalog miss, so degraded mode can be drilled without first
-  // corrupting a file on disk.
-  Status lookup_fault = FaultPoint("est_io.lookup");
-  Result<IndexStats> stats = lookup_fault.ok()
-                                 ? catalog.Get(index_name)
-                                 : Result<IndexStats>(lookup_fault);
-  if (stats.ok()) {
-    CatalogEstimate out;
-    out.fetches = EstimatePagesCore(stats->View(), scan, options);
-    out.source = EstimateSource::kLruFitCurve;
-    return out;
-  }
-  StatusCode code = stats.status().code();
-  if (code != StatusCode::kNotFound && code != StatusCode::kCorruption) {
-    // Not a "statistics unavailable" condition — an I/O or internal
-    // error deserves to surface, not to be papered over with a formula.
-    return stats.status();
-  }
-  return DegradedEstimate(scan, shape, stats.status());
+  if (const char* error = OptionsError(options)) return Rejected(error);
+  if (const char* error = ScanSpecError(scan)) return Rejected(error);
+  Tally tally;
+  double fetches = EstimatePagesCore(stats.View(), scan, options, tally);
+  tally.Flush();
+  return fetches;
 }
 
 Result<CatalogEstimate> EstIo::EstimateFromCatalog(
     const CatalogSnapshot& snapshot, const std::string& index_name,
     const ScanSpec& scan, const TableShape& shape,
     const EstIoOptions& options) {
-  EPFIS_RETURN_IF_ERROR(ValidateOptions(options));
-  EPFIS_RETURN_IF_ERROR(ValidateScanSpec(scan));
-  // Same drill point as the mutex-taking overload; an injected
-  // NotFound/Corruption exercises degraded mode, anything else surfaces.
+  if (const char* error = OptionsError(options)) return Rejected(error);
+  if (const char* error = ScanSpecError(scan)) return Rejected(error);
+  // The fault point feeds the injected status through the same switch as
+  // a real catalog miss, so degraded mode can be drilled without first
+  // corrupting a file on disk.
   Status lookup_fault = FaultPoint("est_io.lookup");
-  if (!lookup_fault.ok()) {
-    StatusCode code = lookup_fault.code();
-    if (code != StatusCode::kNotFound && code != StatusCode::kCorruption) {
-      return lookup_fault;
-    }
-    return DegradedEstimate(scan, shape, lookup_fault);
+  StatusCode code = lookup_fault.code();
+  if (!lookup_fault.ok() && code != StatusCode::kNotFound &&
+      code != StatusCode::kCorruption) {
+    // Not a "statistics unavailable" condition — an I/O or internal
+    // error deserves to surface, not to be papered over with a formula.
+    return lookup_fault;
   }
-  return EstimateResolvedProbe(snapshot, snapshot.Resolve(index_name), scan,
-                               shape, options);
+  Tally tally;
+  CatalogEstimate out =
+      lookup_fault.ok()
+          ? EstimateResolvedProbe(snapshot, snapshot.Resolve(index_name),
+                                  scan, shape, options, tally)
+          : DegradedEstimate(scan, shape, std::move(lookup_fault), tally);
+  tally.Flush();
+  return out;
 }
 
 Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
@@ -272,7 +283,7 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
     return Status::InvalidArgument(
         "Est-IO: results span smaller than probes span");
   }
-  EPFIS_RETURN_IF_ERROR(ValidateOptions(options));
+  if (const char* error = OptionsError(options)) return Rejected(error);
   // A valid handle whose slot is out of range is a caller bug (a handle
   // resolved against a *different* snapshot), not a degradable per-probe
   // condition: fail the batch before estimating anything.
@@ -282,10 +293,6 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
           "Est-IO: batch probe handle does not belong to this snapshot");
     }
   }
-
-  EstIoMetrics& metrics = EstIoMetrics::Get();
-  metrics.batches.Increment();
-  metrics.batch_probes.Increment(probes.size());
 
   // Process probes grouped by index slot so each entry's knot segments
   // stay hot in cache across its probes. Results are written in probe
@@ -307,6 +314,7 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
   // the first expiry so one batch drains at one verdict.
   const bool guarded = options.cancel.valid() || !options.deadline.infinite();
   Status shed;
+  Tally tally;
   auto estimate_one = [&](size_t i) {
     const BatchProbe& probe = probes[i];
     if (guarded) {
@@ -314,26 +322,19 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
         shed = CheckCancel(options.cancel, options.deadline, "Est-IO batch");
       }
       if (!shed.ok()) {
-        metrics.deadline_shed.Increment();
-        CatalogEstimate out;
-        out.fetches = 0.0;
-        out.source = EstimateSource::kRejected;
-        out.stats_status = shed;
-        results[i] = std::move(out);
+        ++tally.deadline_shed;
+        results[i] = CatalogEstimate{0.0, EstimateSource::kRejected, shed};
         return;
       }
     }
-    Status spec = ValidateScanSpec(probe.scan);
-    if (!spec.ok()) {
-      CatalogEstimate out;
-      out.fetches = 0.0;
-      out.source = EstimateSource::kRejected;
-      out.stats_status = std::move(spec);
-      results[i] = std::move(out);
+    if (const char* error = ScanSpecError(probe.scan)) {
+      ++tally.rejected;
+      results[i] = CatalogEstimate{0.0, EstimateSource::kRejected,
+                                   Status::InvalidArgument(error)};
       return;
     }
     results[i] = EstimateResolvedProbe(snapshot, probe.index, probe.scan,
-                                       probe.shape, options);
+                                       probe.shape, options, tally);
   };
 
   if (grouped) {
@@ -347,15 +348,17 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
                      });
     for (uint32_t i : order) estimate_one(i);
   }
+
+  EstIoMetrics& metrics = EstIoMetrics::Get();
+  metrics.batches.Increment();
+  metrics.batch_probes.Increment(probes.size());
+  tally.Flush();
   return Status::Ok();
 }
 
 Result<double> EstIo::EstimateFullScan(const IndexStats& stats,
                                        uint64_t buffer_pages) {
-  if (buffer_pages == 0) {
-    EstIoMetrics::Get().rejected.Increment();
-    return Status::InvalidArgument("Est-IO: buffer_pages must be >= 1");
-  }
+  if (buffer_pages == 0) return Rejected("Est-IO: buffer_pages must be >= 1");
   EstIoMetrics::Get().full_scans.Increment();
   return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }

@@ -12,8 +12,6 @@
 
 namespace epfis {
 
-class StatsCatalog;
-
 /// Interpretation of phi in the small-selectivity correction (§4.2).
 enum class PhiMode {
   /// As printed in the paper: phi = max(1, B/T).
@@ -148,29 +146,19 @@ struct EstIo {
   static Result<double> EstimateFullScan(const IndexStats& stats,
                                          uint64_t buffer_pages);
 
-  /// Catalog-backed estimate with graceful degradation. Looks up
-  /// `index_name` in the catalog and runs the full Estimate when trusted
+  /// Catalog-backed estimate with graceful degradation, reading an
+  /// immutable published snapshot (StatsCatalog::snapshot() or
+  /// OpenCatalogSnapshotV3) with no mutex and no allocation on the curve
+  /// path. Looks up `index_name` and runs the full Estimate when trusted
   /// statistics exist. When the entry is missing (NotFound) or was
   /// quarantined by a recovering load (Corruption), falls back to the
   /// Yao/Cardenas formula over `shape` instead of failing the
   /// compilation, marks the result kFormulaFallback, and bumps the
   /// `est_io.degraded` counter. Scan-spec validation errors and
-  /// unexpected catalog errors still fail.
-  ///
-  /// This overload takes the catalog's mutex for the lookup. Serving
-  /// paths should prefer the CatalogSnapshot overload below, which is
-  /// lock-free.
-  static Result<CatalogEstimate> EstimateFromCatalog(
-      const StatsCatalog& catalog, const std::string& index_name,
-      const ScanSpec& scan, const TableShape& shape,
-      const EstIoOptions& options = {});
-
-  /// Lock-free form of the same contract, reading an immutable published
-  /// snapshot (StatsCatalog::snapshot() or OpenCatalogSnapshotV3). No
-  /// mutex, no allocation on the curve path; missing and quarantined
-  /// entries degrade exactly as above. Single-probe and batched
-  /// estimation share this lookup/fallback/provenance path, so for any
-  /// probe the two produce bit-identical results.
+  /// unexpected lookup errors (the `est_io.lookup` fault point) still
+  /// fail. Single-probe and batched estimation share this
+  /// lookup/fallback/provenance path, so for any probe the two produce
+  /// bit-identical results.
   static Result<CatalogEstimate> EstimateFromCatalog(
       const CatalogSnapshot& snapshot, const std::string& index_name,
       const ScanSpec& scan, const TableShape& shape,

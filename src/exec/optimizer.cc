@@ -1,7 +1,9 @@
 #include "exec/optimizer.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "exec/rid_list.h"
 
@@ -26,32 +28,76 @@ AccessPathOptimizer::AccessPathOptimizer(const Catalog* catalog,
                                          OptimizerOptions options)
     : catalog_(catalog), options_(options) {}
 
-Result<std::vector<AccessPlan>> AccessPathOptimizer::EnumeratePlans(
-    const Query& query, uint64_t buffer_pages) const {
-  EPFIS_ASSIGN_OR_RETURN(TableInfo table, catalog_->GetTable(query.table));
-  double table_pages = static_cast<double>(table.heap->num_pages());
+namespace {
 
-  std::vector<AccessPlan> plans;
+// A costed plan as the enumerator hands it to a sink. The index name is a
+// view into the catalog, so Choose copies only the name of the plan it
+// keeps.
+struct CostedPlan {
+  AccessPlan::Type type = AccessPlan::Type::kTableScan;
+  std::string_view index_name;
+  double estimated_fetches = 0.0;
+  double sort_cost = 0.0;
+  double total_cost = 0.0;
+
+  AccessPlan ToPlan() const {
+    return AccessPlan{type, std::string(index_name), estimated_fetches,
+                      sort_cost, total_cost};
+  }
+};
+
+// An index scan costed as a batch of one probe. The entry was resolved
+// trusted, so the probe never degrades to the formula fallback; a probe
+// that is not estimated (invalid spec, or shed by the options' deadline or
+// cancel token) fails the call with its own Status.
+Result<double> EstimateIndexScan(const CatalogSnapshot& snapshot,
+                                 CatalogSnapshot::Handle index,
+                                 const ScanSpec& scan,
+                                 const EstIoOptions& options) {
+  BatchProbe probe{index, scan, TableShape{}};
+  CatalogEstimate estimate;
+  EPFIS_RETURN_IF_ERROR(
+      EstIo::EstimateBatch(snapshot, {&probe, 1}, {&estimate, 1}, options));
+  if (estimate.source != EstimateSource::kLruFitCurve) {
+    return estimate.stats_status;
+  }
+  return estimate.fetches;
+}
+
+// The one plan enumerator behind EnumeratePlans and Choose. It costs every
+// candidate against one published snapshot — no catalog mutex, no
+// IndexStats copy — and hands each plan to `sink` in a fixed order: the
+// table scan, then per relevant index (name order) its index scan and RID
+// variant, then the order-column full scans. The fixed order is what makes
+// cost ties break the same way for both callers.
+template <typename Sink>
+Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
+                   const Query& query, uint64_t buffer_pages, Sink&& sink) {
+  EPFIS_ASSIGN_OR_RETURN(const TableInfo* table,
+                         catalog.GetTable(query.table));
+  std::shared_ptr<const CatalogSnapshot> snapshot =
+      catalog.stats().snapshot();
+  double table_pages = static_cast<double>(table->heap->num_pages());
 
   // Plan 1: table scan (+ sort if ordered output is required).
-  AccessPlan table_scan;
+  CostedPlan table_scan;
   table_scan.type = AccessPlan::Type::kTableScan;
   table_scan.estimated_fetches = table_pages;
   table_scan.sort_cost =
-      query.require_sorted ? options_.sort_io_factor * table_pages : 0.0;
+      query.require_sorted ? options.sort_io_factor * table_pages : 0.0;
   table_scan.total_cost = table_scan.estimated_fetches + table_scan.sort_cost;
-  plans.push_back(table_scan);
+  sink(table_scan);
 
   // One plan per relevant index (same column: usable for both the range
   // predicate and the sort order).
-  for (const IndexInfo& index :
-       catalog_->IndexesOnColumn(query.table, query.column)) {
-    EPFIS_ASSIGN_OR_RETURN(IndexStats stats,
-                           catalog_->stats().Get(index.name));
+  for (const IndexInfo* index : table->indexes) {
+    if (index->key_column != query.column) continue;
+    EPFIS_ASSIGN_OR_RETURN(CatalogSnapshot::Handle handle,
+                           snapshot->ResolveTrusted(index->name));
     double sigma = query.sigma;
     if (query.estimate_sigma) {
       EPFIS_ASSIGN_OR_RETURN(EquiDepthHistogram histogram,
-                             catalog_->GetHistogram(index.name));
+                             catalog.GetHistogram(index->name));
       sigma = histogram.EstimateSelectivity(query.range);
     }
     ScanSpec scan;
@@ -59,11 +105,12 @@ Result<std::vector<AccessPlan>> AccessPathOptimizer::EnumeratePlans(
     scan.sargable_selectivity = query.sargable_selectivity;
     scan.buffer_pages = buffer_pages;
 
-    AccessPlan plan;
+    CostedPlan plan;
     plan.type = AccessPlan::Type::kIndexScan;
-    plan.index_name = index.name;
-    EPFIS_ASSIGN_OR_RETURN(plan.estimated_fetches,
-                           EstIo::Estimate(stats, scan, options_.est_io));
+    plan.index_name = index->name;
+    EPFIS_ASSIGN_OR_RETURN(
+        plan.estimated_fetches,
+        EstimateIndexScan(*snapshot, handle, scan, options.est_io));
     // Index order is the required order unless the query orders by a
     // different column, in which case this plan sorts its (selective)
     // output like the table scan does, scaled to the pages it produces.
@@ -71,29 +118,28 @@ Result<std::vector<AccessPlan>> AccessPathOptimizer::EnumeratePlans(
                          !query.order_column.has_value() ||
                          *query.order_column == query.column;
     plan.sort_cost = order_matches ? 0.0
-                                   : options_.sort_io_factor *
+                                   : options.sort_io_factor *
                                          plan.estimated_fetches;
     plan.total_cost = plan.estimated_fetches + plan.sort_cost;
-    plans.push_back(plan);
+    sink(plan);
 
-    if (options_.consider_rid_list) {
+    if (options.consider_rid_list) {
       // RID-sort variant: fetches are Yao's distinct-page count regardless
       // of the buffer, but the key order is destroyed, so ordered output
       // pays the external sort like a table scan does (scaled to the pages
       // actually produced).
-      double k = sigma * query.sargable_selectivity *
-                 static_cast<double>(stats.table_records);
-      AccessPlan rid_plan;
+      double n = static_cast<double>(snapshot->ViewAt(handle).table_records);
+      double k = sigma * query.sargable_selectivity * n;
+      CostedPlan rid_plan;
       rid_plan.type = AccessPlan::Type::kRidListFetch;
-      rid_plan.index_name = index.name;
-      rid_plan.estimated_fetches = EstimateRidFetchPages(
-          static_cast<double>(stats.table_records), table_pages, k);
+      rid_plan.index_name = index->name;
+      rid_plan.estimated_fetches = EstimateRidFetchPages(n, table_pages, k);
       rid_plan.sort_cost = query.require_sorted
-                               ? options_.sort_io_factor *
+                               ? options.sort_io_factor *
                                      rid_plan.estimated_fetches
                                : 0.0;
       rid_plan.total_cost = rid_plan.estimated_fetches + rid_plan.sort_cost;
-      plans.push_back(rid_plan);
+      sink(rid_plan);
     }
   }
 
@@ -103,25 +149,36 @@ Result<std::vector<AccessPlan>> AccessPathOptimizer::EnumeratePlans(
   // whole index is scanned (sigma = 1) and nothing is sargable.
   if (query.require_sorted && query.order_column.has_value() &&
       *query.order_column != query.column) {
-    for (const IndexInfo& index :
-         catalog_->IndexesOnColumn(query.table, *query.order_column)) {
-      EPFIS_ASSIGN_OR_RETURN(IndexStats stats,
-                             catalog_->stats().Get(index.name));
+    for (const IndexInfo* index : table->indexes) {
+      if (index->key_column != *query.order_column) continue;
+      EPFIS_ASSIGN_OR_RETURN(CatalogSnapshot::Handle handle,
+                             snapshot->ResolveTrusted(index->name));
       ScanSpec scan;
       scan.sigma = 1.0;
       scan.sargable_selectivity = 1.0;
       scan.buffer_pages = buffer_pages;
-      AccessPlan plan;
+      CostedPlan plan;
       plan.type = AccessPlan::Type::kIndexScan;
-      plan.index_name = index.name;
-      EPFIS_ASSIGN_OR_RETURN(plan.estimated_fetches,
-                             EstIo::Estimate(stats, scan, options_.est_io));
+      plan.index_name = index->name;
+      EPFIS_ASSIGN_OR_RETURN(
+          plan.estimated_fetches,
+          EstimateIndexScan(*snapshot, handle, scan, options.est_io));
       plan.sort_cost = 0.0;
       plan.total_cost = plan.estimated_fetches;
-      plans.push_back(plan);
+      sink(plan);
     }
   }
+  return Status::Ok();
+}
 
+}  // namespace
+
+Result<std::vector<AccessPlan>> AccessPathOptimizer::EnumeratePlans(
+    const Query& query, uint64_t buffer_pages) const {
+  std::vector<AccessPlan> plans;
+  EPFIS_RETURN_IF_ERROR(ForEachPlan(
+      *catalog_, options_, query, buffer_pages,
+      [&](const CostedPlan& plan) { plans.push_back(plan.ToPlan()); }));
   std::stable_sort(plans.begin(), plans.end(),
                    [](const AccessPlan& a, const AccessPlan& b) {
                      return a.total_cost < b.total_cost;
@@ -131,9 +188,18 @@ Result<std::vector<AccessPlan>> AccessPathOptimizer::EnumeratePlans(
 
 Result<AccessPlan> AccessPathOptimizer::Choose(const Query& query,
                                                uint64_t buffer_pages) const {
-  EPFIS_ASSIGN_OR_RETURN(std::vector<AccessPlan> plans,
-                         EnumeratePlans(query, buffer_pages));
-  return plans.front();
+  // The first plan with the strictly lowest cost is exactly what
+  // EnumeratePlans' stable sort puts in front.
+  CostedPlan best;
+  bool have_best = false;
+  EPFIS_RETURN_IF_ERROR(ForEachPlan(
+      *catalog_, options_, query, buffer_pages, [&](const CostedPlan& plan) {
+        if (!have_best || plan.total_cost < best.total_cost) {
+          best = plan;
+          have_best = true;
+        }
+      }));
+  return best.ToPlan();
 }
 
 }  // namespace epfis

@@ -76,17 +76,25 @@ struct OptimizerOptions {
 /// from the statistics catalog — the paper's motivating use case ("to
 /// choose a good access plan involving an index, it is crucial to
 /// accurately estimate the number of page fetches").
+///
+/// Plans are costed against the catalog's last *published* snapshot
+/// (StatsCatalog::Publish), one snapshot per call: a Put that has not been
+/// published yet is invisible here. Planning takes no catalog mutex and
+/// copies no statistics, so it is safe beside a concurrent publisher.
 class AccessPathOptimizer {
  public:
   explicit AccessPathOptimizer(const Catalog* catalog,
                                OptimizerOptions options = {});
 
-  /// All candidate plans, costed, cheapest first. Fails if the table is
-  /// unknown or a relevant index lacks statistics.
+  /// All candidate plans, costed, cheapest first (stable among equal
+  /// costs). Fails if the table is unknown (NotFound), if a relevant index
+  /// lacks published statistics (NotFound) or its published statistics
+  /// are quarantined (Corruption), or if Est-IO rejects an index probe
+  /// (its spec, or the deadline/cancel token in `est_io`).
   Result<std::vector<AccessPlan>> EnumeratePlans(const Query& query,
                                                  uint64_t buffer_pages) const;
 
-  /// The cheapest plan.
+  /// The cheapest plan: EnumeratePlans' front, with the same failures.
   Result<AccessPlan> Choose(const Query& query, uint64_t buffer_pages) const;
 
  private:

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -33,8 +34,10 @@ TEST_F(CatalogTest, RegisterAndLookupTable) {
   ASSERT_TRUE(catalog_.RegisterTable("t", heap_.get()).ok());
   auto info = catalog_.GetTable("t");
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->heap, heap_.get());
-  EXPECT_FALSE(catalog_.GetTable("missing").ok());
+  EXPECT_EQ((*info)->heap, heap_.get());
+  EXPECT_TRUE((*info)->indexes.empty());
+  EXPECT_EQ(catalog_.GetTable("missing").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(CatalogTest, DuplicateTableRejected) {
@@ -60,17 +63,26 @@ TEST_F(CatalogTest, IndexRequiresKnownTableAndValidColumn) {
   EXPECT_TRUE(catalog_.RegisterIndex("i", "t", 1, tree_.get()).ok());
 }
 
+// The table entry carries its indexes in name order, whatever the
+// registration order; that order is the optimizer's plan order.
 TEST_F(CatalogTest, IndexesOnTableAndColumn) {
   ASSERT_TRUE(catalog_.RegisterTable("t", heap_.get()).ok());
+  ASSERT_TRUE(catalog_.RegisterTable("other", heap_.get()).ok());
   BTree tree2(pool_.get(), "idx2");
-  ASSERT_TRUE(catalog_.RegisterIndex("i0", "t", 0, tree_.get()).ok());
   ASSERT_TRUE(catalog_.RegisterIndex("i1", "t", 1, &tree2).ok());
+  ASSERT_TRUE(catalog_.RegisterIndex("i0", "t", 0, tree_.get()).ok());
 
-  EXPECT_EQ(catalog_.IndexesOnTable("t").size(), 2u);
-  EXPECT_EQ(catalog_.IndexesOnTable("other").size(), 0u);
-  auto on_col0 = catalog_.IndexesOnColumn("t", 0);
-  ASSERT_EQ(on_col0.size(), 1u);
-  EXPECT_EQ(on_col0[0].name, "i0");
+  auto table = catalog_.GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const std::vector<const IndexInfo*>& indexes = (*table)->indexes;
+  ASSERT_EQ(indexes.size(), 2u);
+  EXPECT_EQ(indexes[0]->name, "i0");
+  EXPECT_EQ(indexes[0]->key_column, 0u);
+  EXPECT_EQ(indexes[0]->tree, tree_.get());
+  EXPECT_EQ(indexes[1]->name, "i1");
+  EXPECT_EQ(indexes[1]->key_column, 1u);
+  EXPECT_EQ(indexes[1]->table, "t");
+  EXPECT_TRUE((*catalog_.GetTable("other"))->indexes.empty());
 }
 
 IndexStats MakeStats(const std::string& name) {

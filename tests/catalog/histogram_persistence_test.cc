@@ -25,7 +25,10 @@ class HistogramPersistenceTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.RegisterTable("t", dataset_->table()).ok());
     ASSERT_TRUE(
         catalog_.RegisterIndex("t.key", "t", 0, dataset_->index()).ok());
-    path_ = testing::TempDir() + "/epfis_histograms_test.txt";
+    // Per-test file: parallel ctest processes must not share it.
+    path_ = testing::TempDir() + "/epfis_histograms_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".txt";
   }
 
   void TearDown() override { std::remove(path_.c_str()); }

@@ -155,6 +155,7 @@ TEST(HistogramOptimizerTest, EstimateSigmaDrivesPlanChoice) {
   catalog.stats().Put(RunLruFit(trace, (*dataset)->num_pages(),
                                 (*dataset)->num_distinct(), "t.key")
                           .value());
+  ASSERT_TRUE(catalog.stats().Publish().ok());
   auto hist = EquiDepthHistogram::Build((*dataset)->key_counts(), 20);
   ASSERT_TRUE(hist.ok());
   ASSERT_TRUE(catalog.PutHistogram("t.key", *hist).ok());
@@ -202,6 +203,7 @@ TEST(HistogramOptimizerTest, EstimateSigmaWithoutHistogramFails) {
   catalog.stats().Put(RunLruFit(trace, (*dataset)->num_pages(),
                                 (*dataset)->num_distinct(), "t.key")
                           .value());
+  ASSERT_TRUE(catalog.stats().Publish().ok());
   AccessPathOptimizer optimizer(&catalog);
   Query query;
   query.table = "t";

@@ -1,3 +1,4 @@
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,8 @@ class EstIoDegradedTest : public testing::Test {
     auto stats = RunLruFit(trace, 150, 50, "ix_good");
     ASSERT_TRUE(stats.ok());
     catalog_.Put(std::move(*stats));
+    ASSERT_TRUE(catalog_.Publish().ok());
+    snapshot_ = catalog_.snapshot();
 
     scan_.sigma = 0.1;
     scan_.sargable_selectivity = 0.5;
@@ -41,12 +44,13 @@ class EstIoDegradedTest : public testing::Test {
   }
 
   StatsCatalog catalog_;
+  std::shared_ptr<const CatalogSnapshot> snapshot_;
   ScanSpec scan_;
   TableShape shape_;
 };
 
 TEST_F(EstIoDegradedTest, TrustedStatsUseTheFullModel) {
-  auto est = EstIo::EstimateFromCatalog(catalog_, "ix_good", scan_, shape_);
+  auto est = EstIo::EstimateFromCatalog(*snapshot_, "ix_good", scan_, shape_);
   ASSERT_TRUE(est.ok()) << est.status().message();
   EXPECT_EQ(est->source, EstimateSource::kLruFitCurve);
   EXPECT_TRUE(est->stats_status.ok());
@@ -58,7 +62,7 @@ TEST_F(EstIoDegradedTest, TrustedStatsUseTheFullModel) {
 
 TEST_F(EstIoDegradedTest, MissingStatsFallBackToYao) {
   uint64_t before = DegradedCount();
-  auto est = EstIo::EstimateFromCatalog(catalog_, "ix_missing", scan_,
+  auto est = EstIo::EstimateFromCatalog(*snapshot_, "ix_missing", scan_,
                                         shape_);
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->source, EstimateSource::kFormulaFallback);
@@ -80,8 +84,10 @@ TEST_F(EstIoDegradedTest, QuarantinedStatsFallBackWithCorruption) {
   StatsCatalog recovered;
   ASSERT_TRUE(recovered.RecoverFromString(text).ok());
   ASSERT_TRUE(recovered.IsQuarantined("ix_good"));
+  ASSERT_TRUE(recovered.Publish().ok());
 
-  auto est = EstIo::EstimateFromCatalog(recovered, "ix_good", scan_, shape_);
+  auto est = EstIo::EstimateFromCatalog(*recovered.snapshot(), "ix_good",
+                                        scan_, shape_);
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->source, EstimateSource::kFormulaFallback);
   EXPECT_EQ(est->stats_status.code(), StatusCode::kCorruption);
@@ -89,7 +95,7 @@ TEST_F(EstIoDegradedTest, QuarantinedStatsFallBackWithCorruption) {
 }
 
 TEST_F(EstIoDegradedTest, DegradedEstimateRespectsQualifyingBound) {
-  auto est = EstIo::EstimateFromCatalog(catalog_, "ix_missing", scan_,
+  auto est = EstIo::EstimateFromCatalog(*snapshot_, "ix_missing", scan_,
                                         shape_);
   ASSERT_TRUE(est.ok());
   double k = scan_.sigma * scan_.sargable_selectivity *
@@ -100,14 +106,14 @@ TEST_F(EstIoDegradedTest, DegradedEstimateRespectsQualifyingBound) {
 
 TEST_F(EstIoDegradedTest, UnknownShapeFallsBackToRecordBound) {
   TableShape unknown;  // Neither pages nor records known.
-  auto est = EstIo::EstimateFromCatalog(catalog_, "ix_missing", scan_,
+  auto est = EstIo::EstimateFromCatalog(*snapshot_, "ix_missing", scan_,
                                         unknown);
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->fetches, 0.0);  // k = 0 with no record count.
 
   TableShape records_only;
   records_only.table_records = 1000;
-  auto est2 = EstIo::EstimateFromCatalog(catalog_, "ix_missing", scan_,
+  auto est2 = EstIo::EstimateFromCatalog(*snapshot_, "ix_missing", scan_,
                                          records_only);
   ASSERT_TRUE(est2.ok());
   double k = scan_.sigma * scan_.sargable_selectivity * 1000.0;
@@ -119,11 +125,11 @@ TEST_F(EstIoDegradedTest, InjectedLookupFaultTriggersDegradedMode) {
   spec.code = StatusCode::kCorruption;
   spec.max_fires = 1;
   FaultInjector::Global().Arm("est_io.lookup", spec);
-  auto est = EstIo::EstimateFromCatalog(catalog_, "ix_good", scan_, shape_);
+  auto est = EstIo::EstimateFromCatalog(*snapshot_, "ix_good", scan_, shape_);
   ASSERT_TRUE(est.ok());
   EXPECT_EQ(est->source, EstimateSource::kFormulaFallback);
   // Clean retry goes back to the full model.
-  auto est2 = EstIo::EstimateFromCatalog(catalog_, "ix_good", scan_, shape_);
+  auto est2 = EstIo::EstimateFromCatalog(*snapshot_, "ix_good", scan_, shape_);
   ASSERT_TRUE(est2.ok());
   EXPECT_EQ(est2->source, EstimateSource::kLruFitCurve);
 }
@@ -133,20 +139,20 @@ TEST_F(EstIoDegradedTest, NonDegradableErrorsPropagate) {
   spec.code = StatusCode::kInternal;
   spec.max_fires = 1;
   FaultInjector::Global().Arm("est_io.lookup", spec);
-  auto est = EstIo::EstimateFromCatalog(catalog_, "ix_good", scan_, shape_);
+  auto est = EstIo::EstimateFromCatalog(*snapshot_, "ix_good", scan_, shape_);
   EXPECT_EQ(est.status().code(), StatusCode::kInternal);
 }
 
 TEST_F(EstIoDegradedTest, ScanValidationStillApplies) {
   ScanSpec bad = scan_;
   bad.sigma = 1.5;
-  EXPECT_EQ(EstIo::EstimateFromCatalog(catalog_, "ix_missing", bad, shape_)
+  EXPECT_EQ(EstIo::EstimateFromCatalog(*snapshot_, "ix_missing", bad, shape_)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   bad = scan_;
   bad.buffer_pages = 0;
-  EXPECT_EQ(EstIo::EstimateFromCatalog(catalog_, "ix_good", bad, shape_)
+  EXPECT_EQ(EstIo::EstimateFromCatalog(*snapshot_, "ix_good", bad, shape_)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

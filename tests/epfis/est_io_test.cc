@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
-#include "catalog/stats_catalog.h"
+#include "obs/metrics.h"
 #include "util/formulas.h"
 
 namespace epfis {
@@ -251,13 +253,6 @@ TEST(EstIoValidatingTest, BadOptionsRejectedOnEveryEntryPoint) {
   ScanSpec scan{0.5, 1.0, 300};
   TableShape shape{1000, 40000};
 
-  StatsCatalog catalog;
-  catalog.Put(stats);
-  EXPECT_EQ(EstIo::EstimateFromCatalog(catalog, "test", scan, shape, bad)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-
   auto snapshot = CatalogSnapshot::Build({{"test", stats}}, {}, 1);
   EXPECT_EQ(EstIo::EstimateFromCatalog(*snapshot, "test", scan, shape, bad)
                 .status()
@@ -269,6 +264,74 @@ TEST(EstIoValidatingTest, BadOptionsRejectedOnEveryEntryPoint) {
   EXPECT_EQ(EstIo::EstimateBatch(*snapshot, {&probe, 1}, {&out, 1}, bad)
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// Est-IO tallies its counters per call or batch instead of per branch;
+// the totals must still match a hand count of which branches fire.
+TEST(EstIoCountersTest, FixedProbesAdvanceCountersByHandCount) {
+#if !EPFIS_METRICS_ENABLED
+  GTEST_SKIP() << "built with EPFIS_METRICS=OFF; counters stay at zero";
+#endif
+  // T = 100, N = 10000, fully unclustered; PF_B = 100 at B = T.
+  IndexStats stats;
+  stats.index_name = "counted";
+  stats.table_pages = 100;
+  stats.table_records = 10000;
+  stats.pages_accessed = 100;
+  stats.clustering = 0.0;
+  stats.fpf = PiecewiseLinear::FromKnots({{1, 10000}, {100, 100}}).value();
+  const std::vector<ScanSpec> probes = {
+      {1.0, 1.0, 100},     // phi = 1 < 3 sigma: the formula alone.
+      {0.1, 1.0, 100},     // Correction: 10 + Cardenas(100, 1000) < 1000.
+      {1.0, 0.5, 100},     // Sargable reduction (Q = 100, k = 5000).
+      {0.0001, 1.0, 100},  // Correction, then clamped to one record.
+      {0.0, 1.0, 100},     // sigma = 0: counted, no branch fires.
+  };
+  const char* const kNames[] = {"est_io.estimates",
+                                "est_io.correction_applied",
+                                "est_io.sargable_reductions",
+                                "est_io.clamped_at_qualifying",
+                                "est_io.rejected",
+                                "est_io.batches",
+                                "est_io.batch_probes",
+                                "est_io.degraded"};
+  auto counts = [&] {
+    MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+    std::vector<uint64_t> out;
+    for (const char* name : kNames) out.push_back(snapshot.counters[name]);
+    return out;
+  };
+  auto advanced = [&](const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> after = counts();
+    for (size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+
+  std::vector<uint64_t> before = counts();
+  for (const ScanSpec& scan : probes) {
+    ASSERT_TRUE(EstIo::Estimate(stats, scan).ok());
+  }
+  EXPECT_EQ(advanced(before),
+            (std::vector<uint64_t>{5, 2, 1, 1, 0, 0, 0, 0}));
+
+  auto snapshot = CatalogSnapshot::Build({{"counted", stats}}, {}, 1);
+  std::vector<BatchProbe> batch;
+  for (const ScanSpec& scan : probes) {
+    batch.push_back(BatchProbe{snapshot->Resolve("counted"), scan, {}});
+  }
+  batch.push_back(BatchProbe{snapshot->Resolve("counted"), {2.0, 1.0, 100},
+                             {}});  // Rejected: sigma > 1.
+  std::vector<CatalogEstimate> results(batch.size());
+  before = counts();
+  ASSERT_TRUE(EstIo::EstimateBatch(*snapshot, batch, results).ok());
+  EXPECT_EQ(advanced(before),
+            (std::vector<uint64_t>{5, 2, 1, 1, 1, 1, 6, 0}));
+
+  before = counts();
+  ASSERT_TRUE(
+      EstIo::EstimateFromCatalog(*snapshot, "counted", probes[3], {}).ok());
+  EXPECT_EQ(advanced(before),
+            (std::vector<uint64_t>{1, 1, 0, 1, 0, 0, 0, 0}));
 }
 
 }  // namespace

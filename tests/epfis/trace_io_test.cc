@@ -14,7 +14,10 @@ namespace {
 class TraceIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/epfis_trace_test.bin";
+    // Per-test file: parallel ctest processes must not share it.
+    path_ = testing::TempDir() + "/epfis_trace_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

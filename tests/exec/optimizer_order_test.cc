@@ -48,6 +48,7 @@ class OptimizerOrderTest : public ::testing::Test {
                                    dataset_->num_secondary_distinct(),
                                    "t.key2")
                              .value());
+    ASSERT_TRUE(catalog_.stats().Publish().ok());
   }
 
   std::unique_ptr<Dataset> dataset_;

@@ -30,6 +30,7 @@ class OptimizerRidListTest : public ::testing::Test {
     catalog_.stats().Put(RunLruFit(trace, dataset_->num_pages(),
                                    dataset_->num_distinct(), "t.key")
                              .value());
+    ASSERT_TRUE(catalog_.stats().Publish().ok());
   }
 
   Query MakeQuery(double sigma) {

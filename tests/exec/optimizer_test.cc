@@ -33,6 +33,7 @@ class OptimizerTest : public ::testing::Test {
                            dataset_->num_distinct(), "t.key");
     ASSERT_TRUE(stats.ok());
     catalog_.stats().Put(std::move(stats).value());
+    ASSERT_TRUE(catalog_.stats().Publish().ok());
   }
 
   Query MakeQuery(double sigma) {

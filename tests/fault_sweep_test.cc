@@ -180,9 +180,11 @@ class FaultSweepTest : public testing::Test {
       record(engine.Ingest(trace_));
     }
 
-    // Est-IO catalog lookup (est_io.lookup) — against the loaded catalog,
-    // whose content may legitimately be empty under a load fault; the
-    // degraded mode is exactly what we want exercised then.
+    // Est-IO catalog lookup (est_io.lookup) — against the loaded catalog's
+    // published snapshot, whose content may legitimately be empty under a
+    // load or publish fault; the degraded mode is exactly what we want
+    // exercised then.
+    record(loaded.Publish());
     ScanSpec scan;
     scan.sigma = 0.2;
     scan.sargable_selectivity = 0.8;
@@ -190,8 +192,8 @@ class FaultSweepTest : public testing::Test {
     TableShape shape;
     shape.table_pages = 300;
     shape.table_records = 30000;
-    auto est =
-        EstIo::EstimateFromCatalog(loaded, "ix_fixture", scan, shape);
+    auto est = EstIo::EstimateFromCatalog(*loaded.snapshot(), "ix_fixture",
+                                          scan, shape);
     record(est.ok() ? Status::Ok() : est.status());
 
     // Snapshot publish (catalog.publish.swap) + the lock-free serving

@@ -106,6 +106,7 @@ TEST_F(IntegrationTest, OptimizerChoiceAgreesWithMeasuredCosts) {
                          dataset_->num_distinct(), "t.key");
   ASSERT_TRUE(stats.ok());
   catalog.stats().Put(std::move(stats).value());
+  ASSERT_TRUE(catalog.stats().Publish().ok());
 
   AccessPathOptimizer optimizer(&catalog);
 
