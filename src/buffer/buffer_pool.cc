@@ -1,14 +1,30 @@
 #include "buffer/buffer_pool.h"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "buffer/lru_replacer.h"
 
 namespace epfis {
+namespace {
+
+/// Bytes of a `pool_size`-frame arena. Throws instead of letting an absurd
+/// size wrap to a small allocation.
+size_t ArenaBytes(size_t pool_size) {
+  if (pool_size > SIZE_MAX / kPageSize) {
+    throw std::length_error("BufferPool: " + std::to_string(pool_size) +
+                            " frames overflow the frame arena size");
+  }
+  return pool_size * kPageSize;
+}
+
+}  // namespace
 
 PageGuard::PageGuard(PageGuard&& other) noexcept
     : pool_(other.pool_),
       page_id_(other.page_id_),
+      frame_(other.frame_),
       data_(other.data_),
       dirty_(other.dirty_) {
   other.pool_ = nullptr;
@@ -20,6 +36,7 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
     Release();
     pool_ = other.pool_;
     page_id_ = other.page_id_;
+    frame_ = other.frame_;
     data_ = other.data_;
     dirty_ = other.dirty_;
     other.pool_ = nullptr;
@@ -37,7 +54,7 @@ char* PageGuard::mutable_data() {
 
 void PageGuard::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(page_id_, dirty_);
+    pool_->Unpin(frame_, dirty_);
     pool_ = nullptr;
     data_ = nullptr;
   }
@@ -45,11 +62,16 @@ void PageGuard::Release() {
 
 BufferPool::BufferPool(DiskManager* disk, size_t pool_size,
                        std::unique_ptr<Replacer> replacer)
-    : disk_(disk), replacer_(std::move(replacer)), frames_(pool_size) {
+    : disk_(disk),
+      replacer_(std::move(replacer)),
+      // Uninitialized: FetchPage copies a whole page in and NewPage zeroes
+      // its frame, so no frame is read before it is written.
+      arena_(std::make_unique_for_overwrite<char[]>(ArenaBytes(pool_size))),
+      frames_(pool_size),
+      page_table_(pool_size) {
   if (replacer_ == nullptr) replacer_ = std::make_unique<LruReplacer>();
   free_list_.reserve(pool_size);
   for (size_t i = 0; i < pool_size; ++i) {
-    frames_[i].data = std::make_unique<char[]>(kPageSize);
     // Hand out low frame indices first.
     free_list_.push_back(pool_size - 1 - i);
   }
@@ -74,74 +96,78 @@ Result<FrameId> BufferPool::GetVictimFrame() {
   Frame& frame = frames_[*victim];
   ++stats_.evictions;
   if (frame.dirty) {
-    EPFIS_RETURN_IF_ERROR(disk_->WritePage(frame.page_id, frame.data.get()));
+    EPFIS_RETURN_IF_ERROR(disk_->WritePage(frame.page_id, FrameData(*victim)));
     ++stats_.writebacks;
     frame.dirty = false;
   }
-  page_table_.erase(frame.page_id);
+  page_table_.Erase(frame.page_id);
   frame.page_id = kInvalidPageId;
   return *victim;
 }
 
+PageGuard BufferPool::PinNewFrame(FrameId frame_id, PageId page_id,
+                                  bool dirty) {
+  Frame& frame = frames_[frame_id];
+  frame.page_id = page_id;
+  frame.pin_count = 1;
+  frame.dirty = dirty;
+  page_table_.TryEmplace(page_id, frame_id);
+  replacer_->RecordAccess(frame_id);
+  replacer_->SetEvictable(frame_id, false);
+  return PageGuard(this, page_id, frame_id, FrameData(frame_id));
+}
+
 Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   ++stats_.requests;
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
+  // Reject an id the disk does not hold before the lookup and before a
+  // victim is chosen, so a failed fetch evicts nothing. This also keeps
+  // kInvalidPageId, the page table's empty-slot key, out of the table.
+  if (page_id >= disk_->num_pages()) {
+    return Status::OutOfRange("FetchPage: page " + std::to_string(page_id) +
+                              " beyond disk size " +
+                              std::to_string(disk_->num_pages()));
+  }
+  if (const FrameId* hit = page_table_.Find(page_id)) {
     ++stats_.hits;
-    Frame& frame = frames_[it->second];
-    ++frame.pin_count;
-    replacer_->RecordAccess(it->second);
-    replacer_->SetEvictable(it->second, false);
-    return PageGuard(this, page_id, frame.data.get());
+    FrameId frame_id = *hit;
+    ++frames_[frame_id].pin_count;
+    replacer_->RecordAccess(frame_id);
+    replacer_->SetEvictable(frame_id, false);
+    return PageGuard(this, page_id, frame_id, FrameData(frame_id));
   }
 
   EPFIS_ASSIGN_OR_RETURN(FrameId frame_id, GetVictimFrame());
-  Frame& frame = frames_[frame_id];
-  Status read = disk_->ReadPage(page_id, frame.data.get());
+  Status read = disk_->ReadPage(page_id, FrameData(frame_id));
   if (!read.ok()) {
     free_list_.push_back(frame_id);
     return read;
   }
   ++stats_.fetches;
-  frame.page_id = page_id;
-  frame.pin_count = 1;
-  frame.dirty = false;
-  page_table_[page_id] = frame_id;
-  replacer_->RecordAccess(frame_id);
-  replacer_->SetEvictable(frame_id, false);
-  return PageGuard(this, page_id, frame.data.get());
+  return PinNewFrame(frame_id, page_id, /*dirty=*/false);
 }
 
 Result<PageGuard> BufferPool::NewPage() {
   EPFIS_ASSIGN_OR_RETURN(FrameId frame_id, GetVictimFrame());
   PageId page_id = disk_->AllocatePage();
-  Frame& frame = frames_[frame_id];
-  std::memset(frame.data.get(), 0, kPageSize);
-  frame.page_id = page_id;
-  frame.pin_count = 1;
-  frame.dirty = true;  // Must be written back even if never modified again.
-  page_table_[page_id] = frame_id;
-  replacer_->RecordAccess(frame_id);
-  replacer_->SetEvictable(frame_id, false);
-  return PageGuard(this, page_id, frame.data.get());
+  std::memset(FrameData(frame_id), 0, kPageSize);
+  // Dirty: a new page must be written back even if never modified again.
+  return PinNewFrame(frame_id, page_id, /*dirty=*/true);
 }
 
-void BufferPool::Unpin(PageId page_id, bool dirty) {
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return;
-  Frame& frame = frames_[it->second];
+void BufferPool::Unpin(FrameId frame_id, bool dirty) {
+  Frame& frame = frames_[frame_id];
   if (frame.pin_count == 0) return;
   frame.dirty = frame.dirty || dirty;
   if (--frame.pin_count == 0) {
-    replacer_->SetEvictable(it->second, true);
+    replacer_->SetEvictable(frame_id, true);
   }
 }
 
 Status BufferPool::FlushAll() {
-  for (Frame& frame : frames_) {
+  for (FrameId i = 0; i < frames_.size(); ++i) {
+    Frame& frame = frames_[i];
     if (frame.page_id != kInvalidPageId && frame.dirty) {
-      EPFIS_RETURN_IF_ERROR(
-          disk_->WritePage(frame.page_id, frame.data.get()));
+      EPFIS_RETURN_IF_ERROR(disk_->WritePage(frame.page_id, FrameData(i)));
       ++stats_.writebacks;
       frame.dirty = false;
     }

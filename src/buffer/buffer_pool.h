@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "buffer/replacer.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "util/flat_hash.h"
 #include "util/result.h"
 
 namespace epfis {
@@ -39,11 +39,12 @@ class PageGuard {
 
  private:
   friend class BufferPool;
-  PageGuard(BufferPool* pool, PageId page_id, char* data)
-      : pool_(pool), page_id_(page_id), data_(data) {}
+  PageGuard(BufferPool* pool, PageId page_id, FrameId frame, char* data)
+      : pool_(pool), page_id_(page_id), frame_(frame), data_(data) {}
 
   BufferPool* pool_ = nullptr;
   PageId page_id_ = kInvalidPageId;
+  FrameId frame_ = 0;  // The pinned frame, so unpinning needs no lookup.
   char* data_ = nullptr;
   bool dirty_ = false;
 };
@@ -62,10 +63,17 @@ struct BufferPoolStats {
 /// replacement policy (LRU by default). This is the system the paper
 /// assumes: an LRU-managed pool of B page slots; the measured "number of
 /// page fetches" for a scan is exactly `stats().fetches`.
+///
+/// The frames are carved out of one uninitialized arena of
+/// `pool_size * kPageSize` bytes, and the page table is a flat
+/// open-addressing map keyed by PageId, sized for the pool. With the
+/// default LruReplacer, a page request allocates nothing once every frame
+/// has been used.
 class BufferPool {
  public:
   /// Creates a pool of `pool_size` frames. If `replacer` is null an
-  /// LruReplacer is used.
+  /// LruReplacer is used. Throws std::length_error if the frame arena's
+  /// size overflows size_t.
   BufferPool(DiskManager* disk, size_t pool_size,
              std::unique_ptr<Replacer> replacer = nullptr);
   ~BufferPool();
@@ -74,7 +82,9 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins `page_id`, reading it from disk on a miss. Fails if every frame
-  /// is pinned or the page does not exist.
+  /// is pinned, or with OutOfRange if the page does not exist; an id the
+  /// disk does not hold is rejected before any victim is chosen, so only
+  /// `requests` counts the failed call.
   Result<PageGuard> FetchPage(PageId page_id);
 
   /// Allocates a new page on disk and pins it (counted as neither hit nor
@@ -95,20 +105,27 @@ class BufferPool {
   friend class PageGuard;
 
   struct Frame {
-    std::unique_ptr<char[]> data;
     PageId page_id = kInvalidPageId;
     uint32_t pin_count = 0;
     bool dirty = false;
   };
 
-  void Unpin(PageId page_id, bool dirty);
+  char* FrameData(FrameId frame) const {
+    return arena_.get() + frame * kPageSize;
+  }
+  /// Pins the just-filled `frame` for `page_id` and registers it.
+  PageGuard PinNewFrame(FrameId frame, PageId page_id, bool dirty);
+  void Unpin(FrameId frame, bool dirty);
   Result<FrameId> GetVictimFrame();
 
   DiskManager* disk_;
   std::unique_ptr<Replacer> replacer_;
+  std::unique_ptr<char[]> arena_;  // pool_size frames of kPageSize bytes.
   std::vector<Frame> frames_;
   std::vector<FrameId> free_list_;
-  std::unordered_map<PageId, FrameId> page_table_;
+  // kInvalidPageId is the empty-slot key: it must never be looked up or
+  // inserted, which FetchPage's bound check guarantees.
+  FlatHashMap<PageId, FrameId, kInvalidPageId> page_table_;
   BufferPoolStats stats_;
 };
 

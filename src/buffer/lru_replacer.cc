@@ -2,47 +2,60 @@
 
 namespace epfis {
 
+void LruReplacer::Unlink(FrameId frame) {
+  Node& node = nodes_[frame];
+  (node.prev == kNil ? lru_ : nodes_[node.prev].next) = node.next;
+  (node.next == kNil ? mru_ : nodes_[node.next].prev) = node.prev;
+  node.prev = kNil;
+  node.next = kNil;
+}
+
+void LruReplacer::PushMru(FrameId frame) {
+  Node& node = nodes_[frame];
+  node.prev = mru_;
+  node.next = kNil;
+  (mru_ == kNil ? lru_ : nodes_[mru_].next) = frame;
+  mru_ = frame;
+}
+
 void LruReplacer::RecordAccess(FrameId frame) {
-  auto it = entries_.find(frame);
-  if (it != entries_.end()) {
-    lru_.erase(it->second.pos);
-    lru_.push_back(frame);
-    it->second.pos = std::prev(lru_.end());
+  if (Tracked(frame)) {
+    if (frame != mru_) {
+      Unlink(frame);
+      PushMru(frame);
+    }
     return;
   }
-  lru_.push_back(frame);
-  entries_[frame] = Entry{std::prev(lru_.end()), false};
+  if (frame >= nodes_.size()) nodes_.resize(frame + 1);
+  nodes_[frame].tracked = true;
+  nodes_[frame].evictable = false;
+  PushMru(frame);
+  ++num_tracked_;
 }
 
 void LruReplacer::SetEvictable(FrameId frame, bool evictable) {
-  auto it = entries_.find(frame);
-  if (it == entries_.end()) {
-    // Unknown frame: treat as an access first so SetEvictable is safe to
-    // call in any order.
-    RecordAccess(frame);
-    it = entries_.find(frame);
-  }
-  it->second.evictable = evictable;
+  // Unknown frame: treat as an access first so SetEvictable is safe to
+  // call in any order.
+  if (!Tracked(frame)) RecordAccess(frame);
+  nodes_[frame].evictable = evictable;
 }
 
 std::optional<FrameId> LruReplacer::Evict() {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    auto entry = entries_.find(*it);
-    if (entry->second.evictable) {
-      FrameId victim = *it;
-      lru_.erase(it);
-      entries_.erase(entry);
-      return victim;
+  for (FrameId frame = lru_; frame != kNil; frame = nodes_[frame].next) {
+    if (nodes_[frame].evictable) {
+      Remove(frame);
+      return frame;
     }
   }
   return std::nullopt;
 }
 
 void LruReplacer::Remove(FrameId frame) {
-  auto it = entries_.find(frame);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.pos);
-  entries_.erase(it);
+  if (!Tracked(frame)) return;
+  Unlink(frame);
+  nodes_[frame].tracked = false;
+  nodes_[frame].evictable = false;
+  --num_tracked_;
 }
 
 }  // namespace epfis

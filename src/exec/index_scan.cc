@@ -1,9 +1,8 @@
 #include "exec/index_scan.h"
 
-#include <unordered_set>
-
 #include "index/btree_iterator.h"
 #include "storage/slotted_page.h"
+#include "util/flat_hash.h"
 
 namespace epfis {
 namespace {
@@ -26,7 +25,9 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
                                      const IndexScanOptions& options) {
   IndexScanResult result;
   uint64_t fetches_before = data_pool->stats().fetches;
-  std::unordered_set<PageId> accessed;
+  // Distinct data pages (the paper's A). FetchPage rejects kInvalidPageId,
+  // the set's empty-slot key, so only fetched pages are ever inserted.
+  FlatHashMap<PageId, bool, kInvalidPageId> accessed;
 
   EPFIS_ASSIGN_OR_RETURN(BTreeIterator it, SeekToRangeStart(index, range));
   int64_t hi = range.EffectiveHi();
@@ -37,7 +38,7 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
       ++result.records_fetched;
       EPFIS_ASSIGN_OR_RETURN(PageGuard guard,
                              data_pool->FetchPage(entry.rid.page_id));
-      accessed.insert(entry.rid.page_id);
+      accessed.TryEmplace(entry.rid.page_id, true);
       if (options.collect_trace) {
         result.page_trace.push_back(entry.rid.page_id);
       }
@@ -46,8 +47,8 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
         EPFIS_ASSIGN_OR_RETURN(std::string_view bytes,
                                page.Get(entry.rid.slot));
         EPFIS_ASSIGN_OR_RETURN(
-            Record record, Record::Deserialize(heap.schema(), bytes));
-        if (record.value(0) != entry.key) {
+            int64_t key, Record::DeserializeValue(heap.schema(), bytes, 0));
+        if (key != entry.key) {
           return Status::Corruption(
               "index entry key does not match stored record at rid " +
               entry.rid.ToString());

@@ -23,10 +23,11 @@ Result<TableScanResult> RunTableScan(const TableHeap& heap, BufferPool* pool,
         if (bytes.status().code() == StatusCode::kNotFound) continue;
         return bytes.status();
       }
-      EPFIS_ASSIGN_OR_RETURN(
-          Record record, Record::Deserialize(heap.schema(), bytes.value()));
+      EPFIS_ASSIGN_OR_RETURN(int64_t key,
+                             Record::DeserializeValue(
+                                 heap.schema(), bytes.value(), key_column));
       ++result.records_scanned;
-      if (range.Contains(record.value(key_column))) {
+      if (range.Contains(key)) {
         ++result.records_qualifying;
       }
     }

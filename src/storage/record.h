@@ -29,6 +29,13 @@ class Record {
   static Result<Record> Deserialize(const Schema& schema,
                                     std::string_view data);
 
+  /// Reads only `column` of a serialized record, without materializing a
+  /// Record. Runs Deserialize's size check and fails with the same
+  /// Corruption status. Precondition: column < schema.num_columns().
+  static Result<int64_t> DeserializeValue(const Schema& schema,
+                                          std::string_view data,
+                                          size_t column);
+
   friend bool operator==(const Record& a, const Record& b) {
     return a.values_ == b.values_;
   }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "storage/disk_manager.h"
 
@@ -90,12 +92,42 @@ TEST_F(BufferPoolTest, AllFramesPinnedFailsGracefully) {
 }
 
 TEST_F(BufferPoolTest, FetchUnknownPageFails) {
-  BufferPool pool(&disk_, 2);
-  auto g = pool.FetchPage(99);
-  EXPECT_FALSE(g.ok());
-  EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
-  // The frame must be reusable afterwards.
-  EXPECT_TRUE(pool.NewPage().ok());
+  // kInvalidPageId is the page table's empty-slot key: it must be rejected
+  // like any other id the disk does not hold, never reported as a hit.
+  for (PageId bad : {PageId{99}, kInvalidPageId}) {
+    BufferPool pool(&disk_, 2);
+    auto g = pool.FetchPage(bad);
+    EXPECT_FALSE(g.ok()) << "page " << bad;
+    EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange) << "page " << bad;
+    EXPECT_EQ(pool.stats().requests, 1u);
+    EXPECT_EQ(pool.stats().hits, 0u);
+    EXPECT_EQ(pool.stats().fetches, 0u);
+    // The frame must be reusable afterwards.
+    EXPECT_TRUE(pool.NewPage().ok());
+  }
+}
+
+TEST_F(BufferPoolTest, FailedFetchEvictsNothing) {
+  PageId p0 = disk_.AllocatePage();
+  BufferPool pool(&disk_, 1);
+  { ASSERT_TRUE(pool.FetchPage(p0).ok()); }
+  for (PageId bad : {PageId{99}, kInvalidPageId}) {
+    auto g = pool.FetchPage(bad);
+    EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange) << "page " << bad;
+  }
+  // Page 0 is still resident: the failed fetches chose no victim.
+  { ASSERT_TRUE(pool.FetchPage(p0).ok()); }
+  EXPECT_EQ(pool.stats().requests, 4u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().fetches, 1u);
+  EXPECT_EQ(pool.stats().evictions, 0u);
+  EXPECT_EQ(pool.stats().writebacks, 0u);
+}
+
+TEST_F(BufferPoolTest, OverflowingPoolSizeThrows) {
+  // pool_size * kPageSize must not wrap to a small frame arena.
+  const size_t too_many = SIZE_MAX / kPageSize + 1;
+  EXPECT_THROW({ BufferPool pool(&disk_, too_many); }, std::length_error);
 }
 
 TEST_F(BufferPoolTest, DoublePinTracksPinCount) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -145,27 +146,37 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 1000, 6)));
 
 TEST(StackDistanceTest, MatchesRealBufferPoolFetches) {
-  // The stack simulator must agree with the actual pin/unpin buffer pool.
+  // The stack simulator and LruSimulator must agree with the actual
+  // pin/unpin buffer pool, whose other counters must tell the same story.
   DiskManager disk;
-  const int kPages = 40;
-  for (int i = 0; i < kPages; ++i) disk.AllocatePage();
+  const size_t kPages = 40;  // T: every page is referenced.
+  for (size_t i = 0; i < kPages; ++i) disk.AllocatePage();
 
-  Rng rng(77);
-  std::vector<PageId> trace;
-  for (int i = 0; i < 1500; ++i) {
-    trace.push_back(static_cast<PageId>(rng.NextBounded(kPages)));
-  }
-
-  StackDistanceSimulator stack;
-  stack.AccessAll(trace);
-
-  for (size_t b : {1u, 4u, 16u, 40u}) {
-    BufferPool pool(&disk, b);
-    for (PageId pid : trace) {
-      auto guard = pool.FetchPage(pid);
-      ASSERT_TRUE(guard.ok());
+  for (uint64_t seed : {77u, 1u, 2u, 9001u}) {
+    Rng rng(seed);
+    std::vector<PageId> trace;
+    for (int i = 0; i < 1500; ++i) {
+      trace.push_back(static_cast<PageId>(rng.NextBounded(kPages)));
     }
-    EXPECT_EQ(stack.Fetches(b), pool.stats().fetches) << "buffer=" << b;
+
+    StackDistanceSimulator stack;
+    stack.AccessAll(trace);
+
+    for (size_t b : {size_t{1}, size_t{2}, kPages / 2, kPages, kPages + 3}) {
+      BufferPool pool(&disk, b);
+      for (PageId pid : trace) {
+        auto guard = pool.FetchPage(pid);
+        ASSERT_TRUE(guard.ok());
+      }
+      const BufferPoolStats& stats = pool.stats();
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " buffer=" + std::to_string(b));
+      EXPECT_EQ(stack.Fetches(b), stats.fetches);
+      EXPECT_EQ(CountLruFetches(trace, b), stats.fetches);
+      EXPECT_EQ(stats.requests, trace.size());
+      EXPECT_EQ(stats.hits, stats.requests - stats.fetches);
+      EXPECT_EQ(stats.evictions, stats.fetches > b ? stats.fetches - b : 0u);
+    }
   }
 }
 

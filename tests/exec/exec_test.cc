@@ -6,6 +6,7 @@
 #include "exec/index_scan.h"
 #include "exec/predicate.h"
 #include "exec/table_scan.h"
+#include "storage/slotted_page.h"
 #include "workload/data_gen.h"
 
 namespace epfis {
@@ -210,6 +211,43 @@ TEST_F(ExecTest, EmptyRangeScansNothing) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->entries_examined, 0u);
   EXPECT_EQ(result->data_page_fetches, 0u);
+}
+
+TEST_F(ExecTest, ShortRecordIsCorruptionNotAnOverread) {
+  // A heap page holding a record shorter than the schema's record size:
+  // both scans must stop with Corruption instead of reading past its end.
+  DiskManager data_disk;
+  DiskManager index_disk;
+  BufferPool build_pool(&data_disk, 4);
+  BufferPool index_pool(&index_disk, 16);
+  auto schema = Schema::Make({Column{"key"}, Column{"payload"}});
+  ASSERT_TRUE(schema.ok());
+  TableHeap heap(&build_pool, *schema);
+  BTree index(&index_pool);
+  auto good = heap.Insert(Record({7, 70}));
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(index.Insert(IndexEntry{7, *good}).ok());
+  Rid short_rid;
+  {
+    auto guard = build_pool.FetchPage(good->page_id);
+    ASSERT_TRUE(guard.ok());
+    auto slot = SlottedPage(guard->mutable_data()).Insert("short");
+    ASSERT_TRUE(slot.ok());
+    short_rid = Rid{good->page_id, *slot};
+  }
+  ASSERT_TRUE(index.Insert(IndexEntry{8, short_rid}).ok());
+  ASSERT_TRUE(build_pool.FlushAll().ok());
+
+  BufferPool table_pool(&data_disk, 4);
+  auto table = RunTableScan(heap, &table_pool, KeyRange::All(), 0);
+  EXPECT_EQ(table.status().code(), StatusCode::kCorruption);
+
+  BufferPool scan_pool(&data_disk, 4);
+  auto fine = RunIndexScan(index, heap, &scan_pool, KeyRange::Closed(7, 7));
+  ASSERT_TRUE(fine.ok());
+  EXPECT_EQ(fine->records_fetched, 1u);
+  auto bad = RunIndexScan(index, heap, &scan_pool, KeyRange::Closed(8, 8));
+  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

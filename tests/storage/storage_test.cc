@@ -182,6 +182,11 @@ TEST(RecordTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(*back, record);
   EXPECT_EQ(back->value(0), -123456789);
   EXPECT_EQ(back->value(1), 42);
+  for (size_t column = 0; column < schema->num_columns(); ++column) {
+    auto value = Record::DeserializeValue(*schema, *bytes, column);
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(*value, back->value(column)) << "column " << column;
+  }
 }
 
 TEST(RecordTest, ArityMismatchFails) {
@@ -193,8 +198,12 @@ TEST(RecordTest, ArityMismatchFails) {
 TEST(RecordTest, DeserializeWrongSizeFails) {
   auto schema = Schema::Make({Column{"a"}});
   ASSERT_TRUE(schema.ok());
-  EXPECT_EQ(Record::Deserialize(*schema, "short").status().code(),
-            StatusCode::kCorruption);
+  Status whole = Record::Deserialize(*schema, "short").status();
+  EXPECT_EQ(whole.code(), StatusCode::kCorruption);
+  // The single-column decoder runs the same check: same code, same message.
+  Status column = Record::DeserializeValue(*schema, "short", 0).status();
+  EXPECT_EQ(column.code(), StatusCode::kCorruption);
+  EXPECT_EQ(column.message(), whole.message());
 }
 
 }  // namespace
