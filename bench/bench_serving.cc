@@ -12,11 +12,13 @@
 //   batch     One EstimateBatch call per --batch probes, handles resolved
 //             once per index up front.
 //
-// Correctness gates (always on): batch results must be bit-identical to
-// the by-name single-probe results, and a zero-copy mmap v3 snapshot of
-// the same catalog must reproduce them bit-for-bit. With --publishers=N,
-// N background threads republish the catalog throughout the timed runs —
-// the RCU contract says readers never slow down or see a torn view.
+// Gates (always on): batch results must be bit-identical to the by-name
+// single-probe results, a zero-copy mmap v3 snapshot of the same catalog
+// must reproduce them bit-for-bit, and a batched probe must cost no more
+// than a by-name call (batch_speedup >= 1, a ratio within one run). With
+// --publishers=N, N background threads republish the catalog throughout
+// the timed runs — the RCU contract says readers never slow down or see a
+// torn view.
 //
 // Flags:
 //   --indexes=N     catalog entries                   (default 32)
@@ -28,17 +30,6 @@
 //   --seed=S        RNG seed                          (default 42)
 //   --json=PATH     output JSON path        (default BENCH_serving.json)
 //   --gate-rate=R   fail unless batch estimates/s >= R  (default 0 = off)
-//
-// Overload scenario (opt-in; exercises EstIoOptions::deadline shedding):
-//   --overload=1           run a saturating-load pass where every batch
-//                          carries a per-batch deadline budget; reports
-//                          per-batch latency p50/p99 and the shed rate
-//   --overload-batches=N   batches in the overload pass   (default 2000)
-//   --overload-budget-us=N per-batch deadline budget      (default 200)
-//   --overload-gate=1      fail unless overload p99 stays under
-//                          --overload-p99-ms AND every shed probe carries
-//                          kRejected/DeadlineExceeded provenance
-//   --overload-p99-ms=M    p99 latency ceiling for the gate  (default 5)
 //
 // Acceptance target (ISSUE 6): batch >= 1,000,000 estimates/s.
 
@@ -136,12 +127,6 @@ int main(int argc, char** argv) {
   const std::string json_path =
       args.GetString("json", "BENCH_serving.json");
   const double gate_rate = args.GetDouble("gate-rate", 0.0);
-  const bool overload = args.GetInt("overload", 0) != 0;
-  const size_t overload_batches =
-      static_cast<size_t>(args.GetInt("overload-batches", 2000));
-  const int64_t overload_budget_us = args.GetInt("overload-budget-us", 200);
-  const bool overload_gate = args.GetInt("overload-gate", 0) != 0;
-  const double overload_p99_ms = args.GetDouble("overload-p99-ms", 5.0);
 
   if (indexes == 0 || knots < 2 || probes_n == 0 || batch_n == 0 ||
       reps < 1) {
@@ -311,54 +296,6 @@ int main(int argc, char** argv) {
   }
   std::remove(v3_path.c_str());
 
-  // ---- Overload scenario: saturating batch load under a per-batch
-  // deadline budget. The contract under overload is *bounded* latency:
-  // once the budget expires, EstimateBatch sheds the remaining probes as
-  // kRejected/DeadlineExceeded instead of running arbitrarily long, so
-  // the per-batch p99 tracks the budget (plus one probe's compute and
-  // scheduler noise), never the batch size. ----
-  double overload_p50_s = 0, overload_p99_s = 0;
-  uint64_t overload_shed = 0, overload_served = 0;
-  bool shed_provenance_ok = true;
-  if (overload) {
-    const size_t ob_n = std::min(batch_n, probes_n);
-    std::vector<double> batch_seconds;
-    batch_seconds.reserve(overload_batches);
-    std::vector<CatalogEstimate> out(ob_n);
-    size_t off = 0;
-    for (size_t b = 0; b < overload_batches; ++b) {
-      if (off + ob_n > probes_n) off = 0;
-      EstIoOptions options;
-      options.deadline =
-          Deadline::After(std::chrono::microseconds(overload_budget_us));
-      auto t0 = std::chrono::steady_clock::now();
-      Status s = EstIo::EstimateBatch(
-          *snapshot,
-          std::span<const BatchProbe>(work.probes.data() + off, ob_n),
-          std::span<CatalogEstimate>(out.data(), ob_n), options);
-      batch_seconds.push_back(SecondsSince(t0));
-      if (!s.ok()) {
-        std::cerr << s.ToString() << '\n';
-        return 1;
-      }
-      for (size_t p = 0; p < ob_n; ++p) {
-        if (out[p].source == EstimateSource::kRejected) {
-          ++overload_shed;
-          if (out[p].stats_status.code() !=
-              StatusCode::kDeadlineExceeded) {
-            shed_provenance_ok = false;
-          }
-        } else {
-          ++overload_served;
-        }
-      }
-      off += ob_n;
-    }
-    std::sort(batch_seconds.begin(), batch_seconds.end());
-    overload_p50_s = batch_seconds[batch_seconds.size() / 2];
-    overload_p99_s = batch_seconds[batch_seconds.size() * 99 / 100];
-  }
-
   double by_name_rate = static_cast<double>(probes_n) / by_name_s;
   double batch_rate = static_cast<double>(probes_n) / batch_s;
   double mmap_rate = static_cast<double>(probes_n) / mmap_batch_s;
@@ -387,44 +324,18 @@ int main(int argc, char** argv) {
             << "\nconcurrent publishes during timed runs: "
             << publish_count.load() << '\n';
 
-  double overload_shed_rate = 0;
-  if (overload) {
-    uint64_t total = overload_shed + overload_served;
-    overload_shed_rate =
-        total == 0 ? 0.0
-                   : static_cast<double>(overload_shed) /
-                         static_cast<double>(total);
-    std::cout << "overload: budget " << overload_budget_us
-              << "us/batch over " << overload_batches
-              << " batches: p50 " << overload_p50_s * 1e3 << "ms, p99 "
-              << overload_p99_s * 1e3 << "ms, served " << overload_served
-              << ", shed " << overload_shed << " ("
-              << overload_shed_rate * 100.0 << "%), shed provenance "
-              << (shed_provenance_ok ? "ok" : "WRONG (bug!)") << '\n';
-  }
-
   bool gate_ok = true;
   if (gate_rate > 0 && batch_rate < gate_rate) {
     gate_ok = false;
     std::cerr << "GATE FAIL: batch rate " << batch_rate
               << " est/s below floor " << gate_rate << '\n';
   }
-  if (overload && overload_gate) {
-    if (overload_p99_s * 1e3 > overload_p99_ms) {
-      gate_ok = false;
-      std::cerr << "GATE FAIL: overload p99 " << overload_p99_s * 1e3
-                << "ms exceeds ceiling " << overload_p99_ms << "ms\n";
-    }
-    if (!shed_provenance_ok) {
-      gate_ok = false;
-      std::cerr << "GATE FAIL: shed probe without DeadlineExceeded "
-                   "provenance\n";
-    }
-    if (overload_shed == 0) {
-      gate_ok = false;
-      std::cerr << "GATE FAIL: overload pass shed nothing — budget too "
-                   "generous to exercise shedding\n";
-    }
+  double batch_speedup = by_name_s / batch_s;
+  if (batch_speedup < 1.0) {
+    gate_ok = false;
+    std::cerr << "GATE FAIL: a batched probe costs more than a by-name "
+                 "call (batch_speedup "
+              << batch_speedup << " < 1)\n";
   }
 
   std::ofstream json(json_path, std::ios::trunc);
@@ -446,21 +357,11 @@ int main(int argc, char** argv) {
        << "  \"by_name_estimates_per_s\": " << by_name_rate << ",\n"
        << "  \"batch_estimates_per_s\": " << batch_rate << ",\n"
        << "  \"mmap_batch_estimates_per_s\": " << mmap_rate << ",\n"
-       << "  \"batch_speedup\": " << by_name_s / batch_s << ",\n"
+       << "  \"batch_speedup\": " << batch_speedup << ",\n"
        << "  \"bit_identical_single_vs_batch\": "
        << (identical ? "true" : "false") << ",\n"
        << "  \"bit_identical_mmap_vs_memory\": "
-       << (mmap_identical ? "true" : "false") << ",\n"
-       << "  \"overload\": " << (overload ? "true" : "false") << ",\n"
-       << "  \"overload_budget_us\": " << overload_budget_us << ",\n"
-       << "  \"overload_batches\": " << overload_batches << ",\n"
-       << "  \"overload_p50_ms\": " << overload_p50_s * 1e3 << ",\n"
-       << "  \"overload_p99_ms\": " << overload_p99_s * 1e3 << ",\n"
-       << "  \"overload_served\": " << overload_served << ",\n"
-       << "  \"overload_shed\": " << overload_shed << ",\n"
-       << "  \"overload_shed_rate\": " << overload_shed_rate << ",\n"
-       << "  \"overload_shed_provenance_ok\": "
-       << (shed_provenance_ok ? "true" : "false") << "\n"
+       << (mmap_identical ? "true" : "false") << "\n"
        << "}\n";
   std::cout << "wrote " << json_path << '\n';
 

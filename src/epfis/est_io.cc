@@ -1,11 +1,10 @@
 #include "epfis/est_io.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -14,68 +13,43 @@
 namespace epfis {
 namespace {
 
-// One registration per process. The counters give operators the estimate
-// volume and which formula paths actually fire.
-struct EstIoMetrics {
-  Counter estimates;
-  Counter full_scans;
-  Counter rejected;
-  Counter correction_applied;
-  Counter sargable_reductions;
-  Counter clamped;
-  Counter degraded;
-  Counter batches;
-  Counter batch_probes;
-  Counter deadline_shed;
-
-  static EstIoMetrics& Get() {
-    static EstIoMetrics* metrics = [] {
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      auto* m = new EstIoMetrics();
-      m->estimates = registry.GetCounter("est_io.estimates");
-      m->full_scans = registry.GetCounter("est_io.full_scan_estimates");
-      m->rejected = registry.GetCounter("est_io.rejected");
-      m->correction_applied =
-          registry.GetCounter("est_io.correction_applied");
-      m->sargable_reductions =
-          registry.GetCounter("est_io.sargable_reductions");
-      m->clamped = registry.GetCounter("est_io.clamped_at_qualifying");
-      m->degraded = registry.GetCounter("est_io.degraded");
-      m->batches = registry.GetCounter("est_io.batches");
-      m->batch_probes = registry.GetCounter("est_io.batch_probes");
-      m->deadline_shed = registry.GetCounter("est_io.deadline_shed");
-      return m;
-    }();
-    return *metrics;
-  }
+// Slots of a Tally, in the order Flush registers their counters. The
+// counters give operators the estimate volume and which formula paths
+// actually fire.
+enum TallySlot : size_t {
+  kEstimates,
+  kFullScans,
+  kRejected,
+  kCorrectionApplied,
+  kSargableReductions,
+  kClamped,
+  kDegraded,
+  kBatches,
+  kBatchProbes,
+  kTallySlots,
 };
 
-// Per-probe counts, tallied in a local and flushed to the registry once
-// per call or batch (DESIGN.md §9.1): a probe costs the formula, not a
-// string of registry updates.
-struct Tally {
-  uint64_t estimates = 0;
-  uint64_t rejected = 0;
-  uint64_t correction_applied = 0;
-  uint64_t sargable_reductions = 0;
-  uint64_t clamped = 0;
-  uint64_t degraded = 0;
-  uint64_t deadline_shed = 0;
+// Per-call counts, tallied in a local and flushed to the registry once
+// per call or batch with one shard lookup (DESIGN.md §9.1): a probe costs
+// the formula, not a string of registry updates.
+using Tally = std::array<uint64_t, kTallySlots>;
 
-  void Flush() const {
-    EstIoMetrics& metrics = EstIoMetrics::Get();
-    auto add = [](Counter& counter, uint64_t n) {
-      if (n != 0) counter.Increment(n);
-    };
-    add(metrics.estimates, estimates);
-    add(metrics.rejected, rejected);
-    add(metrics.correction_applied, correction_applied);
-    add(metrics.sargable_reductions, sargable_reductions);
-    add(metrics.clamped, clamped);
-    add(metrics.degraded, degraded);
-    add(metrics.deadline_shed, deadline_shed);
-  }
-};
+void Flush(const Tally& tally) {
+  static CounterGroup<kTallySlots> counters =
+      MetricsRegistry::Global().GetCounterGroup<kTallySlots>(
+          {"est_io.estimates", "est_io.full_scan_estimates",
+           "est_io.rejected", "est_io.correction_applied",
+           "est_io.sargable_reductions", "est_io.clamped_at_qualifying",
+           "est_io.degraded", "est_io.batches", "est_io.batch_probes"});
+  counters.Add(tally);
+}
+
+// A count of one event, flushed on its own.
+void CountOne(TallySlot slot) {
+  Tally tally{};
+  tally[slot] = 1;
+  Flush(tally);
+}
 
 // The checks return null when their input is valid, so the hot path
 // builds no Status. Written so NaN fails every check (NaN comparisons are
@@ -104,21 +78,35 @@ const char* OptionsError(const EstIoOptions& options) {
 
 // A call the checks above refused.
 Status Rejected(const char* error) {
-  EstIoMetrics::Get().rejected.Increment();
+  CountOne(kRejected);
   return Status::InvalidArgument(error);
 }
 
-// The one evaluation core (paper §4.3 steps 4-7). Every public entry
-// point — single-probe, catalog-backed, and batch — funnels through this
-// function over an IndexStatsView, which is what makes their results
-// bit-identical by construction.
-double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
-                         const EstIoOptions& options, Tally& tally) {
-  ++tally.estimates;
+// What one evaluation of the formula found: the estimate and each term it
+// was built from.
+struct EstimateBreakdown {
+  double fetches = 0.0;     // The estimate, clamped to [0, S sigma N].
+  double pf_b = 0.0;        // Step 4: full-scan fetches at B.
+  uint32_t segment = 0;     // PF_B's segment (FullScanPoint::segment).
+  bool corrected = false;   // Step 6 fired (nu = 1) ...
+  double correction = 0.0;  // ... and added this term.
+  bool reduced = false;     // Step 7 fired ...
+  double urn_factor = 1.0;  // ... and scaled by this factor.
+  bool clamped = false;     // The estimate exceeded S sigma N.
+};
 
+// The one evaluation core (paper §4.3 steps 4-7), a pure function of a
+// validated scan spec and options. Every public entry point evaluates
+// through it over an IndexStatsView, which is what makes their results
+// bit-identical by construction, and tallies its counters from the
+// breakdown.
+EstimateBreakdown EvaluateCore(const IndexStatsView& view,
+                               const ScanSpec& scan,
+                               const EstIoOptions& options) {
+  EstimateBreakdown out;
   double sigma = Clamp(scan.sigma, 0.0, 1.0);
   double s_sarg = Clamp(scan.sargable_selectivity, 0.0, 1.0);
-  if (sigma == 0.0 || s_sarg == 0.0) return 0.0;
+  if (sigma == 0.0 || s_sarg == 0.0) return out;
 
   double t = static_cast<double>(view.table_pages);
   double n = static_cast<double>(view.table_records);
@@ -126,10 +114,12 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
   double c = Clamp(view.clustering, 0.0, 1.0);
 
   // Step 4: PF_B from the segment approximation.
-  double pf_b = FullScanFetchesAt(view, b);
+  FullScanPoint point = FullScanPointAt(view, b);
+  out.pf_b = point.fetches;
+  out.segment = point.segment;
 
   // Step 5: linear scaling by the range selectivity.
-  double estimate = sigma * pf_b;
+  double estimate = sigma * out.pf_b;
 
   // Step 6 (§4.2): heuristic correction for small sigma on unclustered
   // indexes, written in the paper's own shape so each factor is auditable:
@@ -149,12 +139,12 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
     double phi = options.phi_mode == PhiMode::kPaperMax
                      ? std::max(1.0, ratio)
                      : std::min(1.0, ratio);
-    double nu = (phi >= options.nu_threshold * sigma) ? 1.0 : 0.0;
-    if (nu == 1.0) {
+    if (phi >= options.nu_threshold * sigma) {
       double damping =
           std::min(1.0, phi / (options.correction_divisor * sigma));
-      estimate += nu * damping * (1.0 - c) * CardenasPages(t, sigma * n);
-      ++tally.correction_applied;
+      out.corrected = true;
+      out.correction = damping * (1.0 - c) * CardenasPages(t, sigma * n);
+      estimate += out.correction;
     }
   }
 
@@ -168,16 +158,26 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
     double k = s_sarg * sigma * n;
     if (q >= 1.0 && k > 0.0) {
       double log_miss = std::log1p(-1.0 / q);
-      double factor = -std::expm1(k * log_miss);  // 1 - (1 - 1/Q)^k
-      estimate *= Clamp(factor, 0.0, 1.0);
-      ++tally.sargable_reductions;
+      out.reduced = true;
+      // 1 - (1 - 1/Q)^k.
+      out.urn_factor = Clamp(-std::expm1(k * log_miss), 0.0, 1.0);
+      estimate *= out.urn_factor;
     }
   }
 
   // A scan fetches a page at most once per qualifying record.
   double qualifying = s_sarg * sigma * n;
-  if (estimate > qualifying) ++tally.clamped;
-  return Clamp(estimate, 0.0, qualifying);
+  out.clamped = estimate > qualifying;
+  out.fetches = Clamp(estimate, 0.0, qualifying);
+  return out;
+}
+
+// Tallies one curve estimate's counters from its breakdown.
+void Count(const EstimateBreakdown& breakdown, Tally& tally) {
+  ++tally[kEstimates];
+  tally[kCorrectionApplied] += breakdown.corrected;
+  tally[kSargableReductions] += breakdown.reduced;
+  tally[kClamped] += breakdown.clamped;
 }
 
 // Degraded mode: no trusted FPF curve, so fall back to the classical
@@ -187,7 +187,7 @@ double EstimatePagesCore(const IndexStatsView& view, const ScanSpec& scan,
 CatalogEstimate DegradedEstimate(const ScanSpec& scan,
                                  const TableShape& shape,
                                  Status stats_status, Tally& tally) {
-  ++tally.degraded;
+  ++tally[kDegraded];
   double t = static_cast<double>(shape.table_pages);
   double n = static_cast<double>(shape.table_records);
   double k = scan.sigma * scan.sargable_selectivity * n;
@@ -230,8 +230,10 @@ CatalogEstimate EstimateResolvedProbe(const CatalogSnapshot& snapshot,
                            std::string(entry.quarantine_reason)),
         tally);
   }
+  EstimateBreakdown breakdown = EvaluateCore(entry.view, scan, options);
+  Count(breakdown, tally);
   CatalogEstimate out;
-  out.fetches = EstimatePagesCore(entry.view, scan, options, tally);
+  out.fetches = breakdown.fetches;
   out.source = EstimateSource::kLruFitCurve;
   return out;
 }
@@ -240,12 +242,19 @@ CatalogEstimate EstimateResolvedProbe(const CatalogSnapshot& snapshot,
 
 Result<double> EstIo::Estimate(const IndexStats& stats, const ScanSpec& scan,
                                const EstIoOptions& options) {
+  return Estimate(stats.View(), scan, options);
+}
+
+Result<double> EstIo::Estimate(const IndexStatsView& stats,
+                               const ScanSpec& scan,
+                               const EstIoOptions& options) {
   if (const char* error = OptionsError(options)) return Rejected(error);
   if (const char* error = ScanSpecError(scan)) return Rejected(error);
-  Tally tally;
-  double fetches = EstimatePagesCore(stats.View(), scan, options, tally);
-  tally.Flush();
-  return fetches;
+  EstimateBreakdown breakdown = EvaluateCore(stats, scan, options);
+  Tally tally{};
+  Count(breakdown, tally);
+  Flush(tally);
+  return breakdown.fetches;
 }
 
 Result<CatalogEstimate> EstIo::EstimateFromCatalog(
@@ -265,13 +274,13 @@ Result<CatalogEstimate> EstIo::EstimateFromCatalog(
     // error deserves to surface, not to be papered over with a formula.
     return lookup_fault;
   }
-  Tally tally;
+  Tally tally{};
   CatalogEstimate out =
       lookup_fault.ok()
           ? EstimateResolvedProbe(snapshot, snapshot.Resolve(index_name),
                                   scan, shape, options, tally)
           : DegradedEstimate(scan, shape, std::move(lookup_fault), tally);
-  tally.Flush();
+  Flush(tally);
   return out;
 }
 
@@ -294,72 +303,28 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
     }
   }
 
-  // Process probes grouped by index slot so each entry's knot segments
-  // stay hot in cache across its probes. Results are written in probe
-  // order and each probe is independent, so the grouping never changes a
-  // result. The permutation is skipped when probes already arrive
-  // grouped (the common case: one batch per index, or a caller that
-  // sorted).
-  bool grouped = true;
-  for (size_t i = 1; i < probes.size(); ++i) {
-    if (probes[i].index.slot < probes[i - 1].index.slot) {
-      grouped = false;
-      break;
-    }
-  }
-
-  // Overload protection: once the batch budget is gone, remaining probes
-  // are shed with provenance instead of estimated late. `guarded` keeps
-  // the unguarded (default) batch free of clock reads, and `shed` latches
-  // the first expiry so one batch drains at one verdict.
-  const bool guarded = options.cancel.valid() || !options.deadline.infinite();
-  Status shed;
-  Tally tally;
-  auto estimate_one = [&](size_t i) {
+  Tally tally{};
+  for (size_t i = 0; i < probes.size(); ++i) {
     const BatchProbe& probe = probes[i];
-    if (guarded) {
-      if (shed.ok()) {
-        shed = CheckCancel(options.cancel, options.deadline, "Est-IO batch");
-      }
-      if (!shed.ok()) {
-        ++tally.deadline_shed;
-        results[i] = CatalogEstimate{0.0, EstimateSource::kRejected, shed};
-        return;
-      }
-    }
     if (const char* error = ScanSpecError(probe.scan)) {
-      ++tally.rejected;
+      ++tally[kRejected];
       results[i] = CatalogEstimate{0.0, EstimateSource::kRejected,
                                    Status::InvalidArgument(error)};
-      return;
+      continue;
     }
     results[i] = EstimateResolvedProbe(snapshot, probe.index, probe.scan,
                                        probe.shape, options, tally);
-  };
-
-  if (grouped) {
-    for (size_t i = 0; i < probes.size(); ++i) estimate_one(i);
-  } else {
-    std::vector<uint32_t> order(probes.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return probes[a].index.slot < probes[b].index.slot;
-                     });
-    for (uint32_t i : order) estimate_one(i);
   }
-
-  EstIoMetrics& metrics = EstIoMetrics::Get();
-  metrics.batches.Increment();
-  metrics.batch_probes.Increment(probes.size());
-  tally.Flush();
+  ++tally[kBatches];
+  tally[kBatchProbes] += probes.size();
+  Flush(tally);
   return Status::Ok();
 }
 
 Result<double> EstIo::EstimateFullScan(const IndexStats& stats,
                                        uint64_t buffer_pages) {
   if (buffer_pages == 0) return Rejected("Est-IO: buffer_pages must be >= 1");
-  EstIoMetrics::Get().full_scans.Increment();
+  CountOne(kFullScans);
   return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 

@@ -7,7 +7,6 @@
 
 #include "catalog/catalog_snapshot.h"
 #include "epfis/index_stats.h"
-#include "util/cancel.h"
 #include "util/result.h"
 
 namespace epfis {
@@ -35,20 +34,6 @@ struct EstIoOptions {
   double correction_divisor = 6.0;
   /// Apply the heuristic correction term at all (for ablations).
   bool enable_correction = true;
-
-  /// Overload protection for EstimateBatch: once `deadline` expires or
-  /// `cancel` fires mid-batch, every not-yet-processed probe is shed —
-  /// written as kRejected with fetches 0 and a DeadlineExceeded (or
-  /// Cancelled) stats_status — instead of the batch running arbitrarily
-  /// past its budget. Probes estimated before the cutoff keep their real
-  /// results, the batch Status stays Ok (shedding is per-probe
-  /// provenance, not a caller error), and `est_io.deadline_shed` counts
-  /// the shed probes. The defaults (null token, infinite deadline) never
-  /// shed and keep batch results bit-identical to an unguarded batch.
-  /// Ignored by the single-probe entry points — one probe is microseconds
-  /// and not worth a clock read.
-  CancellationToken cancel;
-  Deadline deadline;
 };
 
 /// Description of the index scan being costed.
@@ -74,12 +59,9 @@ enum class EstimateSource {
   /// the coarse table shape. Coarser (no buffer-size dependence, no
   /// clustering), but never blocks compilation on a corrupt catalog.
   kFormulaFallback,
-  /// Batch-only: the probe was not estimated — its scan spec was invalid
-  /// (stats_status carries the InvalidArgument), or the batch's deadline
-  /// expired / cancel token fired before this probe was processed
-  /// (stats_status carries DeadlineExceeded / Cancelled; see
-  /// EstIoOptions::deadline). fetches is 0; a rejected probe never fails
-  /// its batch-mates.
+  /// Batch-only: the probe was not estimated because its scan spec was
+  /// invalid (stats_status carries the InvalidArgument). fetches is 0; a
+  /// rejected probe never fails its batch-mates.
   kRejected,
 };
 
@@ -141,6 +123,13 @@ struct EstIo {
                                  const ScanSpec& scan,
                                  const EstIoOptions& options = {});
 
+  /// The same validated estimate over a borrowed view, such as a
+  /// snapshot's CatalogSnapshot::ViewAt: no lookup, no copy, no
+  /// provenance. The IndexStats overload forwards here.
+  static Result<double> Estimate(const IndexStatsView& stats,
+                                 const ScanSpec& scan,
+                                 const EstIoOptions& options = {});
+
   /// Validated full-scan estimate (PF_B alone); rejects
   /// `buffer_pages == 0`.
   static Result<double> EstimateFullScan(const IndexStats& stats,
@@ -175,11 +164,10 @@ struct EstIo {
   ///
   /// A probe never fails the batch; the returned Status is non-OK only
   /// for caller errors (results smaller than probes, handle slot out of
-  /// range for this snapshot, invalid options). Probes are processed
-  /// grouped by index slot for cache locality, but results land in probe
-  /// order and each is computed independently, so the grouping is
-  /// unobservable: results[i] is bit-identical to a lone
-  /// EstimateFromCatalog(snapshot, ...) call for the same probe.
+  /// range for this snapshot, invalid options). Probes are estimated in
+  /// order, each independently of the others, so results[i] is
+  /// bit-identical to a lone EstimateFromCatalog(snapshot, ...) call for
+  /// the same probe, whatever order the probes come in.
   ///
   /// Thread-safe with no synchronization: the snapshot is immutable and
   /// all mutable state is in `results`. Concurrent StatsCatalog::Publish

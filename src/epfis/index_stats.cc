@@ -4,8 +4,9 @@
 
 namespace epfis {
 
-double FullScanFetchesAt(const IndexStatsView& view, double buffer_size) {
-  if (view.knots == nullptr || view.knot_count < 2) return 0.0;
+FullScanPoint FullScanPointAt(const IndexStatsView& view,
+                              double buffer_size) {
+  if (view.knots == nullptr || view.knot_count < 2) return {};
   const Knot* first = view.knots;
   const Knot* last = view.knots + view.knot_count - 1;
   // The segments are a fit of measured F(B) samples and carry no
@@ -16,19 +17,14 @@ double FullScanFetchesAt(const IndexStatsView& view, double buffer_size) {
   // non-increasing, so the nearest boundary value is the tightest
   // defensible answer for an out-of-range query.
   double b = std::clamp(buffer_size, first->x, last->x);
-  // Containing segment by binary search; b is in range, so the segment
-  // index needs no extrapolation branches, matching
-  // PiecewiseLinear::Eval's interior arithmetic exactly.
-  size_t hi = 1;
-  if (b >= last->x) {
-    hi = view.knot_count - 1;
-  } else if (b > first->x) {
-    hi = static_cast<size_t>(
-        std::upper_bound(first, last + 1, b,
-                         [](double v, const Knot& k) { return v < k.x; }) -
-        first);
-    hi = std::min<size_t>(hi, view.knot_count - 1);
-  }
+  // Knot x's strictly increase, so the interior knots with x <= b are a
+  // prefix and their count is upper_bound's index minus one. A catalog
+  // curve has a handful of knots; counting them all costs less than the
+  // mispredicted branches of a binary search. At b = first->x the count
+  // is 0 and at b = last->x it is knot_count - 2, the end segments
+  // PiecewiseLinear::Eval picks there.
+  uint32_t hi = 1;
+  for (const Knot* k = first + 1; k < last; ++k) hi += k->x <= b;
   const Knot& a = view.knots[hi - 1];
   const Knot& c = view.knots[hi];
   double slope = (c.y - a.y) / (c.x - a.x);
@@ -38,7 +34,7 @@ double FullScanFetchesAt(const IndexStatsView& view, double buffer_size) {
   double lo = static_cast<double>(view.pages_accessed);
   double hi_bound = static_cast<double>(view.table_records);
   if (hi_bound < lo) hi_bound = lo;
-  return std::clamp(pf, lo, hi_bound);
+  return {std::clamp(pf, lo, hi_bound), hi};
 }
 
 IndexStatsView IndexStats::View() const {
@@ -55,7 +51,7 @@ IndexStatsView IndexStats::View() const {
 }
 
 double IndexStats::FullScanFetches(double buffer_size) const {
-  return FullScanFetchesAt(View(), buffer_size);
+  return FullScanPointAt(View(), buffer_size).fetches;
 }
 
 }  // namespace epfis

@@ -28,12 +28,22 @@ struct IndexStatsView {
   uint32_t knot_count = 0;
 };
 
+/// PF_B and the segment of the knot curve it was read from.
+struct FullScanPoint {
+  double fetches = 0.0;
+  /// Index of the segment's right knot, in [1, knot_count - 1]; 0 when
+  /// the view has no curve.
+  uint32_t segment = 0;
+};
+
 /// PF_B over a raw knot view — the shared interpolation core. Clamps
 /// `buffer_size` into the knot range (never extrapolates), interpolates the
 /// containing segment, and clamps the value to the physical bounds [A, N].
-/// Branch-light: one binary search over the knot x's plus straight-line
-/// arithmetic, no per-entry allocation — the inner loop of EstimateBatch.
-double FullScanFetchesAt(const IndexStatsView& view, double buffer_size);
+/// The segment is found without branches on the knot values: its right
+/// knot is 1 + the number of interior knots with x <= B, the index
+/// PiecewiseLinear::Eval's upper_bound returns, so the two agree bit for
+/// bit inside the knot range.
+FullScanPoint FullScanPointAt(const IndexStatsView& view, double buffer_size);
 
 /// Everything Subprogram LRU-Fit stores in the system catalog for one
 /// index, and everything Subprogram Est-IO consumes at query compilation
@@ -83,7 +93,7 @@ struct IndexStats {
   /// it are clamped to the nearest knot (never extrapolated — a steep end
   /// segment could otherwise leave [A, N] or break monotonicity in B).
   /// The result is additionally clamped to the physical bounds [A, N].
-  /// Delegates to FullScanFetchesAt(View(), b).
+  /// Delegates to FullScanPointAt(View(), b).
   double FullScanFetches(double buffer_size) const;
 
   /// Borrows this entry's estimator-relevant fields. The view is valid

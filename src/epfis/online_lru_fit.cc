@@ -208,7 +208,7 @@ double OnlineLruFit::DriftError(const std::vector<uint64_t>& sizes) const {
   double max_err = 0.0;
   for (size_t i = 0; i < sizes.size(); ++i) {
     double published_frac =
-        FullScanFetchesAt(entry.view, static_cast<double>(sizes[i])) /
+        FullScanPointAt(entry.view, static_cast<double>(sizes[i])).fetches /
         published_n;
     double live_frac = live[i] / live_n;
     if (!(published_frac > 0.0)) return kNaN;

@@ -46,30 +46,15 @@ struct CostedPlan {
   }
 };
 
-// An index scan costed as a batch of one probe. The entry was resolved
-// trusted, so the probe never degrades to the formula fallback; a probe
-// that is not estimated (invalid spec, or shed by the options' deadline or
-// cancel token) fails the call with its own Status.
-Result<double> EstimateIndexScan(const CatalogSnapshot& snapshot,
-                                 CatalogSnapshot::Handle index,
-                                 const ScanSpec& scan,
-                                 const EstIoOptions& options) {
-  BatchProbe probe{index, scan, TableShape{}};
-  CatalogEstimate estimate;
-  EPFIS_RETURN_IF_ERROR(
-      EstIo::EstimateBatch(snapshot, {&probe, 1}, {&estimate, 1}, options));
-  if (estimate.source != EstimateSource::kLruFitCurve) {
-    return estimate.stats_status;
-  }
-  return estimate.fetches;
-}
-
 // The one plan enumerator behind EnumeratePlans and Choose. It costs every
 // candidate against one published snapshot — no catalog mutex, no
-// IndexStats copy — and hands each plan to `sink` in a fixed order: the
-// table scan, then per relevant index (name order) its index scan and RID
-// variant, then the order-column full scans. The fixed order is what makes
-// cost ties break the same way for both callers.
+// IndexStats copy — each index scan by EstIo::Estimate on the resolved
+// entry's view (a missing or quarantined entry has already failed the call
+// with ResolveTrusted's status, so there is nothing to degrade). It hands
+// each plan to `sink` in a fixed order: the table scan, then per relevant
+// index (name order) its index scan and RID variant, then the order-column
+// full scans. The fixed order is what makes cost ties break the same way
+// for both callers.
 template <typename Sink>
 Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
                    const Query& query, uint64_t buffer_pages, Sink&& sink) {
@@ -92,8 +77,13 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
   // predicate and the sort order).
   for (const IndexInfo* index : table->indexes) {
     if (index->key_column != query.column) continue;
-    EPFIS_ASSIGN_OR_RETURN(CatalogSnapshot::Handle handle,
-                           snapshot->ResolveTrusted(index->name));
+    // ResolveTrusted builds its NotFound or Corruption status only when
+    // the entry is missing or quarantined: a Result on the success path
+    // costs a measurable share of a Choose.
+    CatalogSnapshot::Handle handle = snapshot->Resolve(index->name);
+    if (!handle.valid() || snapshot->EntryAt(handle).quarantined) {
+      return snapshot->ResolveTrusted(index->name).status();
+    }
     double sigma = query.sigma;
     if (query.estimate_sigma) {
       EPFIS_ASSIGN_OR_RETURN(EquiDepthHistogram histogram,
@@ -110,7 +100,7 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
     plan.index_name = index->name;
     EPFIS_ASSIGN_OR_RETURN(
         plan.estimated_fetches,
-        EstimateIndexScan(*snapshot, handle, scan, options.est_io));
+        EstIo::Estimate(snapshot->ViewAt(handle), scan, options.est_io));
     // Index order is the required order unless the query orders by a
     // different column, in which case this plan sorts its (selective)
     // output like the table scan does, scaled to the pages it produces.
@@ -151,8 +141,10 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
       *query.order_column != query.column) {
     for (const IndexInfo* index : table->indexes) {
       if (index->key_column != *query.order_column) continue;
-      EPFIS_ASSIGN_OR_RETURN(CatalogSnapshot::Handle handle,
-                             snapshot->ResolveTrusted(index->name));
+      CatalogSnapshot::Handle handle = snapshot->Resolve(index->name);
+      if (!handle.valid() || snapshot->EntryAt(handle).quarantined) {
+        return snapshot->ResolveTrusted(index->name).status();
+      }
       ScanSpec scan;
       scan.sigma = 1.0;
       scan.sargable_selectivity = 1.0;
@@ -162,7 +154,7 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
       plan.index_name = index->name;
       EPFIS_ASSIGN_OR_RETURN(
           plan.estimated_fetches,
-          EstimateIndexScan(*snapshot, handle, scan, options.est_io));
+          EstIo::Estimate(snapshot->ViewAt(handle), scan, options.est_io));
       plan.sort_cost = 0.0;
       plan.total_cost = plan.estimated_fetches;
       sink(plan);

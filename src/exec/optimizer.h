@@ -89,8 +89,8 @@ class AccessPathOptimizer {
   /// All candidate plans, costed, cheapest first (stable among equal
   /// costs). Fails if the table is unknown (NotFound), if a relevant index
   /// lacks published statistics (NotFound) or its published statistics
-  /// are quarantined (Corruption), or if Est-IO rejects an index probe
-  /// (its spec, or the deadline/cancel token in `est_io`).
+  /// are quarantined (Corruption), or if Est-IO rejects an index scan's
+  /// spec or `est_io` (InvalidArgument).
   Result<std::vector<AccessPlan>> EnumeratePlans(const Query& query,
                                                  uint64_t buffer_pages) const;
 

@@ -19,6 +19,8 @@ constexpr uint32_t kMaxSlots = 4096;
 constexpr uint32_t kMaxGauges = 256;
 constexpr uint32_t kHistogramBuckets = 65;       // bit_width(uint64) in [0, 64].
 constexpr uint32_t kHistogramWidth = 1 + kHistogramBuckets;  // + sum slot.
+// The slot of a CounterGroup member that could not be registered.
+constexpr uint32_t kInertSlot = kMaxSlots;
 
 struct Shard {
   std::array<std::atomic<uint64_t>, kMaxSlots> slots{};
@@ -118,6 +120,17 @@ void AddToSlot(const std::shared_ptr<Core>& core, uint32_t slot,
              std::memory_order_relaxed);
 }
 
+void AddToSlots(const std::shared_ptr<Core>& core, const uint32_t* slots,
+                const uint64_t* deltas, size_t n) {
+  Shard* shard = LocalShard(core);
+  for (size_t i = 0; i < n; ++i) {
+    if (deltas[i] == 0 || slots[i] == kInertSlot) continue;
+    std::atomic<uint64_t>& cell = shard->slots[slots[i]];
+    cell.store(cell.load(std::memory_order_relaxed) + deltas[i],
+               std::memory_order_relaxed);
+  }
+}
+
 void RecordValue(const std::shared_ptr<Core>& core, uint32_t base,
                  uint64_t value) {
   Shard* shard = LocalShard(core);
@@ -188,6 +201,15 @@ Counter MetricsRegistry::GetCounter(std::string_view name) {
   (void)name;
 #endif
   return Counter();
+}
+
+void MetricsRegistry::RegisterCounters(const std::string_view* names,
+                                       uint32_t* slots, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    auto base = obs_detail::RegisterMetric(
+        *core_, names[i], obs_detail::MetricType::kCounter, 1);
+    slots[i] = base.value_or(obs_detail::kInertSlot);
+  }
 }
 
 Gauge MetricsRegistry::GetGauge(std::string_view name) {

@@ -1,7 +1,9 @@
 #ifndef EPFIS_OBS_METRICS_H_
 #define EPFIS_OBS_METRICS_H_
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +30,10 @@ struct Core;
 // the cost of a plain increment once the shard pointer is cached.
 void AddToSlot(const std::shared_ptr<Core>& core, uint32_t slot,
                uint64_t delta);
+// AddToSlot for n slots with one shard lookup; zero deltas and slots of
+// members that failed to register are skipped.
+void AddToSlots(const std::shared_ptr<Core>& core, const uint32_t* slots,
+                const uint64_t* deltas, size_t n);
 // One histogram sample: bumps the sum slot and the log2 bucket slot.
 void RecordValue(const std::shared_ptr<Core>& core, uint32_t base,
                  uint64_t value);
@@ -63,6 +69,35 @@ class Counter {
 
   std::shared_ptr<obs_detail::Core> core_;
   uint32_t slot_ = 0;
+};
+
+/// N counters of one registry that are added to together. A site that
+/// tallies several counts in locals and flushes them once per call pays
+/// one shard lookup for the flush, where N Counter::Increment calls pay
+/// N. Members are the same metrics GetCounter hands out under the same
+/// names. A default-constructed (or metrics-disabled) group is inert, and
+/// a member whose name is registered as another type is inert alone.
+template <size_t N>
+class CounterGroup {
+ public:
+  CounterGroup() = default;
+
+  /// Adds deltas[i] to the i-th counter of the group.
+  void Add(const std::array<uint64_t, N>& deltas) {
+#if EPFIS_METRICS_ENABLED
+    if (core_ != nullptr) {
+      obs_detail::AddToSlots(core_, slots_.data(), deltas.data(), N);
+    }
+#else
+    (void)deltas;
+#endif
+  }
+
+ private:
+  friend class MetricsRegistry;
+
+  std::shared_ptr<obs_detail::Core> core_;
+  std::array<uint32_t, N> slots_{};
 };
 
 /// Point-in-time signed value (work in flight, configured sizes). Unlike
@@ -221,9 +256,29 @@ class MetricsRegistry {
   Gauge GetGauge(std::string_view name);
   LatencyHistogram GetHistogram(std::string_view name);
 
+  /// The counters `names` as one CounterGroup, in that order.
+  template <size_t N>
+  CounterGroup<N> GetCounterGroup(
+      const std::array<std::string_view, N>& names) {
+    CounterGroup<N> group;
+#if EPFIS_METRICS_ENABLED
+    RegisterCounters(names.data(), group.slots_.data(), N);
+    group.core_ = core_;
+#else
+    (void)names;
+#endif
+    return group;
+  }
+
   MetricsSnapshot Snapshot() const;
 
  private:
+  // Registers each name as a counter and writes its slot, or an inert
+  // slot that AddToSlots skips when the name has another type or the
+  // slot budget is spent.
+  void RegisterCounters(const std::string_view* names, uint32_t* slots,
+                        size_t n);
+
   std::shared_ptr<obs_detail::Core> core_;
 };
 

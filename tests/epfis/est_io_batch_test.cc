@@ -107,13 +107,15 @@ TEST(EstIoBatchTest, ProbeOrderDoesNotChangeResults) {
       grouped.push_back(BatchProbe{handle, {0.3, 0.7, b}, shape});
     }
   }
-  // An interleaved order (slots 0,1,2,0,1,2,...) exercises the
-  // sort-by-slot permutation path; the grouped order skips it. Results
-  // must be identical position-for-position either way.
+  // The same probes interleaved by slot (0,1,2,0,1,2,...): each probe is
+  // estimated on its own, so every result must equal its lone by-name
+  // estimate whichever order the batch arrives in.
   std::vector<BatchProbe> interleaved;
+  std::vector<size_t> from;  // interleaved[i] is grouped[from[i]].
   for (size_t j = 0; j < 3; ++j) {
     for (size_t g = j; g < grouped.size(); g += 3) {
       interleaved.push_back(grouped[g]);
+      from.push_back(g);
     }
   }
   ASSERT_EQ(interleaved.size(), grouped.size());
@@ -133,6 +135,8 @@ TEST(EstIoBatchTest, ProbeOrderDoesNotChangeResults) {
         interleaved[i].scan, interleaved[i].shape);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(interleaved_results[i].fetches, single->fetches);
+    EXPECT_EQ(interleaved_results[i].fetches,
+              grouped_results[from[i]].fetches);
   }
 }
 

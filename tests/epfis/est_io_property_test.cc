@@ -102,6 +102,23 @@ TEST_P(EstIoPropertyTest, FullScanNonIncreasingInBuffer) {
   }
 }
 
+// LRU inclusion: a larger buffer never fetches more pages. Up to B = T the
+// printed phi = max(1, B/T) is 1, so only PF_B moves with B, and a partial
+// scan's estimate must never rise.
+TEST_P(EstIoPropertyTest, PartialScanNonIncreasingInBufferUpToT) {
+  auto [c, s_sargable] = GetParam();
+  IndexStats stats = StatsWithClustering(c);
+  for (double sigma :
+       {0.0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.34, 0.5, 0.8, 1.0}) {
+    double prev = Estimate(stats, {sigma, s_sargable, 1});
+    for (uint64_t b = 2; b <= stats.table_pages; ++b) {
+      double est = Estimate(stats, {sigma, s_sargable, b});
+      ASSERT_LE(est, prev) << "c=" << c << " sigma=" << sigma << " b=" << b;
+      prev = est;
+    }
+  }
+}
+
 TEST_P(EstIoPropertyTest, MoreClusteredNeverCostsMore) {
   auto [c, s_sargable] = GetParam();
   if (c >= 0.99) return;  // Need headroom for the comparison.
@@ -120,6 +137,20 @@ TEST_P(EstIoPropertyTest, MoreClusteredNeverCostsMore) {
           << "c=" << c << " sigma=" << sigma << " b=" << b;
     }
   }
+}
+
+// The known defect above B = T (ROADMAP, calibration item): phi = B/T
+// grows with B there, and nu switches the Cardenas term on once
+// B/T >= 3 sigma, so one more buffer step doubles the estimate. Pinned so
+// that the fix to nu has to flip the last assertion on purpose.
+TEST(EstIoBufferDefectTest, EstimateRisesAboveTWhereNuSwitchesOn) {
+  IndexStats stats = StatsWithClustering(0.0);  // T = 2000, N = 80000.
+  double below = Estimate(stats, {0.5, 1.0, 2980});  // B/T = 1.49: nu = 0.
+  double above = Estimate(stats, {0.5, 1.0, 3000});  // B/T = 1.50: nu = 1.
+  EXPECT_EQ(below, 1000.0);  // sigma * PF_B = 0.5 * 2000.
+  // + min(1, 1.5 / 3) * Cardenas(2000, 40000), which is 2000 to 1e-5.
+  EXPECT_NEAR(above, 2000.0, 1e-3);
+  EXPECT_GT(above, below);
 }
 
 INSTANTIATE_TEST_SUITE_P(

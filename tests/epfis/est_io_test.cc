@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "epfis/lru_fit.h"
+#include "exec/optimizer.h"
 #include "obs/metrics.h"
 #include "util/formulas.h"
+#include "workload/data_gen.h"
 
 namespace epfis {
 namespace {
@@ -332,6 +337,55 @@ TEST(EstIoCountersTest, FixedProbesAdvanceCountersByHandCount) {
       EstIo::EstimateFromCatalog(*snapshot, "counted", probes[3], {}).ok());
   EXPECT_EQ(advanced(before),
             (std::vector<uint64_t>{1, 1, 0, 1, 0, 0, 0, 0}));
+}
+
+// Choose costs each index plan with one EstIo::Estimate on the published
+// snapshot's view, not through the batch path.
+TEST(EstIoCountersTest, ChooseCountsOneEstimatePerIndexPlanAndNoBatch) {
+#if !EPFIS_METRICS_ENABLED
+  GTEST_SKIP() << "built with EPFIS_METRICS=OFF; counters stay at zero";
+#endif
+  SyntheticSpec spec;
+  spec.num_records = 4000;
+  spec.num_distinct = 100;
+  spec.records_per_page = 20;
+  spec.seed = 7;
+  auto dataset = GenerateSynthetic(spec);
+  ASSERT_TRUE(dataset.ok());
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("t", (*dataset)->table()).ok());
+  auto trace = (*dataset)->FullIndexPageTrace();
+  ASSERT_TRUE(trace.ok());
+  // Two indexes on the predicate column: two index plans per Choose.
+  for (const std::string name : {"t.a", "t.b"}) {
+    ASSERT_TRUE(
+        catalog.RegisterIndex(name, "t", 0, (*dataset)->index()).ok());
+    auto stats = RunLruFit(*trace, (*dataset)->num_pages(),
+                           (*dataset)->num_distinct(), name);
+    ASSERT_TRUE(stats.ok());
+    catalog.stats().Put(std::move(stats).value());
+  }
+  ASSERT_TRUE(catalog.stats().Publish().ok());
+
+  Query query;
+  query.table = "t";
+  query.column = 0;
+  query.range = KeyRange::Closed(1, 10);
+  query.sigma = 0.1;
+  AccessPathOptimizer optimizer(&catalog);
+  auto count = [](const char* name) {
+    return MetricsRegistry::Global().Snapshot().counters[name];
+  };
+  uint64_t estimates = count("est_io.estimates");
+  uint64_t batches = count("est_io.batches");
+  uint64_t batch_probes = count("est_io.batch_probes");
+  constexpr int kChooses = 10;
+  for (int i = 0; i < kChooses; ++i) {
+    ASSERT_TRUE(optimizer.Choose(query, 50).ok());
+  }
+  EXPECT_EQ(count("est_io.estimates") - estimates, 2u * kChooses);
+  EXPECT_EQ(count("est_io.batches"), batches);
+  EXPECT_EQ(count("est_io.batch_probes"), batch_probes);
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 // distort the curve's shape. Properties checked on random monotone
 // curves: PF_B is finite, stays within [A, N], is non-increasing in B
 // across a sweep that crosses both knot boundaries, and is exactly
-// constant outside them.
+// constant outside them. The counted segment search is checked bit for bit
+// against PiecewiseLinear::Eval's binary search.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "epfis/index_stats.h"
@@ -111,6 +115,78 @@ TEST(FpfClampPropertyTest, RandomMonotoneCurvesStayBoundedAndMonotone) {
                      stats.FullScanFetches(b_max));
     EXPECT_DOUBLE_EQ(stats.FullScanFetches(b_max * 100.0),
                      stats.FullScanFetches(b_max));
+  }
+}
+
+// Knots with strictly increasing x from 1-50, each step 1-400 wide, and y
+// falling from up to 1e6 toward 0.
+std::vector<Knot> RandomKnots(Rng& rng, size_t count) {
+  std::vector<Knot> knots;
+  double x = 1.0 + static_cast<double>(rng.NextBounded(50));
+  double y = 1000.0 + 1e6 * rng.NextDouble();
+  for (size_t k = 0; k < count; ++k) {
+    knots.push_back({x, y});
+    x += 1.0 + static_cast<double>(rng.NextBounded(400)) + rng.NextDouble();
+    y -= 0.5 * rng.NextDouble() * y;
+  }
+  return knots;
+}
+
+// FullScanPointAt counts the interior knots with x <= B instead of
+// binary-searching for the segment. It must pick the segment
+// PiecewiseLinear::Eval picks and return the same bits, with B on every
+// knot, just either side of it, between knots, below the first knot and
+// above the last (where both read the clamped B).
+TEST(FullScanSegmentTest, CountedSearchMatchesPiecewiseEvalBits) {
+  Rng rng(16);
+  for (int iter = 0; iter < 400; ++iter) {
+    // Even iterations use hand-made knot sets; odd ones fit six segments
+    // to a sampled curve, as LRU-Fit does.
+    std::vector<Knot> knots =
+        iter % 2 == 0
+            ? RandomKnots(rng, 2 + rng.NextBounded(11))
+            : FitPiecewiseLinear(RandomKnots(rng, 3 + rng.NextBounded(60)),
+                                 6)
+                  .value()
+                  .knots();
+    PiecewiseLinear curve = PiecewiseLinear::FromKnots(knots).value();
+    IndexStatsView view;
+    view.table_records = uint64_t{1} << 52;  // The [A, N] clamp is inert.
+    view.knots = knots.data();
+    view.knot_count = static_cast<uint32_t>(knots.size());
+    const Knot& first = knots.front();
+    const Knot& last = knots.back();
+
+    std::vector<double> queries = {0.0, first.x - 1.0, last.x + 1.0, 1e18};
+    for (size_t k = 0; k < knots.size(); ++k) {
+      double x = knots[k].x;
+      queries.push_back(x);
+      queries.push_back(std::nextafter(x, 0.0));
+      queries.push_back(std::nextafter(x, 1e300));
+      if (k + 1 < knots.size()) {
+        double next = knots[k + 1].x;
+        queries.push_back(0.5 * (x + next));
+        queries.push_back(x + rng.NextDouble() * (next - x));
+      }
+    }
+    for (double b : queries) {
+      double in_range = std::clamp(b, first.x, last.x);
+      uint32_t segment = 1;
+      if (in_range >= last.x) {
+        segment = static_cast<uint32_t>(knots.size() - 1);
+      } else if (in_range > first.x) {
+        segment = static_cast<uint32_t>(
+            std::upper_bound(knots.begin(), knots.end(), in_range,
+                             [](double v, const Knot& k) { return v < k.x; }) -
+            knots.begin());
+      }
+      FullScanPoint point = FullScanPointAt(view, b);
+      double expected = curve.Eval(in_range);
+      ASSERT_EQ(point.segment, segment) << "iter " << iter << " b=" << b;
+      ASSERT_EQ(std::memcmp(&point.fetches, &expected, sizeof(double)), 0)
+          << "iter " << iter << " b=" << b << ": " << point.fetches
+          << " vs " << expected;
+    }
   }
 }
 

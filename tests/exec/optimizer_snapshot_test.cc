@@ -162,27 +162,18 @@ TEST_F(OptimizerSnapshotTest, QuarantinedPublishedStatsFailWithCorruption) {
             StatusCode::kCorruption);
 }
 
-// Index probes go through EstimateBatch, so a probe it does not estimate
-// fails the call with that probe's Status.
-TEST_F(OptimizerSnapshotTest, RejectedProbeFailsTheCallWithItsStatus) {
+// Est-IO validates every index scan it costs, so an invalid spec fails
+// the call with InvalidArgument instead of being clamped into a plan.
+TEST_F(OptimizerSnapshotTest, InvalidScanSpecFailsWithInvalidArgument) {
   RegisterKeyIndex();
   catalog_.stats().Put(key_stats_);
   ASSERT_TRUE(catalog_.stats().Publish().ok());
 
-  AccessPathOptimizer plain(&catalog_);
-  EXPECT_EQ(plain.Choose(MakeQuery(1.5), 100).status().code(),
+  AccessPathOptimizer optimizer(&catalog_);
+  EXPECT_EQ(optimizer.Choose(MakeQuery(1.5), 100).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(plain.Choose(MakeQuery(0.01), 0).status().code(),
+  EXPECT_EQ(optimizer.Choose(MakeQuery(0.01), 0).status().code(),
             StatusCode::kInvalidArgument);
-
-  OptimizerOptions options;
-  options.est_io.cancel = CancellationToken::Create();
-  options.est_io.cancel.Cancel();
-  AccessPathOptimizer cancelled(&catalog_, options);
-  EXPECT_EQ(cancelled.Choose(MakeQuery(0.01), 100).status().code(),
-            StatusCode::kCancelled);
-  EXPECT_EQ(cancelled.EnumeratePlans(MakeQuery(0.01), 100).status().code(),
-            StatusCode::kCancelled);
 }
 
 // σ × S × B × {sorted, order column, RID plans}, with two indexes of

@@ -207,18 +207,13 @@ class FaultSweepTest : public testing::Test {
       std::vector<BatchProbe> probes = {
           BatchProbe{snapshot->Resolve("ix_fixture"), scan, shape}};
       std::vector<CatalogEstimate> results(probes.size());
-      EstIoOptions est_options;
-      est_options.cancel = cancel;
-      record(EstIo::EstimateBatch(*snapshot, probes, results, est_options));
-      // Per-probe provenance: shed probes carry Cancelled here while the
-      // batch Status above stays Ok. Ok (curve) or NotFound (fallback on
-      // an unpublished snapshot) on uncancelled passes.
-      record(results[0].stats_status.code() == StatusCode::kCancelled ||
-                     results[0].stats_status.code() ==
-                         StatusCode::kDeadlineExceeded
-                 ? results[0].stats_status
-                 : Status::Ok());
+      record(EstIo::EstimateBatch(*snapshot, probes, results));
     }
+
+    // A last serial LRU-Fit: it polls the token on entry, so a token
+    // fired by any point above is observed by at least this stage.
+    auto last = RunLruFit(trace_, 300, 100, "ix_last", serial_options);
+    record(last.ok() ? Status::Ok() : last.status());
     return result;
   }
 
@@ -348,9 +343,9 @@ TEST_F(FaultSweepTest, CancellationAtEveryPointSurfacesCleanly) {
           << s.message();
       ++cancelled_stages;
     }
-    // Every point fires before the final batch-estimate stage, whose
-    // per-probe shed provenance observes the token even when every
-    // earlier stage had already passed its last poll.
+    // Every point fires before the final LRU-Fit stage, which observes
+    // the token even when every earlier stage had already passed its
+    // last poll.
     EXPECT_GT(cancelled_stages, 0)
         << "cancellation vanished without stopping anything";
 

@@ -166,6 +166,38 @@ TEST(MetricsTest, TypeMismatchYieldsInertHandleNotCrash) {
   EXPECT_EQ(snap.histograms.count("test.typed"), 0u);
 }
 
+TEST(MetricsTest, CounterGroupAddsToTheNamedCounters) {
+  MetricsRegistry registry;
+  Counter single = registry.GetCounter("test.group_b");
+  single.Increment(5);
+  CounterGroup<3> group = registry.GetCounterGroup<3>(
+      {"test.group_a", "test.group_b", "test.group_c"});
+  group.Add({1, 2, 0});
+  group.Add({10, 0, 7});
+
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("test.group_a"), 11u);
+  EXPECT_EQ(snap.counters.at("test.group_b"), 7u);  // Shared with `single`.
+  EXPECT_EQ(snap.counters.at("test.group_c"), 7u);
+
+  CounterGroup<2> inert;
+  inert.Add({1, 1});  // Must not crash.
+}
+
+TEST(MetricsTest, CounterGroupMemberOfAnotherTypeIsInertAlone) {
+  MetricsRegistry registry;
+  Gauge gauge = registry.GetGauge("test.group_gauge");
+  gauge.Set(4);
+  CounterGroup<2> group =
+      registry.GetCounterGroup<2>({"test.group_gauge", "test.group_ok"});
+  group.Add({100, 3});
+
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.gauges.at("test.group_gauge"), 4);
+  EXPECT_EQ(snap.counters.count("test.group_gauge"), 0u);
+  EXPECT_EQ(snap.counters.at("test.group_ok"), 3u);
+}
+
 TEST(MetricsTest, SlotBudgetExhaustionYieldsInertHandles) {
   MetricsRegistry registry;
   // The slot budget is 4096; histograms take 66 slots each, so 70 of them
