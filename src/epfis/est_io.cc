@@ -35,13 +35,15 @@ enum TallySlot : size_t {
 using Tally = std::array<uint64_t, kTallySlots>;
 
 void Flush(const Tally& tally) {
-  static CounterGroup<kTallySlots> counters =
+  // Never destroyed, like the registry, so a flush during process
+  // teardown still has its counters.
+  static auto* counters = new CounterGroup<kTallySlots>(
       MetricsRegistry::Global().GetCounterGroup<kTallySlots>(
           {"est_io.estimates", "est_io.full_scan_estimates",
            "est_io.rejected", "est_io.correction_applied",
            "est_io.sargable_reductions", "est_io.clamped_at_qualifying",
-           "est_io.degraded", "est_io.batches", "est_io.batch_probes"});
-  counters.Add(tally);
+           "est_io.degraded", "est_io.batches", "est_io.batch_probes"}));
+  counters->Add(tally);
 }
 
 // A count of one event, flushed on its own.
