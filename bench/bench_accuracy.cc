@@ -18,7 +18,7 @@
 //   --min-buffer=N    smallest buffer ever used        (default 12)
 //   --seed=S          RNG seed                         (default 42)
 //   --sample-rate=F   SHARDS rate of the statistics pass (default 1 = exact)
-//   --sample-max-pages=N  adaptive cap on sampled pages (default 0 = off)
+//   --sample-max-pages=K  target pages, rate K/T (default 0 = off)
 //   --json=PATH       error-histogram JSON             (default ACCURACY_errors.json)
 //   --max-mean-abs-err=F  exit non-zero if the mean absolute relative
 //                         error exceeds F (0 disables; default 0)

@@ -10,13 +10,17 @@
 //
 // Extra flags: --theta=..., --k=... restrict the grid; --r=... overrides
 // records-per-page (the paper also ran R = 20 and 80 with similar
-// results).
+// results). --gate exits non-zero unless EPFIS's max |error| over the
+// grid is <= 48% and EPFIS has the lowest max |error| of every
+// estimator in each cell.
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "harness/figures.h"
 #include "workload/data_gen.h"
 
 namespace epfis {
@@ -32,6 +36,10 @@ int Run(int argc, char** argv) {
   if (args.Has("k")) ks = {args.GetDouble("k", 0.0)};
   uint32_t records_per_page =
       static_cast<uint32_t>(args.GetInt("r", 40));
+  const bool gate = args.GetBool("gate", false);
+  constexpr double kGateMaxErrPct = 48.0;
+  double epfis_max = 0.0;
+  int cells_lost = 0;
 
   SyntheticSpec base;
   base.num_records = static_cast<uint64_t>(1'000'000 * options.scale);
@@ -72,8 +80,25 @@ int Run(int argc, char** argv) {
                     "Figure %d: theta=%.2f K=%.2f (C=%.3f)", figure, theta,
                     k, result->stats.clustering);
       EmitExperiment(*result, label, options);
+      double cell_max = MaxAbsErrorPct(*result, "EPFIS");
+      epfis_max = std::max(epfis_max, cell_max);
+      for (const AlgorithmErrors& algo : result->algorithms) {
+        if (MaxAbsErrorPct(*result, algo.name) < cell_max) {
+          std::cerr << "Figure " << figure << ": " << algo.name
+                    << " beats EPFIS's max |error|\n";
+          ++cells_lost;
+          break;
+        }
+      }
       ++figure;
     }
+  }
+  if (gate) {
+    bool pass = epfis_max <= kGateMaxErrPct && cells_lost == 0;
+    std::cout << "gate: EPFIS max |error| " << epfis_max << "% (bound "
+              << kGateMaxErrPct << "%), lowest max in every cell: "
+              << (cells_lost == 0 ? "yes" : "NO") << '\n';
+    if (!pass) return 1;
   }
   return 0;
 }

@@ -1,5 +1,4 @@
-// Old-vs-new Mattson kernel throughput, plus sharded scaling at
-// 1/2/4/8 threads and mmap trace ingestion.
+// Old-vs-new Mattson kernel throughput, plus mmap trace ingestion.
 //
 // Generates a Zipf(theta) page trace (the reuse pattern of a secondary
 // index over a hot/cold table), runs the legacy StackDistanceSimulator
@@ -11,8 +10,6 @@
 //   --refs=N      references in the trace        (default 10000000)
 //   --pages=N     distinct data pages            (default refs/50)
 //   --theta=F     Zipf skew                      (default 0.86)
-//   --threads=N   sharded-scaling sweep ceiling: runs 1,2,4,8,... up to N
-//                 (0 = skip the sweep)           (default 0)
 //   --reps=N      timed repetitions, best-of-N   (default 3)
 //   --gate-mrefs=F fail (exit 1) if the single-thread kernel run falls
 //                 under F Mrefs/s (0 = no gate)  (default 0)
@@ -22,8 +19,8 @@
 //                 OpenTraceSource (mmap)         (default: skip)
 //
 // Acceptance targets: kernel >= 3x legacy single-thread on the default
-// 10M-reference Zipf(0.86) trace (ISSUE 2); every variant bit-identical;
-// the scaling sweep published to BENCH_kernel.json for CI tracking.
+// 10M-reference Zipf(0.86) trace; every variant bit-identical; the
+// numbers published to BENCH_kernel.json for CI tracking.
 
 #include <chrono>
 #include <cstdint>
@@ -32,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "buffer/parallel_stack_distance.h"
 #include "buffer/stack_distance.h"
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_io.h"
@@ -74,7 +70,6 @@ int main(int argc, char** argv) {
   const uint64_t pages = static_cast<uint64_t>(
       args.GetInt("pages", static_cast<int64_t>(refs / 50)));
   const double theta = args.GetDouble("theta", 0.86);
-  const size_t max_threads = static_cast<size_t>(args.GetInt("threads", 0));
   const int reps = static_cast<int>(args.GetInt("reps", 3));
   const double gate_mrefs = args.GetDouble("gate-mrefs", 0.0);
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
@@ -136,44 +131,6 @@ int main(int argc, char** argv) {
       .Cell(kernel_mrefs, 2)
       .Cell(speedup, 2);
 
-  // Sharded scaling sweep: 1, 2, 4, 8, ... threads up to --threads, at
-  // the default geometry (2 shards per worker) with the barrier merge.
-  struct ScalingPoint {
-    size_t threads = 0;
-    double seconds = 0;  // Best-of-reps.
-    bool bit_identical = false;
-  };
-  std::vector<ScalingPoint> scaling;
-  for (size_t t = 1; t <= max_threads; t *= 2) {
-    ThreadPool pool(t);
-    VectorTraceSource source = VectorTraceSource::View(trace);
-    ScalingPoint point;
-    point.threads = t;
-    point.bit_identical = true;
-    for (int r = 0; r < reps; ++r) {
-      if (Status st = source.Reset(); !st.ok()) {
-        std::cerr << st.ToString() << '\n';
-        return 1;
-      }
-      auto t0 = std::chrono::steady_clock::now();
-      auto parallel = ComputeStackDistances(source, &pool);
-      double s = SecondsSince(t0);
-      if (!parallel.ok()) {
-        std::cerr << parallel.status().ToString() << '\n';
-        return 1;
-      }
-      if (r == 0 || s < point.seconds) point.seconds = s;
-      point.bit_identical = point.bit_identical && (*parallel == reference);
-    }
-    identical = identical && point.bit_identical;
-    table.AddRow()
-        .Cell("sharded, " + std::to_string(t) + " thread(s)")
-        .Cell(point.seconds, 3)
-        .Cell(static_cast<double>(refs) / point.seconds / 1e6, 2)
-        .Cell(legacy_s / point.seconds, 2);
-    scaling.push_back(point);
-  }
-
   // Ingestion: the trace streamed back through OpenTraceSource (mmap on
   // any reasonable host).
   double mmap_s = 0;
@@ -229,21 +186,6 @@ int main(int argc, char** argv) {
        << "  \"legacy_mrefs_per_s\": " << legacy_mrefs << ",\n"
        << "  \"kernel_mrefs_per_s\": " << kernel_mrefs << ",\n"
        << "  \"single_thread_speedup\": " << speedup << ",\n";
-  if (!scaling.empty()) {
-    json << "  \"scaling\": [\n";
-    double base = scaling.front().seconds;
-    for (size_t i = 0; i < scaling.size(); ++i) {
-      const ScalingPoint& v = scaling[i];
-      json << "    {\"threads\": " << v.threads
-           << ", \"seconds\": " << v.seconds << ", \"mrefs_per_s\": "
-           << static_cast<double>(refs) / v.seconds / 1e6
-           << ", \"speedup_vs_1t\": " << base / v.seconds
-           << ", \"bit_identical\": "
-           << (v.bit_identical ? "true" : "false") << "}"
-           << (i + 1 < scaling.size() ? "," : "") << '\n';
-    }
-    json << "  ],\n";
-  }
   if (mmap_s > 0) {
     json << "  \"mmap_stream_seconds\": " << mmap_s << ",\n";
   }

@@ -1,27 +1,26 @@
-// Parallel streaming LRU-Fit vs the serial baseline.
+// Batch statistics collection vs a serial loop.
 //
-// Generates a multi-million-reference Zipf(theta) page trace (the skewed
-// reuse pattern of a real secondary index over a hot/cold table), then
-// collects IndexStats three ways:
+// Generates `--batch` Zipf(theta) page traces (the skewed reuse pattern
+// of a real secondary index over a hot/cold table) and collects their
+// IndexStats two ways:
 //
-//   serial    RunLruFit over the whole trace on one core
-//   parallel  RunLruFit with a ThreadPool: the trace is sharded, per-shard
-//             Mattson passes run concurrently, and the sequential merge
-//             resolves cross-shard reuse (bit-identical results)
-//   batch     RunLruFitBatch amortizing many smaller indexes over the pool
+//   serial loop     RunLruFit on each index in turn, on one core
+//   RunLruFitBatch  the same fits as jobs on a ThreadPool, one serial
+//                   Mattson pass per job (the one threaded statistics
+//                   path)
 //
 // Flags:
-//   --refs=N      references in the big trace        (default 10000000)
-//   --pages=N     distinct data pages                (default refs/50)
+//   --refs=N      references across all indexes      (default 10000000)
+//   --pages=N     each index's table holds max(N/8, 128) pages
+//                                                    (default refs/50)
 //   --theta=F     Zipf skew                          (default 0.86)
 //   --threads=N   pool workers                       (default 8)
-//   --shards=N    trace shards (0 = threads)         (default 4*threads)
-//   --batch=N     indexes in the batch experiment    (default 16)
+//   --batch=N     indexes in the batch               (default 16)
 //   --seed=S      RNG seed                           (default 42)
 //
-// On an 8-core machine the parallel collection runs >= 3x faster than
-// serial on the default 10M-reference trace; the printed check verifies
-// the two produced identical statistics.
+// Exits non-zero unless the batch catalog is bit-identical to the serial
+// loop's. The batch's multi-core speedup is unmeasured: on a box with
+// about one effective core it ran at 0.90-1.16x the serial loop.
 
 #include <algorithm>
 #include <chrono>
@@ -31,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "buffer/stack_distance.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/lru_fit.h"
 #include "epfis/trace_source.h"
@@ -86,8 +84,6 @@ int main(int argc, char** argv) {
       args.GetInt("pages", static_cast<int64_t>(refs / 50)));
   const double theta = args.GetDouble("theta", 0.86);
   const size_t threads = static_cast<size_t>(args.GetInt("threads", 8));
-  const size_t shards =
-      static_cast<size_t>(args.GetInt("shards", 4 * args.GetInt("threads", 8)));
   const int batch_indexes = static_cast<int>(args.GetInt("batch", 16));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
 
@@ -96,64 +92,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << "generating Zipf(" << theta << ") trace: " << refs
-            << " refs over " << pages << " pages...\n";
-  std::vector<PageId> trace = MakeZipfTrace(refs, pages, theta, seed);
-
-  // --- Old-vs-new kernel: the legacy Mattson simulation alone. ---
-  auto t0 = std::chrono::steady_clock::now();
-  StackDistanceSimulator legacy_sim(trace.size());
-  legacy_sim.AccessAll(trace);
-  double legacy_s = SecondsSince(t0);
-
-  // --- Single large index: serial (cache-conscious kernel) vs sharded. ---
-  t0 = std::chrono::steady_clock::now();
-  auto serial = RunLruFit(trace, pages, pages / 10, "big_idx");
-  double serial_s = SecondsSince(t0);
-  if (!serial.ok()) {
-    std::cerr << serial.status().ToString() << '\n';
-    return 1;
-  }
-
+  std::cout << "generating " << batch_indexes << " Zipf(" << theta
+            << ") traces: " << refs << " refs in total...\n";
   ThreadPool pool(threads);
-  LruFitOptions parallel_options;
-  parallel_options.pool = &pool;
-  parallel_options.num_shards = shards;
-  t0 = std::chrono::steady_clock::now();
-  VectorTraceSource source = VectorTraceSource::View(trace);
-  auto parallel =
-      RunLruFit(source, pages, pages / 10, "big_idx", parallel_options);
-  double parallel_s = SecondsSince(t0);
-  if (!parallel.ok()) {
-    std::cerr << parallel.status().ToString() << '\n';
-    return 1;
-  }
 
-  TablePrinter table({"collection", "threads", "shards", "seconds",
-                      "speedup"});
-  table.AddRow()
-      .Cell("legacy Mattson simulation")
-      .Cell(int64_t{1})
-      .Cell(int64_t{1})
-      .Cell(legacy_s, 3)
-      .Cell(serial_s / legacy_s, 2);
-  table.AddRow()
-      .Cell("serial LRU-Fit")
-      .Cell(int64_t{1})
-      .Cell(int64_t{1})
-      .Cell(serial_s, 3)
-      .Cell(1.0, 2);
-  table.AddRow()
-      .Cell("parallel LRU-Fit")
-      .Cell(static_cast<int64_t>(threads))
-      .Cell(static_cast<int64_t>(shards))
-      .Cell(parallel_s, 3)
-      .Cell(serial_s / parallel_s, 2);
-  table.Print(std::cout);
-  std::cout << "bit-identical stats: "
-            << (SameStats(*serial, *parallel) ? "yes" : "NO (bug!)") << "\n\n";
-
-  // --- Many smaller indexes: batch collection over the pool. ---
   const uint64_t small_refs = refs / static_cast<uint64_t>(batch_indexes);
   const uint64_t small_pages = std::max<uint64_t>(pages / 8, 128);
   std::vector<std::vector<PageId>> small_traces;
@@ -162,7 +104,7 @@ int main(int argc, char** argv) {
         MakeZipfTrace(small_refs, small_pages, theta, seed + 1 + i));
   }
 
-  t0 = std::chrono::steady_clock::now();
+  auto t0 = std::chrono::steady_clock::now();
   StatsCatalog serial_catalog;
   for (int i = 0; i < batch_indexes; ++i) {
     auto stats = RunLruFit(small_traces[i], small_pages, small_pages / 10,
@@ -211,5 +153,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "batch catalog matches serial loop: "
             << (identical ? "yes" : "NO (bug!)") << '\n';
-  return 0;
+  return identical ? 0 : 1;
 }

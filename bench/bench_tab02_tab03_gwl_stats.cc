@@ -8,7 +8,11 @@
 // verification that the substitution actually matches the published
 // statistics. It also reports the calibrated window parameter K, and the
 // SD-exponent variants' cluster ratios for reference.
+//
+// --gate exits non-zero unless every column's C (measured by LRU-Fit on
+// the synthesized column) is within 2 points of Table 3.
 
+#include <cmath>
 #include <iostream>
 
 #include "baselines/sd.h"
@@ -21,6 +25,9 @@ namespace {
 
 int Run(int argc, char** argv) {
   BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.5);
+  const bool gate = ArgParser(argc, argv).GetBool("gate", false);
+  constexpr double kGatePoints = 2.0;
+  int off_target = 0;
   std::cout << "Tables 2 & 3: GWL-like database statistics (scale="
             << options.scale << ", paper values at scale=1)\n\n";
 
@@ -56,6 +63,13 @@ int Run(int argc, char** argv) {
         .Cell(100.0 * column.target_clustering, 1)
         .Cell(100.0 * synthesis->measured_c, 1)
         .Cell(synthesis->calibrated_k, 4);
+    double miss =
+        100.0 * std::abs(synthesis->measured_c - column.target_clustering);
+    if (miss > kGatePoints) {
+      std::cerr << column.name << ": C is " << miss
+                << " points from Table 3\n";
+      ++off_target;
+    }
   }
 
   std::cout << "Table 2 (table shapes; paper values are at scale=1):\n";
@@ -64,6 +78,12 @@ int Run(int argc, char** argv) {
   table3.Print(std::cout);
   std::cout << "\nNote: pages and colcard scale linearly with --scale;\n"
                "records/page and C are scale-invariant targets.\n";
+  if (gate) {
+    std::cout << "gate: C within " << kGatePoints
+              << " points of Table 3 on every column: "
+              << (off_target == 0 ? "yes" : "NO") << '\n';
+    if (off_target > 0) return 1;
+  }
   return 0;
 }
 

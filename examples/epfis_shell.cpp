@@ -6,12 +6,12 @@
 //       synthesize a table + index (the §5.2 generator)
 //   gwl COLUMN [scale]
 //       synthesize a GWL-like column (e.g. gwl CMAC.BRAN 0.25)
-//   stats NAME [--sample-rate=R] [--sample-max-pages=N]
+//   stats NAME [--sample-rate=R] [--sample-max-pages=K]
 //              [--online [--window=W] [--drift-band=E]]
 //       run LRU-Fit + build a histogram; store both in the catalog.
 //       --sample-rate runs the SHARDS-sampled collection pass at rate R
-//       (0 < R <= 1); --sample-max-pages caps the sampled-page set,
-//       adapting the rate to the trace. Defaults are the exact pass.
+//       (0 < R <= 1); --sample-max-pages is target pages, rate K/T: the
+//       pass runs at min(R, K/T). Defaults are the exact pass.
 //       --online streams the trace through the OnlineLruFit engine
 //       instead: the catalog entry is bootstrap-published at the first
 //       refresh and re-published whenever the drift detector fires.
@@ -214,8 +214,9 @@ class Shell {
     std::string name;
     if (!(args >> name)) {
       return Status::InvalidArgument(
-          "usage: stats NAME [--sample-rate=R] [--sample-max-pages=N] "
-          "[--online [--window=W] [--drift-band=E]]");
+          "usage: stats NAME [--sample-rate=R] [--sample-max-pages=K "
+          "(target pages, rate K/T)] [--online [--window=W] "
+          "[--drift-band=E]]");
     }
     LruFitOptions options;
     bool online = false;

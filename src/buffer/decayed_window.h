@@ -14,9 +14,8 @@ namespace epfis {
 /// (DESIGN.md §14).
 ///
 /// The kernel's histogram is strictly cumulative: compactions remap live
-/// positions but never rewrite already-emitted distances, and adaptive
-/// threshold drops stop future emissions without touching past ones, so
-/// every per-bucket count is monotone non-decreasing. That makes the
+/// positions but never rewrite already-emitted distances, so every
+/// per-bucket count is monotone non-decreasing. That makes the
 /// reference string between two emissions exactly the element-wise
 /// difference of the cumulative state — no hook inside the Mattson inner
 /// loop is needed. Absorb() takes that delta and folds it into
@@ -29,11 +28,10 @@ namespace epfis {
 /// of mean age W rather than a hard cutoff, which would require keeping
 /// the refs). Memory is O(histogram buckets) regardless of stream length.
 ///
-/// All weights live in the kernel's emission domain (sampled counts,
-/// distances already scaled for adaptive runs); consumers re-weight them
-/// the same way SampledStackDistances does, usually via the self-
-/// normalizing tail ratio TailWeight(b) / reref_weight(), which is what
-/// OnlineLruFit turns into a live FPF curve.
+/// All weights live in the kernel's emission domain (raw sampled counts
+/// at raw sampled-domain distances); consumers re-weight them the same
+/// way SampledStackDistances does, and OnlineLruFit turns the tail
+/// ratio TailWeight(b) / re-reference weight into a live FPF curve.
 class DecayedReuseWindow {
  public:
   /// `window_refs` is W, the decay scale in references; must be > 0.

@@ -1,47 +1,31 @@
 #ifndef EPFIS_BUFFER_PARALLEL_STACK_DISTANCE_H_
 #define EPFIS_BUFFER_PARALLEL_STACK_DISTANCE_H_
 
-#include <cstddef>
-
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
 #include "util/cancel.h"
 #include "util/result.h"
 
+// The entry points below are the one serial pass of the
+// StackDistanceKernel over a streamed trace. Nothing here runs in
+// parallel; the header keeps its name because the lifecycle benchmark
+// includes it (DESIGN.md §7.2).
+
 namespace epfis {
 
 class ThreadPool;
 
-/// Tuning knobs for the sharded stack-distance computation.
+/// Options for the serial stack-distance pass.
 struct StackDistanceOptions {
-  /// Number of trace shards. 0 = 2 shards per pool worker (a 3-worker
-  /// pool splits the trace 6 ways, subject to `min_shard_refs`). More
-  /// shards than workers is fine (they queue); results are independent
-  /// of the shard count.
-  size_t num_shards = 0;
-
-  /// Floor on the references per shard, so tiny traces are not split into
-  /// shards whose fixed costs dominate. Tests lower this to exercise
-  /// many-shard merges on small traces.
-  size_t min_shard_refs = 4096;
-
-  /// SHARDS spatial sampling (ComputeSampledStackDistances only; the
-  /// exact entry point rejects it). In fixed-rate mode every shard shares
-  /// the one static threshold — the filter runs in the streaming chunk
-  /// fill, so shards only ever see the sampled sub-trace and the merge is
-  /// the exact algorithm over it. The fixed-size adaptive mode needs a
-  /// globally evolving threshold, which shards cannot agree on without
-  /// serializing, so it always runs on the serial kernel (see DESIGN.md
-  /// §10).
+  /// SHARDS spatial sampling at a fixed rate
+  /// (ComputeSampledStackDistances only; the exact entry point rejects
+  /// it).
   SamplingOptions sampling;
 
-  /// Cooperative cancellation: polled per streamed chunk by the reader,
-  /// per ~64K references inside each shard pass, and before every merge
-  /// step. A fired token surfaces as Status::Cancelled after every
-  /// in-flight shard future has drained (the same first-error-drain path
-  /// a failed shard takes), so no task outlives the call. The default
-  /// null token costs one branch per poll.
+  /// Cooperative cancellation: polled once per streamed chunk. A fired
+  /// token surfaces as Status::Cancelled. The default null token costs
+  /// one branch per poll.
   CancellationToken cancel;
 
   /// Wall-clock budget for the whole computation; checked at the same
@@ -50,40 +34,34 @@ struct StackDistanceOptions {
   Deadline deadline;
 };
 
-/// Computes the LRU stack-distance histogram of `trace`.
+/// Computes the LRU stack-distance histogram of `trace` by streaming it
+/// through the StackDistanceKernel, bit-identical to the legacy
+/// StackDistanceSimulator. The trace is consumed in 64K-reference chunks
+/// and never materialized whole.
 ///
-/// With `pool == nullptr` (or a single worker) this streams the trace
-/// through the serial StackDistanceSimulator. Otherwise the trace is split
-/// into shards processed concurrently on `pool`, and a sequential merge
-/// pass resolves the references whose previous access lies in an earlier
-/// shard (see DESIGN.md §7 for the algorithm and the exactness argument).
-/// Both paths produce bit-identical histograms: the parallel result equals
-/// the serial simulator's on every trace, by construction, and the
-/// property tests assert it.
-///
-/// The trace is consumed in chunks and never materialized whole; peak
-/// memory is O(in-flight shards + distinct pages per shard).
-///
-/// Fails with InvalidArgument on an empty trace, or if `options.sampling`
-/// requests sampling (use ComputeSampledStackDistances — an exact entry
-/// point silently downgraded to an estimate would be a trap).
+/// Fails with InvalidArgument on an empty trace, on a chunk that holds
+/// kInvalidPageId (the kernel's reserved empty-slot key), or if
+/// `options.sampling` requests sampling (use ComputeSampledStackDistances
+/// — an exact entry point silently downgraded to an estimate would be a
+/// trap).
 Result<StackDistanceHistogram> ComputeStackDistances(
-    TraceSource& trace, ThreadPool* pool = nullptr,
-    const StackDistanceOptions& options = {});
+    TraceSource& trace, const StackDistanceOptions& options = {});
 
 /// Sampling-aware variant: applies `options.sampling` and returns the
 /// histogram together with its sampling provenance, wrapped in the
 /// rescaling accessors of SampledStackDistances. With sampling disabled
 /// this is ComputeStackDistances plus an exact summary, bit-identical to
-/// the exact paths. Serial and sharded runs of the same fixed-rate
-/// configuration produce identical results (the scaled emission and the
-/// bucket rescale after the merge compute the same values), which the
-/// property tests assert across shard counts.
+/// the exact paths.
+///
+/// `pool` must be null; a non-null pool is an InvalidArgument. The pass
+/// is serial, and the parameter stays only because the lifecycle
+/// benchmark passes it.
 ///
 /// Fails with InvalidArgument on invalid sampling options, on an empty
-/// trace, and with FailedPrecondition when the trace is non-empty but no
-/// reference survived the filter (the rate is too low for the trace; an
-/// all-zero curve would be an estimate of nothing).
+/// trace, on a chunk that holds kInvalidPageId, and with
+/// FailedPrecondition when the trace is non-empty but no reference
+/// survived the filter (the rate is too low for the trace; an all-zero
+/// curve would be an estimate of nothing).
 Result<SampledStackDistances> ComputeSampledStackDistances(
     TraceSource& trace, ThreadPool* pool = nullptr,
     const StackDistanceOptions& options = {});

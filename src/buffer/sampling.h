@@ -23,47 +23,29 @@ namespace epfis {
 /// *page subset*, so running the unmodified exact kernel over it yields
 /// exact stack distances within that subset.
 ///
-/// Mapping the sampled measurements back to full-trace estimates uses two
-/// different mechanisms depending on the mode:
+/// The filter hashes every reference anyway, so a page bitmap marks first
+/// touches of all pages — sampled or not — at ~1 bit of memory per page
+/// id and one bit-test per reference. That gives the true distinct-page
+/// count P for free: the cold-miss side of the estimate is exact. Sampled
+/// distances (measured within the K sampled pages) are then rescaled onto
+/// the full distance axis by the *realized* page ratio (P - 1) / (K - 1),
+/// not the nominal 1/R: the re-referenced page itself always survives the
+/// filter, so a sampled distance d estimates 1 + (d - 1)(P - 1)/(K - 1),
+/// and the maximum sampled distance K lands exactly on the true maximum
+/// P. Only the finite-distance tail remains statistical — each sampled
+/// re-reference carries Horvitz-Thompson weight 1/R.
 ///
-///  * **Fixed-rate** runs track the cold-miss side *exactly*: the filter
-///    hashes every reference anyway, so a page bitmap marks first touches
-///    of all pages — sampled or not — at ~1 bit of memory per page id and
-///    one bit-test per reference. That gives the true distinct-page count
-///    P for free. Sampled distances (measured within the K sampled pages)
-///    are then rescaled onto the full distance axis by the *realized*
-///    page ratio (P - 1) / (K - 1), not the nominal 1/R: the re-referenced
-///    page itself always survives the filter, so a sampled distance d
-///    estimates 1 + (d - 1)(P - 1)/(K - 1), and the maximum sampled
-///    distance K lands exactly on the true maximum P. Only the
-///    finite-distance tail remains statistical — each sampled re-reference
-///    carries Horvitz-Thompson weight 1/R.
-///
-///  * **Adaptive** (fixed-size) runs exist to bound memory, so no
-///    per-page state is allowed; the distinct count is estimated
-///    spatially from the final resident set (resident / final rate), the
-///    finite-distance tail self-normalizes against the sampled
-///    re-reference count, and each distance is scaled by 1/R at emission
-///    time, at the rate in effect when it was measured.
-///
-/// Either way the estimate error shrinks as the sampled-page count grows
-/// (SHARDS accuracy scales with sampled *pages*, not with the rate).
+/// The estimate error shrinks as the sampled-page count grows (SHARDS
+/// accuracy scales with sampled *pages*, not with the rate), which is why
+/// LRU-Fit can size the rate from a page target: R = K / T (DESIGN.md
+/// §10.3).
 struct SamplingOptions {
-  /// Fixed-rate mode: keep pages whose hash falls under rate * modulus.
-  /// 1.0 disables the filter entirely (bit-identical to the exact
-  /// kernel); must be in (0, 1].
+  /// Keep pages whose hash falls under rate * modulus. 1.0 disables the
+  /// filter entirely (bit-identical to the exact kernel); must be in
+  /// (0, 1].
   double rate = 1.0;
 
-  /// Fixed-size adaptive mode: cap the sampled-page set at this many
-  /// distinct pages. Whenever the set would exceed the cap the threshold
-  /// drops to the largest sample hash present, evicting the pages that
-  /// hold it, so the memory footprint stays bounded no matter how many
-  /// distinct pages the trace touches. 0 disables the cap. A cap at or
-  /// above the distinct-page count never triggers, leaving the run
-  /// bit-identical to the exact kernel (the property tests assert it).
-  uint64_t max_pages = 0;
-
-  bool enabled() const { return rate < 1.0 || max_pages > 0; }
+  bool enabled() const { return rate < 1.0; }
 
   /// InvalidArgument on rate outside (0, 1] (NaN included).
   Status Validate() const {
@@ -139,8 +121,8 @@ class PageSeenSet {
 /// realized ratio instead of the nominal 1/R pins the top of the rescaled
 /// curve to the true distinct count (sampled distance K maps exactly to
 /// P), removing the horizontal stretch a lucky or unlucky page draw would
-/// otherwise impose. Falls back to `inv_rate` when the exact count is
-/// unavailable (adaptive mode) or the sampled set is degenerate.
+/// otherwise impose. Falls back to `inv_rate` when the sampled set is
+/// degenerate.
 inline double SampledDistanceScale(uint64_t exact_distinct,
                                    uint64_t sampled_pages, double inv_rate) {
   if (exact_distinct == 0 || sampled_pages < 2) return inv_rate;
@@ -173,31 +155,16 @@ inline StackDistanceHistogram RescaleSampledDistances(
 /// the histogram so consumers (LRU-Fit, the catalog, the benchmarks) can
 /// see the provenance of the estimates.
 struct SamplingSummary {
-  double requested_rate = 1.0;      ///< SamplingOptions::rate as given.
-  uint64_t requested_max_pages = 0; ///< SamplingOptions::max_pages as given.
-  double effective_rate = 1.0;      ///< Final threshold / kSampleModulus.
-  uint64_t total_refs = 0;          ///< Every reference seen, sampled or not.
-  uint64_t sampled_refs = 0;        ///< References that passed the filter.
-  uint64_t threshold_drops = 0;     ///< Adaptive threshold reductions.
-  uint64_t evicted_pages = 0;       ///< Pages evicted by those reductions.
-  uint64_t sampled_pages = 0;       ///< Distinct pages resident in the
-                                    ///< sampled set at the end of the run.
-                                    ///< In adaptive mode this is exactly
-                                    ///< the distinct pages whose hash
-                                    ///< falls under the *final* threshold
-                                    ///< (lower-hash pages are never
-                                    ///< evicted and always admitted), so
-                                    ///< sampled_pages / effective_rate is
-                                    ///< the standard spatial estimate of
-                                    ///< the distinct count.
-  uint64_t exact_distinct = 0;      ///< Exact distinct pages of the FULL
-                                    ///< trace (fixed-rate runs track first
-                                    ///< touches of every page in a bitmap);
-                                    ///< 0 in adaptive mode, whose memory
-                                    ///< bound forbids per-page state.
+  double effective_rate = 1.0;  ///< Threshold / kSampleModulus.
+  uint64_t total_refs = 0;      ///< Every reference seen, sampled or not.
+  uint64_t sampled_refs = 0;    ///< References that passed the filter.
+  uint64_t exact_distinct = 0;  ///< Exact distinct pages of the FULL trace
+                                ///< (sampled runs track first touches of
+                                ///< every page in a bitmap); 0 when the
+                                ///< filter is off.
 
-  /// True when the pass actually dropped references; a rate-1.0 run (or
-  /// an adaptive run whose cap never triggered) is exact.
+  /// True when the pass actually dropped references; a rate-1.0 run is
+  /// exact.
   bool active() const { return sampled_refs != total_refs; }
 };
 
@@ -206,8 +173,7 @@ struct SamplingSummary {
 /// sampled measurements back to full-trace estimates.
 ///
 /// The histogram's *distances* are already in the full-trace domain
-/// (rescaled by the realized page ratio for fixed-rate runs, by the
-/// emission-time 1/R for adaptive runs); its *counts* are raw
+/// (rescaled by the realized page ratio); its *counts* are raw
 /// sampled-reference counts, weighted here at query time. When the pass
 /// was exact every accessor is a pass-through and the histogram is
 /// bit-identical to the exact kernel's.
@@ -226,57 +192,26 @@ struct SampledStackDistances {
     // FailedPrecondition; direct kernel users can still ask): no sample
     // information, so the conservative answer is "every access misses".
     if (sampling.sampled_refs == 0) return sampling.total_refs;
-    double total = static_cast<double>(sampling.total_refs);
-    double est;
-    if (sampling.exact_distinct > 0) {
-      // Fixed-rate: the cold term is exact — only the finite-distance
-      // tail is statistical, each sampled re-reference standing for 1/R
-      // re-references of the full trace (Horvitz-Thompson weight).
-      double tail = static_cast<double>(histogram.Fetches(buffer_size) -
-                                        histogram.cold_misses());
-      est = static_cast<double>(sampling.exact_distinct) +
-            tail / sampling.effective_rate;
-    } else {
-      // Adaptive: references were kept at whatever rate was in effect
-      // when they arrived, so no single 1/R unweights the raw counts
-      // (dividing by the final — smallest — rate would inflate every
-      // estimate, saturating Fetches at N). Split the estimate instead:
-      // the cold term comes from the spatial distinct estimate (see
-      // distinct_pages() — exact-rate, low variance), and the
-      // finite-distance tail self-normalizes against the sampled
-      // re-reference count, so Fetches always stays inside
-      // [distinct, total].
-      double distinct = static_cast<double>(distinct_pages());
-      double rerefs_s = static_cast<double>(sampling.sampled_refs -
-                                            histogram.cold_misses());
-      double tail_s = static_cast<double>(histogram.Fetches(buffer_size) -
-                                          histogram.cold_misses());
-      est = distinct;
-      if (rerefs_s > 0.0) est += (total - distinct) * (tail_s / rerefs_s);
-    }
+    // The cold term is exact — only the finite-distance tail is
+    // statistical, each sampled re-reference standing for 1/R
+    // re-references of the full trace (Horvitz-Thompson weight).
+    double tail = static_cast<double>(histogram.Fetches(buffer_size) -
+                                      histogram.cold_misses());
+    double est = static_cast<double>(sampling.exact_distinct) +
+                 tail / sampling.effective_rate;
     // An estimate cannot exceed the known total reference count.
-    return static_cast<uint64_t>(std::llround(std::min(est, total)));
+    return static_cast<uint64_t>(std::llround(
+        std::min(est, static_cast<double>(sampling.total_refs))));
   }
 
   /// Exact total reference count (the filter counts what it drops).
   uint64_t accesses() const { return sampling.total_refs; }
 
-  /// Distinct pages: exact for fixed-rate runs (first touches of every
-  /// page were counted). In adaptive mode the final resident set is
-  /// exactly the distinct pages whose hash lands under the final
-  /// threshold — a page there is never evicted and always admitted — so
-  /// resident / effective_rate is the standard spatial-sampling estimate
-  /// of the distinct count. (The sampled cold-miss *count* is useless
-  /// here: early cold misses were recorded at higher rates, so it
-  /// over-represents the start of the trace.)
+  /// Distinct pages: exact either way (a sampled run counts the first
+  /// touches of every page).
   uint64_t distinct_pages() const {
     if (!sampling.active()) return histogram.distinct_pages();
-    if (sampling.exact_distinct > 0) return sampling.exact_distinct;
-    if (sampling.sampled_refs == 0) return 0;
-    double est = static_cast<double>(sampling.sampled_pages) /
-                 sampling.effective_rate;
-    est = std::min(est, static_cast<double>(sampling.total_refs));
-    return static_cast<uint64_t>(std::llround(est));
+    return sampling.exact_distinct;
   }
 };
 

@@ -1,7 +1,6 @@
 #include "buffer/stack_distance_kernel.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace epfis {
 namespace {
@@ -47,16 +46,10 @@ size_t SampledExpectedRefs(size_t expected_refs,
   return expected_refs;
 }
 
-size_t InitialTableEntries(size_t expected_refs,
-                           const SamplingOptions& sampling) {
+size_t InitialTableEntries(size_t expected_refs) {
   // A modest fraction of the references are distinct pages in the traces
-  // this models; the table grows itself if the guess is low. The adaptive
-  // cap bounds the set outright.
-  size_t entries = std::min(expected_refs / 8 + 16, kMaxInitialTableSize);
-  if (sampling.max_pages > 0) {
-    entries = std::min<size_t>(entries, sampling.max_pages + 1);
-  }
-  return entries;
+  // this models; the table grows itself if the guess is low.
+  return std::min(expected_refs / 8 + 16, kMaxInitialTableSize);
 }
 
 }  // namespace
@@ -68,30 +61,17 @@ StackDistanceKernel::StackDistanceKernel(size_t expected_refs,
                             window_hint)),
       live_(window_),
       last_access_(InitialTableEntries(
-          SampledExpectedRefs(expected_refs, sampling), sampling)),
+          SampledExpectedRefs(expected_refs, sampling))),
       sampling_(sampling),
       threshold_(sampling.enabled() ? SampleThresholdForRate(sampling.rate)
                                     : kSampleModulus),
       inv_rate_(static_cast<double>(kSampleModulus) /
-                static_cast<double>(threshold_)),
-      exact_cold_(sampling.enabled() && sampling.max_pages == 0) {
-  if (sampling_.max_pages > 0) {
-    sample_heap_.reserve(sampling_.max_pages + 1);
-    // The adaptive cap is a hard bound on the table's eventual size, so a
-    // load-triggered rehash may as well jump straight toward it. Only the
-    // *exact* bound is handed down: seeding the hint from the refs/8
-    // distinct-page guess was measured to cost ~13% end-to-end, because an
-    // overshooting quadruple inflates the compacted window (Compact keeps
-    // window >= table capacity to amortize its slot scans) and every
-    // Fenwick walk then spans a colder tree.
-    last_access_.SetGrowthHint(sampling_.max_pages + 1);
-  }
-}
+                static_cast<double>(threshold_)) {}
 
 void StackDistanceKernel::Access(PageId page_id) {
   if (sampling_.enabled()) {
     ++total_refs_;
-    if (exact_cold_) exact_seen_.TestAndSet(page_id);
+    exact_seen_.TestAndSet(page_id);
     if (SampleHash(page_id) >= threshold_) return;
   }
   AccessSampled(page_id);
@@ -104,11 +84,6 @@ void StackDistanceKernel::AccessSampled(PageId page_id) {
     histogram_.AddColdMiss();
     live_.Set(static_cast<size_t>(now_));
     ++now_;
-    if (sampling_.max_pages > 0) {
-      sample_heap_.emplace_back(SampleHash(page_id), page_id);
-      std::push_heap(sample_heap_.begin(), sample_heap_.end());
-      if (last_access_.size() > sampling_.max_pages) EvictOverflow();
-    }
   } else {
     uint64_t prev = *last;
     // Every page in the table owns exactly one live bit, all at times
@@ -123,19 +98,6 @@ void StackDistanceKernel::AccessSampled(PageId page_id) {
     } else {
       uint64_t below = live_.CountBelow(static_cast<size_t>(prev));
       d = static_cast<uint64_t>(last_access_.size()) - below;
-    }
-    if (!exact_cold_ && inv_rate_ != 1.0) {
-      // Adaptive mode scales into the full-trace distance domain at the
-      // rate in effect right now (the threshold moves, so this cannot be
-      // deferred). The re-referenced page itself always survives the
-      // filter, so only the other d-1 stack entries were thinned at rate
-      // R: E[d_sampled] = 1 + R(d_true - 1), giving the unbiased
-      // estimate (d - 1)/R + 1 rather than the naive d/R (which would
-      // shift the whole curve right by (1-R)/R pages). Fixed-rate mode
-      // keeps raw sampled distances; sampled_result() rescales them by
-      // the realized page ratio instead.
-      d = 1 + static_cast<uint64_t>(
-                  std::llround(static_cast<double>(d - 1) * inv_rate_));
     }
     histogram_.AddDistance(d);
     live_.MovePair(static_cast<size_t>(prev), static_cast<size_t>(now_));
@@ -159,64 +121,25 @@ void StackDistanceKernel::AccessAll(const PageId* trace, size_t count) {
     return;
   }
   total_refs_ += count;
-  if (sampling_.max_pages == 0) {
-    // Fixed-rate: the threshold is static, so the filter can run for a
-    // whole chunk up front — first-touch bitmap marks for every
-    // reference, survivors gathered densely — and the survivors then go
-    // through the same in-order run as an unfiltered trace. The
-    // decisions are identical to the interleaved scalar loop because
-    // nothing the kernel does can change them.
-    PageId kept[512];
-    size_t n = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (exact_cold_) exact_seen_.TestAndSet(trace[i]);
-      if (SampleHash(trace[i]) < threshold_) {
-        kept[n++] = trace[i];
-        if (n == sizeof(kept) / sizeof(kept[0])) {
-          AccessRun(kept, n);
-          n = 0;
-        }
+  // The threshold is static, so the filter can run for a whole chunk up
+  // front — first-touch bitmap marks for every reference, survivors
+  // gathered densely — and the survivors then go through the same
+  // in-order run as an unfiltered trace. The decisions are identical to
+  // the interleaved scalar loop because nothing the kernel does can
+  // change them.
+  PageId kept[512];
+  size_t n = 0;
+  for (size_t i = 0; i < count; ++i) {
+    exact_seen_.TestAndSet(trace[i]);
+    if (SampleHash(trace[i]) < threshold_) {
+      kept[n++] = trace[i];
+      if (n == sizeof(kept) / sizeof(kept[0])) {
+        AccessRun(kept, n);
+        n = 0;
       }
     }
-    if (n > 0) AccessRun(kept, n);
-    return;
   }
-  // Adaptive mode: the threshold can drop inside any AccessSampled (an
-  // eviction wave), so each reference must be filtered at its own
-  // resolution time — batching the filter would use stale thresholds.
-  // The skip path stays one hash + compare per reference.
-  for (size_t i = 0; i < count; ++i) {
-    if (SampleHash(trace[i]) >= threshold_) continue;
-    if (i + kPrefetchAhead < count) {
-      PageId ahead = trace[i + kPrefetchAhead];
-      if (SampleHash(ahead) < threshold_) last_access_.Prefetch(ahead);
-    }
-    AccessSampled(trace[i]);
-  }
-}
-
-void StackDistanceKernel::EvictOverflow() {
-  while (last_access_.size() > sampling_.max_pages &&
-         !sample_heap_.empty()) {
-    // The new threshold is the largest hash in the set; every page
-    // holding it (ties included) leaves the sample together, so the set
-    // stays exactly "all tracked pages with hash < threshold".
-    uint64_t new_threshold = sample_heap_.front().first;
-    while (!sample_heap_.empty() &&
-           sample_heap_.front().first >= new_threshold) {
-      PageId victim = sample_heap_.front().second;
-      std::pop_heap(sample_heap_.begin(), sample_heap_.end());
-      sample_heap_.pop_back();
-      uint64_t* pos = last_access_.Find(victim);
-      live_.Clear(static_cast<size_t>(*pos));
-      last_access_.Erase(victim);
-      ++evicted_pages_;
-    }
-    threshold_ = new_threshold;
-    inv_rate_ = static_cast<double>(kSampleModulus) /
-                static_cast<double>(std::max<uint64_t>(threshold_, 1));
-    ++threshold_drops_;
-  }
+  if (n > 0) AccessRun(kept, n);
 }
 
 void StackDistanceKernel::Compact() {
@@ -254,6 +177,19 @@ void StackDistanceKernel::Compact() {
   live_.AssignPrefixOnes(distinct, window_);
   now_ = distinct;
   ++compactions_;
+}
+
+Status ValidatePageRefs(const PageId* refs, size_t count) {
+  // An OR-reduction rather than std::find: no early exit, so the loop
+  // vectorizes and costs a small fraction of the kernel's per-reference
+  // work even at low sampling rates.
+  bool found = false;
+  for (size_t i = 0; i < count; ++i) found |= refs[i] == kInvalidPageId;
+  if (found) {
+    return Status::InvalidArgument(
+        "trace holds the reserved page id 0xFFFFFFFF");
+  }
+  return Status::Ok();
 }
 
 }  // namespace epfis

@@ -4,13 +4,13 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "storage/page.h"
 #include "util/flat_hash.h"
+#include "util/status.h"
 
 namespace epfis {
 
@@ -50,27 +50,27 @@ namespace epfis {
 ///     reference.
 ///
 /// On top of the exact machinery sits optional SHARDS-style spatial
-/// sampling (see sampling.h): references whose page hash falls above a
-/// threshold are dropped before they touch the table or tree, and the
-/// exact kernel runs over the surviving subset. In fixed-rate mode the
-/// skip path additionally marks every page — sampled or not — in a
-/// first-touch bitmap, so the full-trace cold-miss count stays exact and
+/// sampling at a fixed rate (see sampling.h): references whose page hash
+/// falls above a threshold are dropped before they touch the table or
+/// tree, and the exact kernel runs over the surviving subset. The skip
+/// path additionally marks every page — sampled or not — in a first-touch
+/// bitmap, so the full-trace cold-miss count stays exact and
 /// sampled_result() can rescale the sampled distance axis by the
 /// *realized* page ratio (P - 1)/(K - 1); the kernel's own histogram
-/// stays in the raw sampled domain. In fixed-size adaptive mode no
-/// per-page state is allowed (bounding memory is the point), so each
-/// distance is scaled by 1/R at emission time instead, and the threshold
-/// drops whenever the sampled-page set outgrows `max_pages`, evicting the
-/// highest-hash pages; an evicted page can never re-qualify (its hash
-/// stays above every later threshold), so the filter remains purely
-/// spatial. With sampling inactive (rate 1.0, cap never hit) every code
-/// path below is the exact kernel's and the histogram is bit-identical.
+/// stays in the raw sampled domain. With sampling off (rate 1.0) every
+/// code path below is the exact kernel's and the histogram is
+/// bit-identical.
+///
+/// The last-access table keys on page ids and uses kInvalidPageId as its
+/// empty-slot marker, so a trace must never contain that id. Callers that
+/// feed references from outside the program check each chunk with
+/// ValidatePageRefs first.
 class StackDistanceKernel {
  public:
   /// `expected_refs` pre-sizes the timestamp window and the last-access
   /// table (pass TraceSource::size_hint() when known); under sampling the
-  /// pre-sizing uses `expected_refs * rate` (and the `max_pages` cap), so
-  /// a 1% sample of a huge trace does not allocate full-trace structures.
+  /// pre-sizing uses `expected_refs * rate`, so a 1% sample of a huge
+  /// trace does not allocate full-trace structures.
   /// `window_hint` overrides the initial window capacity; tests pass tiny
   /// values to force compactions on short traces.
   explicit StackDistanceKernel(size_t expected_refs = 1024,
@@ -134,30 +134,24 @@ class StackDistanceKernel {
   /// What the sampling filter did. With sampling inactive this reports an
   /// exact pass (total == sampled, effective rate 1). Note that under
   /// active sampling the raw accessors above describe the *sampled*
-  /// subset (fixed-rate: distances in the raw sampled domain; adaptive:
-  /// distances pre-scaled at emission; counts raw either way); full-trace
+  /// subset (distances in the raw sampled domain, counts raw); full-trace
   /// estimates come from sampled_result().
   SamplingSummary sampling_summary() const {
     SamplingSummary s;
-    s.requested_rate = sampling_.rate;
-    s.requested_max_pages = sampling_.max_pages;
     s.effective_rate = static_cast<double>(threshold_) /
                        static_cast<double>(kSampleModulus);
     s.total_refs = sampling_.enabled() ? total_refs_ : histogram_.accesses();
     s.sampled_refs = histogram_.accesses();
-    s.threshold_drops = threshold_drops_;
-    s.evicted_pages = evicted_pages_;
-    s.sampled_pages = last_access_.size();
-    s.exact_distinct = exact_cold_ ? exact_seen_.distinct() : 0;
+    s.exact_distinct = sampling_.enabled() ? exact_seen_.distinct() : 0;
     return s;
   }
 
   /// The full-trace estimate view over this run (copies the histogram).
-  /// Fixed-rate runs rescale the sampled distance axis here, by the
-  /// realized page ratio (exact distinct − 1) / (sampled distinct − 1).
+  /// Sampled runs rescale the sampled distance axis here, by the realized
+  /// page ratio (exact distinct − 1) / (sampled distinct − 1).
   SampledStackDistances sampled_result() const {
     SamplingSummary s = sampling_summary();
-    if (exact_cold_ && s.active()) {
+    if (s.active()) {
       double factor = SampledDistanceScale(
           s.exact_distinct, histogram_.cold_misses(), inv_rate_);
       return SampledStackDistances{
@@ -166,9 +160,7 @@ class StackDistanceKernel {
     return SampledStackDistances{histogram_, s};
   }
 
-  /// Distinct pages currently in the sampled set (== distinct_pages()
-  /// when nothing was ever evicted); adaptive mode keeps this at or under
-  /// `max_pages`.
+  /// Distinct pages in the sampled set (== distinct_pages()).
   size_t sampled_pages() const { return last_access_.size(); }
 
  private:
@@ -294,18 +286,14 @@ class StackDistanceKernel {
 
   void Compact();
 
-  // One filtered reference: the exact per-reference path, plus scaled
-  // emission and the adaptive cap. Callers have already counted the
-  // reference and applied the hash filter when sampling is enabled.
+  // One filtered reference: the exact per-reference path. Callers have
+  // already counted the reference and applied the hash filter when
+  // sampling is enabled.
   void AccessSampled(PageId page_id);
 
   // In-order run over references that already passed the filter (or an
   // unfiltered trace), with a rolling probe-slot prefetch.
   void AccessRun(const PageId* refs, size_t count);
-
-  // Drops the threshold to the largest sample hash present and evicts
-  // the pages holding it, until the set fits `max_pages` again.
-  void EvictOverflow();
 
   uint64_t now_ = 0;   // Next timestamp on the (compacted) time axis.
   size_t window_ = 0;  // Fenwick capacity; now_ < window_ between accesses.
@@ -318,24 +306,22 @@ class StackDistanceKernel {
   std::vector<uint64_t> sorted_positions_;
   std::vector<uint64_t> remap_;
 
-  // Sampling state. threshold_/inv_rate_ are fixed in fixed-rate mode and
-  // only ever decrease/increase (respectively) in adaptive mode.
+  // Sampling state, fixed for the kernel's lifetime. When sampling is
+  // enabled, cold misses are tracked exactly for every page via the
+  // first-touch bitmap, and distances stay in the raw sampled domain
+  // until sampled_result() rescales them.
   SamplingOptions sampling_;
   uint64_t threshold_ = kSampleModulus;
   double inv_rate_ = 1.0;  // kSampleModulus / threshold_.
-  // Fixed-rate mode (rate < 1, no cap): cold misses are tracked exactly
-  // for every page via the first-touch bitmap, and distances stay in the
-  // raw sampled domain until sampled_result() rescales them.
-  bool exact_cold_ = false;
   PageSeenSet exact_seen_;
   uint64_t total_refs_ = 0;  // All references seen; bumped only when
                              // sampling is enabled (else == accesses()).
-  uint64_t threshold_drops_ = 0;
-  uint64_t evicted_pages_ = 0;
-  // Max-heap of (sample hash, page) for the pages currently in the
-  // sampled set; adaptive mode pops it to find eviction thresholds.
-  std::vector<std::pair<uint64_t, PageId>> sample_heap_;
 };
+
+/// InvalidArgument if `refs[0, count)` holds kInvalidPageId, the kernel's
+/// empty-slot key; a trace containing it would corrupt the last-access
+/// table silently. One branch-free pass over the chunk.
+Status ValidatePageRefs(const PageId* refs, size_t count);
 
 }  // namespace epfis
 

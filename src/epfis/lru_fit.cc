@@ -36,17 +36,17 @@ Result<ModelRange> DetermineRange(uint64_t table_pages,
 }
 
 Result<SampledStackDistances> SimulateTrace(TraceSource& trace,
+                                            uint64_t table_pages,
                                             const LruFitOptions& options) {
   StackDistanceOptions sd_options;
-  sd_options.num_shards = options.num_shards;
-  sd_options.sampling.rate = options.sample_rate;
-  sd_options.sampling.max_pages = options.sample_max_pages;
+  sd_options.sampling.rate = SampleRateForPages(
+      options.sample_rate, options.sample_max_pages, table_pages);
   sd_options.cancel = options.cancel;
   sd_options.deadline = options.deadline;
-  auto result = ComputeSampledStackDistances(trace, options.pool, sd_options);
+  auto result = ComputeSampledStackDistances(trace, nullptr, sd_options);
   if (!result.ok() &&
       result.status().code() == StatusCode::kInvalidArgument) {
-    return Status::InvalidArgument("LRU-Fit: empty index trace");
+    return Status::InvalidArgument("LRU-Fit: " + result.status().message());
   }
   return result;
 }
@@ -69,32 +69,26 @@ Status LruFitOptions::Validate() const {
     return Status::InvalidArgument(
         "LRU-Fit: sample_rate must be in (0, 1]");
   }
-  if (pool != nullptr && sample_max_pages > 0) {
-    // Fixed-size adaptive sampling evolves one global threshold as the
-    // trace reveals its working set; shards racing that threshold would
-    // sample different page subsets than the serial pass. The sharded
-    // path used to fall back to the serial kernel silently, turning a
-    // requested parallel run into a serial one with no sign why — reject
-    // the combination instead. RunLruFitBatch jobs are unaffected: the
-    // batch resets `pool` per job, and those jobs legitimately run the
-    // adaptive pass on the serial kernel.
-    return Status::InvalidArgument(
-        "LRU-Fit: sample_max_pages (fixed-size adaptive sampling) is "
-        "serial-only; unset options.pool or use fixed-rate sample_rate");
-  }
   return Status::Ok();
+}
+
+double SampleRateForPages(double sample_rate, uint64_t max_pages,
+                          uint64_t table_pages) {
+  if (max_pages == 0 || max_pages >= table_pages) return sample_rate;
+  return std::min(sample_rate, static_cast<double>(max_pages) /
+                                   static_cast<double>(table_pages));
 }
 
 Result<std::vector<FpfPoint>> SampleFpfCurve(TraceSource& trace,
                                              uint64_t b_min, uint64_t b_max,
-                                             BufferSchedule schedule,
-                                             ThreadPool* pool) {
+                                             BufferSchedule schedule) {
   EPFIS_ASSIGN_OR_RETURN(std::vector<uint64_t> sizes,
                          MakeBufferSchedule(b_min, b_max, schedule));
-  auto histogram_or = ComputeStackDistances(trace, pool);
+  auto histogram_or = ComputeStackDistances(trace);
   if (!histogram_or.ok()) {
     if (histogram_or.status().code() == StatusCode::kInvalidArgument) {
-      return Status::InvalidArgument("SampleFpfCurve: empty trace");
+      return Status::InvalidArgument("SampleFpfCurve: " +
+                                     histogram_or.status().message());
     }
     return histogram_or.status();
   }
@@ -141,7 +135,8 @@ Result<IndexStats> RunLruFit(TraceSource& trace, uint64_t table_pages,
   SampledStackDistances histogram;
   {
     ScopedTimer timer(simulate_ns);
-    EPFIS_ASSIGN_OR_RETURN(histogram, SimulateTrace(trace, options));
+    EPFIS_ASSIGN_OR_RETURN(histogram,
+                           SimulateTrace(trace, table_pages, options));
   }
   runs_counter.Increment();
   refs_counter.Increment(histogram.accesses());
@@ -231,10 +226,8 @@ LruFitBatchResult RunLruFitBatch(std::vector<LruFitJob> jobs,
         if (job.trace == nullptr) {
           return Status::InvalidArgument("LRU-Fit batch: job has no trace");
         }
-        LruFitOptions options = job.options;
-        options.pool = nullptr;  // Jobs must not re-enter the batch pool.
         auto stats = RunLruFit(*job.trace, job.table_pages, job.distinct_keys,
-                               job.index_name, options);
+                               job.index_name, job.options);
         if (!stats.ok()) return stats.status();
         if (catalog != nullptr) catalog->Put(std::move(stats).value());
         return Status::Ok();

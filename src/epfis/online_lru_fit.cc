@@ -55,11 +55,6 @@ Status OnlineLruFitOptions::Validate() const {
         "online LRU-Fit: refresh_interval must be > 0");
   }
   EPFIS_RETURN_IF_ERROR(drift.Validate());
-  if (fit.pool != nullptr) {
-    return Status::InvalidArgument(
-        "online LRU-Fit: fit.pool must be null (the online kernel is the "
-        "serial streaming kernel)");
-  }
   LruFitOptions effective = fit;
   effective.sample_rate = sample_rate;
   effective.sample_max_pages = sample_max_pages;
@@ -72,7 +67,9 @@ OnlineLruFit::OnlineLruFit(std::string index_name,
       options_(options),
       catalog_(catalog),
       kernel_(/*expected_refs=*/options.window_refs, /*window_hint=*/0,
-              SamplingOptions{options.sample_rate, options.sample_max_pages}),
+              SamplingOptions{SampleRateForPages(options.sample_rate,
+                                                 options.sample_max_pages,
+                                                 options.table_pages)}),
       window_(std::max<uint64_t>(options.window_refs, 1)),
       detector_(options.drift) {}
 
@@ -85,6 +82,7 @@ Status OnlineLruFit::Ingest(const PageId* refs, size_t count) {
   if (catalog_ == nullptr) {
     return Status::FailedPrecondition("online LRU-Fit: no catalog attached");
   }
+  EPFIS_RETURN_IF_ERROR(ValidatePageRefs(refs, count));
   while (count > 0) {
     EPFIS_RETURN_IF_ERROR(CheckCancel(options_.cancel, options_.fit.deadline,
                                       "online ingest"));
@@ -114,10 +112,10 @@ Status OnlineLruFit::IngestAll(TraceSource& trace) {
 
 std::vector<double> OnlineLruFit::LiveFetches(
     const std::vector<uint64_t>& sizes) const {
-  // The windowed analog of SampledStackDistances::Fetches (adaptive
-  // branch): the cold term A comes from the kernel's distinct-page
-  // estimate, and the finite-distance tail self-normalizes against the
-  // window's re-reference weight, so the estimate stays inside [A, N].
+  // The windowed analog of SampledStackDistances::Fetches: the cold term
+  // A comes from the kernel's exact distinct-page count, and the
+  // finite-distance tail is a miss fraction of the window's re-reference
+  // weight, so the estimate stays inside [A, N].
   // With an exact kernel and a single whole-history absorb this
   // reproduces histogram.Fetches(B) exactly (the convergence tests
   // assert it): est = A + (N - A) * (F - A) / (N - A) = F.
@@ -128,24 +126,24 @@ std::vector<double> OnlineLruFit::LiveFetches(
   a = std::min(a, n);
   // The window lives in the kernel's *emission* domain (that is what is
   // cumulative-monotone, the property Absorb's delta depends on). Exact
-  // and adaptive runs emit full-trace distances already; fixed-rate runs
-  // emit raw sampled-domain distances — there a full-trace buffer size b
+  // runs emit full-trace distances already; sampled runs emit raw
+  // sampled-domain distances — there a full-trace buffer size b
   // corresponds to sampled distance 1 + (b - 1) / factor, with factor the
   // realized page ratio (P - 1)/(K - 1), so the query is mapped into the
   // sampled domain with the *current* factor instead of rescaling past
   // emissions (whose factor has since moved).
   SamplingSummary summary = kernel_.sampling_summary();
+  const bool sampled = summary.active();
   double factor = 1.0;
-  if (summary.exact_distinct > 0 && summary.active()) {
+  if (sampled) {
     factor = SampledDistanceScale(
         summary.exact_distinct, kernel_.cold_misses(),
         summary.effective_rate > 0.0 ? 1.0 / summary.effective_rate : 1.0);
   }
-  // Miss-probability normalization splits by mode, mirroring the two
-  // branches of SampledStackDistances::Fetches. Exact and adaptive runs
+  // Miss-probability normalization splits by mode. Exact runs
   // self-normalize: every emitted weight lives in the same (full-trace)
   // domain, so tail / rerefs is the re-reference miss fraction directly.
-  // Fixed-rate runs must NOT self-normalize: the sampled re-reference
+  // Sampled runs must NOT self-normalize: the sampled re-reference
   // weight is dominated by whichever hot pages the hash filter happened
   // to keep (a Zipf head is a handful of pages carrying a large share of
   // references), so tail_s / rerefs_s inherits that coverage noise as a
@@ -153,16 +151,15 @@ std::vector<double> OnlineLruFit::LiveFetches(
   // weight stands for 1/R true references, and the denominator is built
   // from the *exact* decayed reference weight the window also tracks:
   //   rerefs_true ~= total - cold_s / R.
-  const bool fixed_rate = summary.active() && summary.exact_distinct > 0;
   double rate = summary.effective_rate > 0.0 ? summary.effective_rate : 1.0;
-  double rerefs = fixed_rate
+  double rerefs = sampled
                       ? window_.total_weight() - window_.cold_weight() / rate
                       : window_.reref_weight();
-  double tail_scale = fixed_rate ? 1.0 / rate : 1.0;
+  double tail_scale = sampled ? 1.0 / rate : 1.0;
   std::vector<double> fetches;
   fetches.reserve(sizes.size());
   for (uint64_t b : sizes) {
-    // Fixed-rate buckets live in the sampled domain: a full-trace size b
+    // Sampled buckets live in the sampled domain: a full-trace size b
     // maps to 1 + (b - 1)/factor, which is almost never an integer. Query
     // the fractional boundary directly — rounding to the nearer bucket
     // staircases the deep tail, where one sampled-domain bucket spans

@@ -106,17 +106,18 @@ struct OnlineLruFitOptions {
   /// degenerates into disjoint batches.
   uint64_t refresh_interval = uint64_t{1} << 16;
 
-  /// SHARDS sampling of the long-lived kernel (buffer/sampling.h).
-  /// `sample_max_pages` is the fixed-size adaptive cap that bounds the
-  /// engine's memory for arbitrarily long streams; 0 keeps every page.
+  /// SHARDS sampling of the long-lived kernel (buffer/sampling.h), at a
+  /// rate fixed when the engine is built. A non-zero `sample_max_pages`
+  /// K lowers the rate to min(sample_rate, K / table_pages), the same
+  /// page target as batch LRU-Fit: the sample then holds about K pages
+  /// however long the stream runs. 0 keeps `sample_rate` as given.
   double sample_rate = 1.0;
   uint64_t sample_max_pages = 0;
 
   DriftDetectorOptions drift;
 
   /// Curve-fitting knobs shared with batch LRU-Fit (segments, criterion,
-  /// schedule, range overrides). `fit.pool` must stay null: the online
-  /// kernel is the serial streaming kernel by construction.
+  /// schedule, range overrides).
   LruFitOptions fit;
 
   /// Cooperative cancellation for the ingest loop: polled once per
@@ -139,7 +140,7 @@ struct OnlineLruFitOptions {
 ///
 /// Pipeline per `refresh_interval` references:
 ///
-///   kernel (SHARDS-capped Mattson stack) --delta--> DecayedReuseWindow
+///   kernel (SHARDS-sampled Mattson stack) --delta--> DecayedReuseWindow
 ///     --tail ratio--> live FPF curve at the scheduled buffer sizes
 ///     --vs snapshot entry--> drift error --> DriftDetector
 ///     --on trigger (or bootstrap)--> fit knots, Put + Publish
@@ -167,6 +168,8 @@ class OnlineLruFit {
   Status Validate() const { return options_.Validate(); }
 
   /// Feeds `count` references, refreshing every `refresh_interval`.
+  /// InvalidArgument, with nothing absorbed, if `refs` holds
+  /// kInvalidPageId (the kernel's reserved empty-slot key).
   Status Ingest(const PageId* refs, size_t count);
   Status Ingest(const std::vector<PageId>& refs) {
     return Ingest(refs.data(), refs.size());

@@ -172,9 +172,8 @@ inline constexpr const char* kAllFaultPoints[] = {
     "catalog.save.rename",  "catalog.load.open",  "catalog.load.read",
     "catalog.publish.swap", "trace.save.open",    "trace.save.write",
     "trace.open",           "trace.read.header",  "trace.read.body",
-    "trace.mmap.map",       "lru_fit.batch.job",  "sd.shard.task",
-    "sd.merge.step",        "est_io.lookup",      "online.refresh.emit",
-    "online.publish",
+    "trace.mmap.map",       "lru_fit.batch.job",  "est_io.lookup",
+    "online.refresh.emit",  "online.publish",
 };
 
 #if EPFIS_FAULTS_ENABLED

@@ -8,26 +8,6 @@ void FenwickTree::Add(size_t i, int64_t delta) {
   }
 }
 
-void FenwickTree::MovePair(size_t from, size_t to) {
-  size_t n = tree_.size();
-  size_t p1 = from + 1;  // -1 path.
-  size_t p2 = to + 1;    // +1 path.
-  while (p1 != p2) {
-    // The smaller index walking past the end implies the larger is out of
-    // range too — both tails are gone, nothing left to apply.
-    if (p1 < p2) {
-      if (p1 >= n) return;
-      tree_[p1] -= 1;
-      p1 += p1 & (~p1 + 1);
-    } else {
-      if (p2 >= n) return;
-      tree_[p2] += 1;
-      p2 += p2 & (~p2 + 1);
-    }
-  }
-  // p1 == p2: the rest of the path is shared and cancels exactly.
-}
-
 int64_t FenwickTree::PrefixSum(size_t i) const {
   int64_t sum = 0;
   for (size_t p = i + 1; p > 0; p -= p & (~p + 1)) {

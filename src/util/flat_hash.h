@@ -18,25 +18,18 @@ namespace epfis {
 /// flat slot array (no per-node allocation, no pointer chasing), power-of-two
 /// capacity with Fibonacci hashing, linear probing, and no tombstones —
 /// Erase uses backward-shift deletion, so probe sequences stay as short as
-/// if the erased keys had never been inserted (the adaptive sampling mode
-/// evicts pages; everything else only inserts and updates).
+/// if the erased keys had never been inserted (the buffer pool's page
+/// table drops evicted pages; the kernels only insert and update).
 ///
 /// `kEmptyKey` marks unoccupied slots and must never be inserted (the
-/// simulators use kInvalidPageId, which no trace contains). Values are
+/// simulators use kInvalidPageId; the stack-distance passes reject traces
+/// that hold it, see ValidatePageRefs). Values are
 /// stored inline next to their key, so a lookup touches exactly the cache
 /// lines of its probe sequence, and `Prefetch` lets a caller pull
 /// the first probe slot of an upcoming key into cache ahead of time.
 ///
 /// Grows at a 0.7 load factor by doubling and reinserting; pointers
 /// returned by Find/TryEmplace are invalidated by any later insert.
-///
-/// When the caller knows how many keys are coming (the kernel passes the
-/// adaptive sampling cap, an exact bound), `SetGrowthHint` lets a
-/// load-triggered rehash quadruple instead of double while the hint says
-/// more growth is imminent — one rehash where two would have run. Hints
-/// should be bounds the caller trusts: an overshooting hint buys capacity
-/// nothing will fill, which any consumer that scans the slot array pays
-/// for on every pass.
 template <typename Key, typename Value, Key kEmptyKey>
 class FlatHashMap {
  public:
@@ -66,12 +59,6 @@ class FlatHashMap {
     }
   }
 
-  /// Expected eventual entry count. Purely advisory: growth still only
-  /// happens when the load factor demands it, but each load-triggered
-  /// rehash jumps as far toward the hint as a doubling schedule would
-  /// have reached in two steps. 0 (the default) restores plain doubling.
-  void SetGrowthHint(size_t n) { growth_hint_ = n; }
-
   /// Pointer to the value for `key`, or nullptr if absent.
   Value* Find(Key key) {
     size_t i = IndexFor(key);
@@ -97,11 +84,7 @@ class FlatHashMap {
   /// untouched on a hit, like std::unordered_map::try_emplace).
   std::pair<Value*, bool> TryEmplace(Key key, Value value) {
     if ((size_ + 1) * 10 > slots_.size() * 7) {
-      size_t next = slots_.size() * 2;
-      // The hint says another doubling is coming right behind this one:
-      // take both at once and skip a full reinsertion pass.
-      if (CapacityFor(growth_hint_) >= next * 2) next *= 2;
-      Rebuild(next);
+      Rebuild(slots_.size() * 2);
 #if EPFIS_METRICS_ENABLED
       ++stats_.grows;
 #endif
@@ -238,7 +221,6 @@ class FlatHashMap {
   size_t size_ = 0;
   size_t mask_ = 0;
   unsigned shift_ = 64;
-  size_t growth_hint_ = 0;
   Stats stats_;
 };
 

@@ -14,19 +14,19 @@
 
 namespace epfis {
 
-/// Small fixed-size worker pool used by the parallel statistics-collection
-/// pipeline (parallel stack-distance sharding and RunLruFitBatch).
+/// Small fixed-size worker pool used by RunLruFitBatch, the parallel
+/// statistics-collection path.
 ///
 /// Tasks are arbitrary callables; Submit returns a std::future carrying the
 /// task's result. Exceptions thrown by a task are captured in its future
 /// and rethrown from future::get(), so a worker thread never dies from a
-/// task failure. The queue is unbounded: the two callers bound their own
-/// fan-out (an in-flight shard window, a fixed job list).
+/// task failure. The queue is unbounded: callers bound their own fan-out
+/// (RunLruFitBatch submits a fixed job list).
 ///
 /// Do not block a pool task on the future of another task submitted to the
 /// same pool: with all workers blocked waiting, the dependency can never be
-/// scheduled (classic nested-parallelism deadlock). RunLruFitBatch forces
-/// per-trace computation serial for exactly this reason.
+/// scheduled (classic nested-parallelism deadlock). Each RunLruFitBatch
+/// job is one serial pass, so none does.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).

@@ -11,7 +11,6 @@
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_source.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/zipf.h"
 
 namespace epfis {
@@ -53,11 +52,6 @@ TEST(SamplingOptionsTest, ValidateAndEnabled) {
   options.rate = 0.5;
   EXPECT_TRUE(options.Validate().ok());
   EXPECT_TRUE(options.enabled());
-
-  options.rate = 1.0;
-  options.max_pages = 100;
-  EXPECT_TRUE(options.Validate().ok());
-  EXPECT_TRUE(options.enabled());  // Adaptive cap alone enables the filter.
 
   for (double bad : {0.0, -0.25, 1.5,
                      std::numeric_limits<double>::quiet_NaN()}) {
@@ -104,30 +98,6 @@ TEST(SamplingTest, RateOneIsBitIdenticalToExactKernel) {
         EXPECT_EQ(result.Fetches(b), exact.Fetches(b)) << "b=" << b;
       }
       EXPECT_EQ(result.distinct_pages(), exact.distinct_pages());
-    }
-  }
-}
-
-// An adaptive cap at or above the distinct-page count never triggers, so
-// the run must also be bit-identical — including when tiny windows force
-// compactions mid-trace.
-TEST(SamplingTest, AdaptiveCapAboveDistinctIsBitIdentical) {
-  auto trace = ZipfTrace(8'000, 400, 0.86, 9);
-  StackDistanceHistogram exact = ExactHistogram(trace);
-  uint64_t distinct = exact.distinct_pages();
-  for (uint64_t cap : {distinct, distinct + 1, distinct * 10}) {
-    for (size_t window : {size_t{0}, size_t{2}, size_t{7}, size_t{64}}) {
-      SamplingOptions options;
-      options.max_pages = cap;
-      StackDistanceKernel kernel(trace.size(), window, options);
-      kernel.AccessAll(trace);
-      EXPECT_TRUE(kernel.histogram() == exact)
-          << "cap=" << cap << " window=" << window;
-      SamplingSummary summary = kernel.sampling_summary();
-      EXPECT_FALSE(summary.active());
-      EXPECT_EQ(summary.threshold_drops, 0u);
-      EXPECT_EQ(summary.evicted_pages, 0u);
-      EXPECT_DOUBLE_EQ(summary.effective_rate, 1.0);
     }
   }
 }
@@ -182,173 +152,38 @@ TEST(SamplingTest, FixedRateMatchesPrefilteredExactKernel) {
 
 // Sampled kernel runs are insensitive to chunking and compaction: feeding
 // the trace in ragged chunks with a tiny window produces the same
-// histogram as one whole-trace call. Fixed-rate and adaptive mode filter
-// on separate paths in AccessAll (a batched prefilter vs. a per-reference
-// check against a moving threshold), so both are fed.
+// histogram as one whole-trace call.
 TEST(SamplingTest, SampledChunkedAccessEqualsWholeTrace) {
   auto trace = ZipfTrace(8'192, 600, 0.86, 11);
-  SamplingOptions fixed_rate;
-  fixed_rate.rate = 0.2;
-  SamplingOptions adaptive;
-  adaptive.max_pages = 128;
-  for (const SamplingOptions& options : {fixed_rate, adaptive}) {
-    SCOPED_TRACE(options.max_pages > 0 ? "adaptive" : "fixed-rate");
-    StackDistanceKernel whole(trace.size(), 0, options);
-    whole.AccessAll(trace);
-    StackDistanceKernel chunked(16, 32, options);
-    for (size_t i = 0; i < trace.size(); i += 777) {
-      size_t n = std::min<size_t>(777, trace.size() - i);
-      chunked.AccessAll(trace.data() + i, n);
-    }
-    EXPECT_TRUE(whole.histogram() == chunked.histogram());
-    EXPECT_TRUE(whole.sampled_result().histogram ==
-                chunked.sampled_result().histogram);
-    SamplingSummary a = whole.sampling_summary();
-    SamplingSummary b = chunked.sampling_summary();
-    EXPECT_EQ(a.total_refs, b.total_refs);
-    EXPECT_EQ(a.sampled_refs, b.sampled_refs);
-    EXPECT_EQ(a.evicted_pages, b.evicted_pages);
-    if (options.max_pages > 0) {
-      // The eviction path actually ran, on both feeds.
-      EXPECT_GT(b.evicted_pages, 0u);
-      EXPECT_LE(chunked.sampled_pages(), options.max_pages);
-    }
+  SamplingOptions options;
+  options.rate = 0.2;
+  StackDistanceKernel whole(trace.size(), 0, options);
+  whole.AccessAll(trace);
+  StackDistanceKernel chunked(16, 32, options);
+  for (size_t i = 0; i < trace.size(); i += 777) {
+    size_t n = std::min<size_t>(777, trace.size() - i);
+    chunked.AccessAll(trace.data() + i, n);
   }
-}
-
-// Serial and sharded fixed-rate runs agree exactly for every shard count:
-// both accumulate the raw sampled-domain histogram over the same filtered
-// sub-trace and apply the same wrap-time rescale (realized page ratio
-// from the same first-touch bitmap), so the results are equal, not just
-// statistically close.
-TEST(SamplingTest, SerialAndParallelSampledRunsAgree) {
-  ThreadPool pool(3);
-  auto trace = ZipfTrace(25'000, 1'500, 0.86, 12);
-  for (double rate : {0.5, 0.1}) {
-    StackDistanceOptions serial_options;
-    serial_options.sampling.rate = rate;
-    VectorTraceSource serial_source = VectorTraceSource::View(trace);
-    auto serial =
-        ComputeSampledStackDistances(serial_source, nullptr, serial_options);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-    for (size_t shards : {2u, 3u, 5u, 13u}) {
-      StackDistanceOptions options;
-      options.num_shards = shards;
-      options.min_shard_refs = 1;
-      options.sampling.rate = rate;
-      VectorTraceSource source = VectorTraceSource::View(trace);
-      auto parallel = ComputeSampledStackDistances(source, &pool, options);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_TRUE(parallel->histogram == serial->histogram)
-          << "rate=" << rate << " shards=" << shards;
-      EXPECT_EQ(parallel->sampling.total_refs, serial->sampling.total_refs);
-      EXPECT_EQ(parallel->sampling.sampled_refs,
-                serial->sampling.sampled_refs);
-      EXPECT_EQ(parallel->sampling.exact_distinct,
-                serial->sampling.exact_distinct);
-      EXPECT_DOUBLE_EQ(parallel->sampling.effective_rate,
-                       serial->sampling.effective_rate);
-    }
-  }
+  EXPECT_TRUE(whole.histogram() == chunked.histogram());
+  EXPECT_TRUE(whole.sampled_result().histogram ==
+              chunked.sampled_result().histogram);
+  SamplingSummary a = whole.sampling_summary();
+  SamplingSummary b = chunked.sampling_summary();
+  EXPECT_EQ(a.total_refs, b.total_refs);
+  EXPECT_EQ(a.sampled_refs, b.sampled_refs);
 }
 
 // With sampling disabled the sampled entry point is the exact path plus
-// provenance, parallel included.
+// provenance.
 TEST(SamplingTest, DisabledSamplingMatchesExactEntryPoint) {
-  ThreadPool pool(2);
   auto trace = ZipfTrace(12'000, 800, 0.86, 13);
   StackDistanceHistogram exact = ExactHistogram(trace);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    StackDistanceOptions options;
-    options.min_shard_refs = 1;
-    VectorTraceSource source = VectorTraceSource::View(trace);
-    auto result = ComputeSampledStackDistances(source, p, options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->histogram == exact);
-    EXPECT_FALSE(result->sampling.active());
-    EXPECT_EQ(result->accesses(), trace.size());
-  }
-}
-
-TEST(SamplingTest, AdaptiveCapBoundsSampledPagesAndDropsThreshold) {
-  // 4'000 distinct pages against a cap of 64: the threshold must drop,
-  // pages must be evicted, and the sampled set must respect the cap at
-  // every point in the stream.
-  auto trace = UniformTrace(60'000, 4'000, 14);
-  SamplingOptions options;
-  options.max_pages = 64;
-  StackDistanceKernel kernel(trace.size(), 0, options);
-  for (size_t i = 0; i < trace.size(); i += 1'000) {
-    size_t n = std::min<size_t>(1'000, trace.size() - i);
-    kernel.AccessAll(trace.data() + i, n);
-    ASSERT_LE(kernel.sampled_pages(), 64u) << "at ref " << i + n;
-  }
-  SamplingSummary summary = kernel.sampling_summary();
-  EXPECT_TRUE(summary.active());
-  EXPECT_GT(summary.threshold_drops, 0u);
-  EXPECT_GT(summary.evicted_pages, 0u);
-  EXPECT_LT(summary.effective_rate, 1.0);
-  EXPECT_GT(summary.effective_rate, 0.0);
-  EXPECT_EQ(summary.total_refs, trace.size());
-  EXPECT_LT(summary.sampled_refs, summary.total_refs);
-
-  // The rescaled estimates stay physical: Fetches(0) is the exact count,
-  // larger buffers never fetch more, nothing exceeds the total.
-  SampledStackDistances result = kernel.sampled_result();
-  EXPECT_EQ(result.Fetches(0), trace.size());
-  uint64_t prev = result.Fetches(1);
-  for (uint64_t b : {4ULL, 16ULL, 64ULL, 256ULL, 4096ULL}) {
-    uint64_t f = result.Fetches(b);
-    EXPECT_LE(f, prev) << "b=" << b;
-    EXPECT_LE(f, trace.size());
-    prev = f;
-  }
-}
-
-// Regression: adaptive-mode counts are self-normalized by the realized
-// sampled-reference ratio. References are kept at whatever rate was in
-// effect when they arrived, so dividing raw counts by the final
-// (smallest) rate used to inflate every estimate — F(b_min) saturated
-// at N and the clustering statistic LRU-Fit derives from it clamped to
-// zero even at generous caps.
-TEST(SamplingTest, AdaptiveEstimatesAreSelfNormalized) {
-  auto trace = ZipfTrace(200'000, 10'000, 0.86, 18);
-  StackDistanceHistogram exact = ExactHistogram(trace);
-  SamplingOptions options;
-  options.max_pages = 2'048;
-  StackDistanceKernel kernel(trace.size(), 0, options);
-  kernel.AccessAll(trace);
-  SampledStackDistances sampled = kernel.sampled_result();
-  ASSERT_TRUE(sampled.sampling.active());
-  ASSERT_GT(sampled.sampling.threshold_drops, 0u);
-  for (uint64_t b : {100ULL, 1'000ULL, 5'000ULL}) {
-    double e = static_cast<double>(exact.Fetches(b));
-    double s = static_cast<double>(sampled.Fetches(b));
-    EXPECT_LT(std::abs(s - e) / e, 0.15) << "b=" << b;
-  }
-  double distinct_err =
-      std::abs(static_cast<double>(sampled.distinct_pages()) -
-               static_cast<double>(exact.distinct_pages())) /
-      static_cast<double>(exact.distinct_pages());
-  EXPECT_LT(distinct_err, 0.15);
-}
-
-// Composing a starting rate with the cap: the run starts at the fixed
-// rate and only drops further; the effective rate can never exceed the
-// requested one.
-TEST(SamplingTest, AdaptiveComposesWithStartingRate) {
-  auto trace = UniformTrace(40'000, 4'000, 15);
-  SamplingOptions options;
-  options.rate = 0.5;
-  options.max_pages = 32;
-  StackDistanceKernel kernel(trace.size(), 0, options);
-  kernel.AccessAll(trace);
-  EXPECT_LE(kernel.sampled_pages(), 32u);
-  SamplingSummary summary = kernel.sampling_summary();
-  EXPECT_LE(summary.effective_rate, 0.5);
-  EXPECT_DOUBLE_EQ(summary.requested_rate, 0.5);
-  EXPECT_EQ(summary.requested_max_pages, 32u);
+  VectorTraceSource source = VectorTraceSource::View(trace);
+  auto result = ComputeSampledStackDistances(source, nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->histogram == exact);
+  EXPECT_FALSE(result->sampling.active());
+  EXPECT_EQ(result->accesses(), trace.size());
 }
 
 // The headline accuracy property on the paper's trace shape: a 10%
@@ -390,7 +225,6 @@ TEST(SamplingTest, SampledFpfCurveTracksExactCurve) {
 }
 
 TEST(SamplingTest, ErrorTaxonomy) {
-  ThreadPool pool(2);
   std::vector<PageId> empty;
   std::vector<PageId> tiny{1, 2, 3, 1};
 
@@ -418,7 +252,7 @@ TEST(SamplingTest, ErrorTaxonomy) {
     VectorTraceSource source = VectorTraceSource::View(tiny);
     StackDistanceOptions options;
     options.sampling.rate = 0.5;
-    auto result = ComputeStackDistances(source, &pool, options);
+    auto result = ComputeStackDistances(source, options);
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
 

@@ -9,7 +9,6 @@
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "util/zipf.h"
 
 namespace epfis {
@@ -160,32 +159,14 @@ TEST(StackDistanceKernelTest, ReReferenceOfTimeZeroPage) {
 }
 
 // The production entry point consumes the kernel through
-// ComputeStackDistances' serial path; pin that wiring with a
-// file-vs-legacy comparison across source types.
+// ComputeStackDistances' streamed pass; pin that wiring with a
+// source-vs-legacy comparison.
 TEST(StackDistanceKernelTest, SerialComputeStackDistancesUsesKernelResult) {
   auto trace = ZipfTrace(30'000, 2'000, 0.86, 51);
   VectorTraceSource source = VectorTraceSource::View(trace);
-  auto histogram = ComputeStackDistances(source, nullptr);
+  auto histogram = ComputeStackDistances(source);
   ASSERT_TRUE(histogram.ok()) << histogram.status().ToString();
   EXPECT_TRUE(*histogram == LegacyHistogram(trace));
-}
-
-// Sharded parallel runs (which now use the flat-hash shard passes and
-// one-sided merge queries) must still match the legacy simulator for
-// all shard counts.
-TEST(StackDistanceKernelTest, ShardedRunsMatchLegacyAcrossShardCounts) {
-  ThreadPool pool(3);
-  auto trace = ZipfTrace(25'000, 1'500, 0.86, 61);
-  StackDistanceHistogram legacy = LegacyHistogram(trace);
-  for (size_t shards : {2u, 3u, 5u, 13u}) {
-    StackDistanceOptions options;
-    options.num_shards = shards;
-    options.min_shard_refs = 1;
-    VectorTraceSource source = VectorTraceSource::View(trace);
-    auto parallel = ComputeStackDistances(source, &pool, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_TRUE(*parallel == legacy) << "shards=" << shards;
-  }
 }
 
 }  // namespace

@@ -185,24 +185,5 @@ TEST_F(LruFitBatchIsolationTest, InjectedFaultFailsEveryJobWithoutHanging) {
   EXPECT_EQ(catalog.size(), 0u);
 }
 
-// A shard-task failure inside the sharded simulation must drain cleanly
-// and surface through RunLruFit (not hang the bounded in-flight window).
-TEST_F(LruFitBatchIsolationTest, ShardTaskFaultDrainsWithoutDeadlock) {
-  FaultSpec spec;
-  spec.max_fires = 1;
-  spec.code = StatusCode::kInternal;
-  FaultInjector::Global().Arm("sd.shard.task", spec);
-  ThreadPool pool(4);
-  LruFitOptions options;
-  options.pool = &pool;
-  options.num_shards = 8;
-  auto stats = RunLruFit(MakeTrace(1, 20000), 200, 100, "ix", options);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kInternal);
-  FaultInjector::Global().DisarmAll();
-  // Recovery: the identical call succeeds on the next clean run.
-  EXPECT_TRUE(RunLruFit(MakeTrace(1, 20000), 200, 100, "ix", options).ok());
-}
-
 }  // namespace
 }  // namespace epfis

@@ -81,29 +81,28 @@ TEST(RunLruFitBatchTest, BatchMatchesSerialCollection) {
   }
 }
 
-TEST(RunLruFitBatchTest, AdaptiveSamplingJobsRouteToSerialKernel) {
-  // Batch jobs may legitimately request fixed-size adaptive sampling even
-  // though the combination pool + sample_max_pages is an InvalidArgument
-  // for direct RunLruFit calls: the batch resets `pool` per job, so each
-  // job runs the adaptive pass on the serial kernel, bit-identical to a
-  // serial RunLruFit with the same options.
+TEST(RunLruFitBatchTest, PageTargetJobsMatchSerialFits) {
+  // A job's page target turns into the rate K/T inside its own RunLruFit
+  // call, so a batched job is bit-identical to a serial RunLruFit with
+  // the same options.
   ThreadPool pool(3);
   StatsCatalog catalog;
-  LruFitOptions adaptive;
-  adaptive.sample_max_pages = 64;
+  LruFitOptions targeted;
+  targeted.sample_max_pages = 64;
   std::vector<LruFitJob> jobs;
   for (int i = 0; i < 3; ++i) {
-    LruFitJob job = MakeJob("adaptive_" + std::to_string(i), 31 + i);
-    job.options = adaptive;
+    LruFitJob job = MakeJob("targeted_" + std::to_string(i), 31 + i);
+    job.options = targeted;
     jobs.push_back(std::move(job));
   }
   LruFitBatchResult result = RunLruFitBatch(std::move(jobs), pool, &catalog);
   EXPECT_TRUE(result.all_ok());
   for (int i = 0; i < 3; ++i) {
     auto serial = RunLruFit(RandomTrace(8'000, 200, 31 + i), 200, 40,
-                            "adaptive_" + std::to_string(i), adaptive);
+                            "targeted_" + std::to_string(i), targeted);
     ASSERT_TRUE(serial.ok());
-    auto batched = catalog.Get("adaptive_" + std::to_string(i));
+    EXPECT_LT(serial->sample_rate, 1.0);
+    auto batched = catalog.Get("targeted_" + std::to_string(i));
     ASSERT_TRUE(batched.ok());
     EXPECT_EQ(batched->f_min, serial->f_min);
     EXPECT_EQ(batched->sampled_refs, serial->sampled_refs);

@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
 #include "buffer/lru_simulator.h"
+#include "buffer/sampling.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace epfis {
 namespace {
@@ -38,28 +39,6 @@ TEST(LruFitTest, RejectsZeroSegments) {
   LruFitOptions options;
   options.num_segments = 0;
   EXPECT_FALSE(RunLruFit({1, 2, 3}, 10, 3, "x", options).ok());
-}
-
-TEST(LruFitTest, AdaptiveSamplingWithPoolIsInvalidArgument) {
-  // Regression: this combination used to *silently* fall back to the
-  // serial kernel (parallel_stack_distance.cc routes adaptive runs
-  // serial); now the option mix is rejected up front so nobody asks for a
-  // sharded run and unknowingly gets a serial one.
-  ThreadPool pool(2);
-  LruFitOptions options;
-  options.pool = &pool;
-  options.sample_max_pages = 64;
-  EXPECT_FALSE(options.Validate().ok());
-  auto stats = RunLruFit({1, 2, 3, 1, 2, 3}, 10, 3, "x", options);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
-
-  // Each knob alone stays valid: adaptive-serial and sharded-exact.
-  options.pool = nullptr;
-  EXPECT_TRUE(options.Validate().ok());
-  options.pool = &pool;
-  options.sample_max_pages = 0;
-  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(LruFitTest, ClusteredIndexHasCOne) {
@@ -223,20 +202,84 @@ TEST(LruFitTest, SampledRunRecordsProvenance) {
               0.05 * static_cast<double>(exact->f_min));
 }
 
-TEST(LruFitTest, AdaptiveSampledRunCapsPages) {
-  Rng rng(54);
+std::vector<PageId> UniformTrace(int refs, uint32_t pages, uint64_t seed) {
+  Rng rng(seed);
   std::vector<PageId> trace;
-  for (int i = 0; i < 30'000; ++i) {
-    trace.push_back(static_cast<PageId>(rng.NextBounded(3'000)));
+  for (int i = 0; i < refs; ++i) {
+    trace.push_back(static_cast<PageId>(rng.NextBounded(pages)));
   }
+  return trace;
+}
+
+// Every stored number and knot of two fits, compared bit for bit.
+void ExpectSameStats(const IndexStats& a, const IndexStats& b) {
+  EXPECT_EQ(a.table_records, b.table_records);
+  EXPECT_EQ(a.pages_accessed, b.pages_accessed);
+  EXPECT_EQ(a.f_min, b.f_min);
+  EXPECT_EQ(a.sampled_refs, b.sampled_refs);
+  EXPECT_EQ(a.sample_rate, b.sample_rate);
+  EXPECT_EQ(a.clustering, b.clustering);
+  ASSERT_TRUE(a.fpf.has_value() && b.fpf.has_value());
+  EXPECT_EQ(a.fpf->knots(), b.fpf->knots());
+}
+
+// A page target K at or above T gives rate min(1, K/T) = 1: the exact
+// pass, bit for bit.
+TEST(LruFitTest, PageTargetAtOrAboveTIsExact) {
+  auto trace = UniformTrace(30'000, 3'000, 54);
+  auto exact = RunLruFit(trace, 3'000, 300, "x");
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  for (uint64_t k : {3'000u, 3'001u, 1'000'000u}) {
+    LruFitOptions options;
+    options.sample_max_pages = k;
+    auto stats = RunLruFit(trace, 3'000, 300, "x", options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->sample_rate, 1.0) << "K=" << k;
+    ExpectSameStats(*stats, *exact);
+  }
+}
+
+// K < T runs the fixed-rate pass at R = K/T, and the entry records it.
+TEST(LruFitTest, PageTargetBelowTSetsRateKOverT) {
+  auto trace = UniformTrace(30'000, 3'000, 54);
   LruFitOptions options;
-  options.sample_max_pages = 128;
-  auto stats = RunLruFit(trace, 3'000, 300, "adaptive", options);
+  options.sample_max_pages = 300;
+  auto stats = RunLruFit(trace, 3'000, 300, "x", options);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_LT(stats->sample_rate, 1.0);
+  EXPECT_NEAR(stats->sample_rate, 0.1, 1.0 / kSampleModulus);
   EXPECT_LT(stats->sampled_refs, trace.size());
   EXPECT_EQ(stats->table_records, trace.size());
   EXPECT_LE(stats->pages_accessed, 3'000u);
+
+  // The target only picks the rate: the fit equals a plain fixed-rate
+  // run at K/T.
+  LruFitOptions fixed_rate;
+  fixed_rate.sample_rate = 0.1;
+  auto same = RunLruFit(trace, 3'000, 300, "x", fixed_rate);
+  ASSERT_TRUE(same.ok());
+  ExpectSameStats(*stats, *same);
+}
+
+// With both options set the smaller rate wins, whichever it is.
+TEST(LruFitTest, PageTargetAndRateUseTheSmaller) {
+  EXPECT_DOUBLE_EQ(SampleRateForPages(0.5, 300, 3'000), 0.1);
+  EXPECT_DOUBLE_EQ(SampleRateForPages(0.05, 300, 3'000), 0.05);
+  EXPECT_DOUBLE_EQ(SampleRateForPages(0.5, 0, 3'000), 0.5);
+  EXPECT_DOUBLE_EQ(SampleRateForPages(0.5, 3'000, 3'000), 0.5);
+
+  auto trace = UniformTrace(30'000, 3'000, 55);
+  for (double rate : {0.5, 0.05}) {
+    LruFitOptions both;
+    both.sample_rate = rate;
+    both.sample_max_pages = 300;
+    auto stats = RunLruFit(trace, 3'000, 300, "x", both);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    LruFitOptions smaller;
+    smaller.sample_rate = std::min(rate, 0.1);
+    auto expected = RunLruFit(trace, 3'000, 300, "x", smaller);
+    ASSERT_TRUE(expected.ok());
+    ExpectSameStats(*stats, *expected);
+  }
 }
 
 TEST(SampleFpfCurveTest, MonotoneNonIncreasing) {

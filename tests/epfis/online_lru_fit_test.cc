@@ -296,6 +296,33 @@ TEST(OnlineLruFitTest, StationaryStreamConvergesToBatch) {
       << "published entry did not converge";
 }
 
+// A page target K turns into the rate K / T when the engine is built, so
+// the engine runs exactly as one configured with that rate.
+TEST(OnlineLruFitTest, PageTargetSetsTheKernelRate) {
+  const uint64_t kPages = 2000;
+  std::vector<PageId> trace = MakeZipfTrace(40000, kPages, 0.8, 31);
+  auto run_online = [&](double rate, uint64_t max_pages,
+                        StatsCatalog* catalog) {
+    OnlineLruFitOptions options;
+    options.table_pages = kPages;
+    options.window_refs = 20000;
+    options.refresh_interval = 10000;
+    options.sample_rate = rate;
+    options.sample_max_pages = max_pages;
+    OnlineLruFit engine("ix", options, catalog);
+    EXPECT_TRUE(engine.Ingest(trace).ok());
+    return engine.BuildStats();
+  };
+  StatsCatalog targeted_catalog;
+  StatsCatalog rate_catalog;
+  auto targeted = run_online(1.0, 200, &targeted_catalog);
+  auto by_rate = run_online(0.1, 0, &rate_catalog);
+  ASSERT_TRUE(targeted.ok() && by_rate.ok());
+  EXPECT_NEAR(targeted->sample_rate, 0.1, 1.0 / kSampleModulus);
+  EXPECT_EQ(targeted->sampled_refs, by_rate->sampled_refs);
+  EXPECT_EQ(targeted->fpf->knots(), by_rate->fpf->knots());
+}
+
 // ---------------------------------------------------------------------------
 // Publication behavior.
 

@@ -1,7 +1,7 @@
 // The fault-sweep harness: for every registered injection point, arm a
 // one-shot fault, run a representative pass over the whole pipeline
-// (catalog persistence, trace I/O, trace sources, serial + sharded +
-// batched LRU-Fit, Est-IO), and assert the system degrades instead of
+// (catalog persistence, trace I/O, trace sources, serial + batched
+// LRU-Fit, Est-IO), and assert the system degrades instead of
 // breaking: no crash, no hang (the pass completes), no leaked tmp file,
 // errors surfaced through the Status taxonomy, and a full recovery on the
 // next clean pass. Run under ASan/UBSan in CI, this is the "no leaked
@@ -134,17 +134,6 @@ class FaultSweepTest : public testing::Test {
     // mmap open + degrade path.
     auto any_source = OpenTraceSource(trace_path_, source_options);
     record(any_source.ok() ? Status::Ok() : any_source.status());
-
-    // Sharded simulation (sd.shard.task).
-    {
-      ThreadPool pool(4);
-      LruFitOptions options;
-      options.cancel = cancel;
-      options.pool = &pool;
-      options.num_shards = 6;
-      auto sharded = RunLruFit(trace_, 300, 100, "ix_sharded", options);
-      record(sharded.ok() ? Status::Ok() : sharded.status());
-    }
 
     // Batch path (lru_fit.batch.job).
     {

@@ -77,35 +77,6 @@ TEST(FenwickTest, ResizeSmallerIsNoOp) {
   EXPECT_EQ(tree.RangeSum(5, 5), 5);
 }
 
-TEST(FenwickTest, MovePairMatchesAddPair) {
-  // MovePair(from, to) must leave the *stored tree* identical to
-  // Add(from, -1) + Add(to, +1) — not just the same prefix sums, since the
-  // merge path mixes MovePair with later Adds and queries at every index.
-  const size_t n = 64;
-  Rng rng(31);
-  FenwickTree fused(n);
-  FenwickTree plain(n);
-  // Seed both with the same random contents.
-  for (int i = 0; i < 100; ++i) {
-    size_t at = static_cast<size_t>(rng.NextBounded(n));
-    int64_t delta = rng.NextInRange(-3, 3);
-    fused.Add(at, delta);
-    plain.Add(at, delta);
-  }
-  for (int op = 0; op < 500; ++op) {
-    size_t from = static_cast<size_t>(rng.NextBounded(n));
-    size_t to = op % 7 == 0 ? from  // Exercise the no-op case too.
-                            : static_cast<size_t>(rng.NextBounded(n));
-    fused.MovePair(from, to);
-    plain.Add(from, -1);
-    plain.Add(to, +1);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(fused.PrefixSum(i), plain.PrefixSum(i))
-          << "op " << op << " from " << from << " to " << to << " i " << i;
-    }
-  }
-}
-
 TEST(FenwickTest, ResizePreservesRandomContents) {
   // The O(n) rebuild must preserve every point value across repeated
   // geometric growth, interleaved with updates — the exact usage pattern
