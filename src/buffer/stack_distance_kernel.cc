@@ -182,10 +182,12 @@ void StackDistanceKernel::Compact() {
 Status ValidatePageRefs(const PageId* refs, size_t count) {
   // An OR-reduction rather than std::find: no early exit, so the loop
   // vectorizes and costs a small fraction of the kernel's per-reference
-  // work even at low sampling rates.
-  bool found = false;
+  // work even at low sampling rates. The accumulator is a uint32_t, not a
+  // bool: GCC 12 leaves a bool OR-reduction as a scalar compare-and-set
+  // loop.
+  uint32_t found = 0;
   for (size_t i = 0; i < count; ++i) found |= refs[i] == kInvalidPageId;
-  if (found) {
+  if (found != 0) {
     return Status::InvalidArgument(
         "trace holds the reserved page id 0xFFFFFFFF");
   }
