@@ -18,7 +18,7 @@
 //       --window sets the decay window in references (default: the whole
 //       trace), --drift-band the relative-error band (default 0.05).
 //   show NAME
-//       table shape and catalog statistics
+//       table shape and the published catalog entry of NAME.key
 //   estimate NAME sigma buffer [sargable]
 //       Est-IO estimate, served lock-free from the published catalog
 //       snapshot. When the index's statistics are missing or quarantined
@@ -28,15 +28,15 @@
 //       one EstIo::EstimateBatch call over the cross product of the sigma
 //       and buffer lists (the handle is resolved once); prints per-probe
 //       provenance
-//   save PATH [v2|v3]
-//       write the statistics catalog (crash-safe: tmp + fsync + rename);
-//       v2 = checksummed text (default), v3 = binary mmap-able
-//   catalog convert SRC DST [v2|v3]
-//       re-encode a catalog file between formats (default: to v3); SRC
-//       may be any loadable version (v1/v2 text or v3 binary)
+//   save PATH
+//       write the statistics catalog in the v3 format (crash-safe: tmp +
+//       fsync + rename)
 //   load PATH
 //       recovering catalog load; prints the provenance report (entries
 //       loaded / quarantined, checksum failures)
+//   catalog dump PATH
+//       open a v3 catalog file read-only and print every entry, as show
+//       does: fields and knots, or why the entry is quarantined
 //   explain NAME lo hi buffer [sorted]
 //       enumerate optimizer plans (sigma from the histogram)
 //   run NAME lo hi buffer
@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/catalog_v3.h"
 #include "epfis/epfis.h"
 #include "exec/index_scan.h"
 #include "exec/optimizer.h"
@@ -290,21 +291,41 @@ class Shell {
               << " T=" << dataset->num_pages()
               << " I=" << dataset->num_distinct()
               << " R=" << dataset->records_per_page() << '\n';
-    auto stats = catalog_.stats().Get(name + ".key");
-    if (stats.ok()) {
-      std::cout << "  stats: C=" << stats->clustering
-                << " F_min=" << stats->f_min << " knots=";
-      for (const Knot& knot : stats->fpf->knots()) {
-        std::cout << " (" << knot.x << "," << knot.y << ")";
+    std::shared_ptr<const CatalogSnapshot> snapshot =
+        catalog_.stats().snapshot();
+    CatalogSnapshot::Handle handle = snapshot->Resolve(name + ".key");
+    if (handle.valid()) {
+      const CatalogSnapshot::Entry& entry = snapshot->EntryAt(handle);
+      PrintEntry(entry);
+      if (entry.quarantined) {
+        std::cout << "  rerun `stats " << name << "` to refresh\n";
       }
-      std::cout << '\n';
-    } else if (catalog_.stats().IsQuarantined(name + ".key")) {
-      std::cout << "  stats: QUARANTINED (" << stats.status().message()
-                << ") — rerun `stats " << name << "` to refresh\n";
     } else {
       std::cout << "  (no statistics collected yet)\n";
     }
     return Status::Ok();
+  }
+
+  // One catalog entry, as show and catalog dump print it: the fields and
+  // knots of a trusted entry ("no curve" when it has none), or the reason
+  // a quarantined one is not trusted.
+  static void PrintEntry(const CatalogSnapshot::Entry& entry) {
+    std::cout << "  " << entry.name << ": ";
+    if (entry.quarantined) {
+      std::cout << "QUARANTINED (" << entry.quarantine_reason << ")\n";
+      return;
+    }
+    const IndexStatsView& view = entry.view;
+    std::cout << "T=" << view.table_pages << " N=" << view.table_records
+              << " I=" << entry.distinct_keys << " A=" << view.pages_accessed
+              << " B=[" << entry.b_min << ", " << entry.b_max << "]"
+              << " F_min=" << entry.f_min << " C=" << view.clustering
+              << " rate=" << entry.sample_rate << "\n    knots:";
+    if (view.knot_count == 0) std::cout << " no curve";
+    for (uint32_t i = 0; i < view.knot_count; ++i) {
+      std::cout << " (" << view.knots[i].x << "," << view.knots[i].y << ")";
+    }
+    std::cout << '\n';
   }
 
   Status Estimate(std::istringstream& args) {
@@ -423,47 +444,24 @@ class Shell {
 
   Status Save(std::istringstream& args) {
     std::string path;
-    if (!(args >> path)) {
-      return Status::InvalidArgument("usage: save PATH [v2|v3]");
-    }
-    std::string format = "v2";
-    args >> format;
-    if (format == "v3") {
-      EPFIS_RETURN_IF_ERROR(catalog_.stats().SaveToFileV3(path));
-    } else if (format == "v2") {
-      EPFIS_RETURN_IF_ERROR(catalog_.stats().SaveToFile(path));
-    } else {
-      return Status::InvalidArgument("save: format must be v2 or v3");
-    }
+    if (!(args >> path)) return Status::InvalidArgument("usage: save PATH");
+    EPFIS_RETURN_IF_ERROR(catalog_.stats().SaveToFileV3(path));
     std::cout << "saved " << catalog_.stats().size() << " entries to "
-              << path << " (" << format << ")\n";
+              << path << '\n';
     return Status::Ok();
   }
 
   Status CatalogCmd(std::istringstream& args) {
-    std::string verb;
-    if (!(args >> verb) || verb != "convert") {
-      return Status::InvalidArgument("usage: catalog convert SRC DST [v2|v3]");
+    std::string verb, path;
+    if (!(args >> verb >> path) || verb != "dump") {
+      return Status::InvalidArgument("usage: catalog dump PATH");
     }
-    std::string src, dst;
-    if (!(args >> src >> dst)) {
-      return Status::InvalidArgument("usage: catalog convert SRC DST [v2|v3]");
+    EPFIS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogSnapshot> snapshot,
+                           OpenCatalogSnapshotV3(path));
+    std::cout << path << ": " << snapshot->size() << " entries\n";
+    for (uint32_t slot = 0; slot < snapshot->size(); ++slot) {
+      PrintEntry(snapshot->EntryAt(CatalogSnapshot::Handle{slot}));
     }
-    std::string format = "v3";
-    args >> format;
-    if (format != "v2" && format != "v3") {
-      return Status::InvalidArgument(
-          "catalog convert: format must be v2 or v3");
-    }
-    // Round-trip through a scratch catalog: SRC may be any loadable
-    // version (the load sniffs v3 magic, else parses v1/v2 text). Strict
-    // load — converting silently past corrupt entries would launder them.
-    StatsCatalog scratch;
-    EPFIS_RETURN_IF_ERROR(scratch.LoadFromFile(src));
-    EPFIS_RETURN_IF_ERROR(format == "v3" ? scratch.SaveToFileV3(dst)
-                                         : scratch.SaveToFile(dst));
-    std::cout << "converted " << src << " -> " << dst << " (" << format
-              << ", " << scratch.size() << " entries)\n";
     return Status::Ok();
   }
 
@@ -473,10 +471,10 @@ class Shell {
     EPFIS_ASSIGN_OR_RETURN(CatalogLoadReport report,
                            catalog_.stats().RecoverFromFile(path));
     EPFIS_RETURN_IF_ERROR(catalog_.stats().Publish());
-    std::cout << "loaded " << path << " (v" << report.format_version
-              << "): " << report.entries_loaded << " entries, "
-              << report.entries_quarantined << " quarantined ("
-              << report.checksum_failures << " checksum failures)\n";
+    std::cout << "loaded " << path << ": " << report.entries_loaded
+              << " entries, " << report.entries_quarantined
+              << " quarantined (" << report.checksum_failures
+              << " checksum failures)\n";
     for (const std::string& reason : report.quarantine_reasons) {
       std::cout << "  quarantined: " << reason << '\n';
     }

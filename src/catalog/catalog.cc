@@ -1,8 +1,6 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 namespace epfis {
 
@@ -73,48 +71,6 @@ Result<EquiDepthHistogram> Catalog::GetHistogram(
     return Status::NotFound("no histogram for index " + index_name);
   }
   return it->second;
-}
-
-Status Catalog::SaveHistogramsToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    out << "[histogram-for]\n" << name << '\n' << histogram.ToString()
-        << "[end]\n";
-  }
-  return out.good() ? Status::Ok()
-                    : Status::IoError("write to " + path + " failed");
-}
-
-Status Catalog::LoadHistogramsFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open " + path + " for reading");
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line != "[histogram-for]") {
-      return Status::Corruption("histogram file: expected [histogram-for]");
-    }
-    std::string name;
-    if (!std::getline(in, name) || name.empty()) {
-      return Status::Corruption("histogram file: missing index name");
-    }
-    std::ostringstream body;
-    while (std::getline(in, line) && line != "[end]") {
-      body << line << '\n';
-    }
-    if (line != "[end]") {
-      return Status::Corruption("histogram file: unterminated entry");
-    }
-    EPFIS_ASSIGN_OR_RETURN(EquiDepthHistogram histogram,
-                           EquiDepthHistogram::FromString(body.str()));
-    EPFIS_RETURN_IF_ERROR(PutHistogram(name, std::move(histogram)));
-  }
-  return Status::Ok();
 }
 
 }  // namespace epfis

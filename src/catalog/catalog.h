@@ -62,12 +62,6 @@ class Catalog {
   /// Fails with NotFound if the index has no histogram.
   Result<EquiDepthHistogram> GetHistogram(const std::string& index_name) const;
 
-  /// Persists all histograms to a text file / restores them (histograms
-  /// for indexes not currently registered are rejected on load, matching
-  /// PutHistogram's contract).
-  Status SaveHistogramsToFile(const std::string& path) const;
-  Status LoadHistogramsFromFile(const std::string& path);
-
  private:
   std::map<std::string, TableInfo> tables_;
   std::map<std::string, IndexInfo> indexes_;

@@ -92,7 +92,10 @@ Result<CatalogSnapshot::Handle> CatalogSnapshot::ResolveTrusted(
 
 Result<IndexStats> CatalogSnapshot::Get(std::string_view index_name) const {
   EPFIS_ASSIGN_OR_RETURN(Handle handle, ResolveTrusted(index_name));
-  const Entry& entry = entries_[handle.slot];
+  return Materialize(entries_[handle.slot]);
+}
+
+IndexStats CatalogSnapshot::Materialize(const Entry& entry) {
   IndexStats stats;
   stats.index_name = std::string(entry.name);
   stats.table_pages = entry.view.table_pages;
@@ -108,12 +111,10 @@ Result<IndexStats> CatalogSnapshot::Get(std::string_view index_name) const {
   stats.online_generation = entry.online_generation;
   stats.window_refs = entry.window_refs;
   stats.drift_error = entry.drift_error;
-  if (entry.view.knots != nullptr && entry.view.knot_count >= 2) {
+  if (entry.view.knot_count > 0) {
     std::vector<Knot> knots(entry.view.knots,
                             entry.view.knots + entry.view.knot_count);
-    auto curve = PiecewiseLinear::FromKnots(std::move(knots));
-    if (!curve.ok()) return curve.status();
-    stats.fpf = std::move(curve).value();
+    stats.fpf = PiecewiseLinear::FromKnots(std::move(knots)).value();
   }
   return stats;
 }

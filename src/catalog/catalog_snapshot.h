@@ -104,6 +104,11 @@ class CatalogSnapshot {
   /// when quarantined, otherwise a materialized copy of the entry.
   Result<IndexStats> Get(std::string_view index_name) const;
 
+  /// The IndexStats a trusted entry stands for. Its knots already meet
+  /// PiecewiseLinear::CheckKnots: Build takes them from curves, and
+  /// CatalogV3::Read quarantines entries whose knots do not.
+  static IndexStats Materialize(const Entry& entry);
+
   bool IsQuarantined(std::string_view index_name) const;
 
   /// Names of all entries (good and quarantined), sorted.

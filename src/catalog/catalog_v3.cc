@@ -1,7 +1,9 @@
 #include "catalog/catalog_v3.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -69,7 +71,7 @@ struct EntryFixedV3 {
   double clustering;
   double sample_rate;
   // Online-mode provenance (trailing so the first 80 bytes keep the
-  // pre-online layout). A pre-extension v3 image read by this decoder
+  // pre-online layout). A pre-extension v3 image read by this reader
   // fails its per-entry CRC — the growth is detected, never silently
   // misread.
   uint64_t online_generation;
@@ -97,34 +99,26 @@ uint32_t EntryCrc(const EntryFixedV3& fixed, const char* knot_bytes,
   return Crc32c(name.data(), name.size(), crc);
 }
 
-// One structurally validated entry of a v3 image: offsets bounds-checked
-// and aligned, CRC verdict computed, payload pointers into the image.
-struct ParsedEntry {
-  std::string_view name;
-  const EntryFixedV3* fixed = nullptr;
-  const char* knot_bytes = nullptr;  // 8-aligned, knot_count * 16 bytes.
-  uint32_t knot_count = 0;
-  bool crc_ok = false;
-};
+}  // namespace
 
-struct ParsedV3 {
-  std::vector<ParsedEntry> entries;
-};
-
-// Validates everything that makes the file *structurally* a v3 catalog.
-// Per-entry CRC failures are not structural: they are reported per entry
-// so the caller can quarantine. Anything that would make reading unsafe
-// (bounds, alignment, header damage) fails the whole parse.
-Result<ParsedV3> ParseV3(const char* data, size_t size) {
+Result<CatalogV3::Contents> CatalogV3::Read(const char* data, size_t size) {
   auto corrupt = [](const std::string& what) {
     return Status::Corruption("stats catalog v3: " + what);
   };
+  // The magic before the size: a short text file gets the same answer as
+  // a long one.
+  if (size < sizeof(kMagic) ||
+      std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return corrupt(
+        "not a v3 catalog (bad magic); text catalogs are no longer read, "
+        "so collect the statistics again");
+  }
+  if (reinterpret_cast<uintptr_t>(data) % alignof(Knot) != 0) {
+    return Status::InvalidArgument("stats catalog v3: image not 8-aligned");
+  }
   if (size < sizeof(HeaderV3)) return corrupt("truncated header");
   HeaderV3 header;
   std::memcpy(&header, data, sizeof(header));
-  if (std::memcmp(header.magic, CatalogV3::kMagic, 8) != 0) {
-    return corrupt("bad magic");
-  }
   // Endian before version: the magic is a byte string and survives a
   // foreign-order writer, but every multi-byte field after it — version
   // included — arrives byte-swapped. Checking the version first would
@@ -138,7 +132,7 @@ Result<ParsedV3> ParseV3(const char* data, size_t size) {
     }
     return corrupt("foreign byte order (endian tag damaged)");
   }
-  if (header.version != CatalogV3::kVersion) {
+  if (header.version != kVersion) {
     return corrupt("unsupported version " + std::to_string(header.version));
   }
   if (Crc32c(data, sizeof(HeaderV3) - sizeof(uint32_t)) !=
@@ -158,8 +152,10 @@ Result<ParsedV3> ParseV3(const char* data, size_t size) {
   auto in_bounds = [size](uint64_t offset, uint64_t length) {
     return offset <= size && length <= size - offset;
   };
-  ParsedV3 parsed;
-  parsed.entries.reserve(header.entry_count);
+  Contents contents;
+  contents.entries.reserve(header.entry_count);
+  // Reserved up front so the entries' reason views never move.
+  contents.reasons.reserve(header.entry_count);
   for (uint64_t i = 0; i < header.entry_count; ++i) {
     IndexRecordV3 record;
     std::memcpy(&record, data + header.index_offset + i * sizeof(record),
@@ -169,61 +165,71 @@ Result<ParsedV3> ParseV3(const char* data, size_t size) {
         !in_bounds(record.knots_offset, knot_bytes) ||
         !in_bounds(record.name_offset, record.name_size) ||
         record.fixed_offset % 8 != 0 || record.knots_offset % 8 != 0) {
-      return corrupt("entry " + std::to_string(i) + " out of bounds");
+      return corrupt("entry " + std::to_string(i + 1) + " out of bounds");
     }
-    ParsedEntry entry;
+    CatalogSnapshot::Entry entry;
     entry.name = std::string_view(data + record.name_offset,
                                   record.name_size);
-    entry.fixed =
-        reinterpret_cast<const EntryFixedV3*>(data + record.fixed_offset);
-    entry.knot_bytes = data + record.knots_offset;
-    entry.knot_count = record.knot_count;
     EntryFixedV3 fixed;
-    std::memcpy(&fixed, entry.fixed, sizeof(fixed));
-    entry.crc_ok = EntryCrc(fixed, entry.knot_bytes, knot_bytes,
-                            entry.name) == record.entry_crc;
-    parsed.entries.push_back(entry);
-  }
-  return parsed;
-}
-
-Result<IndexStats> MaterializeEntry(const ParsedEntry& entry) {
-  EntryFixedV3 fixed;
-  std::memcpy(&fixed, entry.fixed, sizeof(fixed));
-  IndexStats stats;
-  stats.index_name = std::string(entry.name);
-  stats.table_pages = fixed.table_pages;
-  stats.table_records = fixed.table_records;
-  stats.distinct_keys = fixed.distinct_keys;
-  stats.pages_accessed = fixed.pages_accessed;
-  stats.b_min = fixed.b_min;
-  stats.b_max = fixed.b_max;
-  stats.f_min = fixed.f_min;
-  stats.sampled_refs = fixed.sampled_refs;
-  stats.clustering = fixed.clustering;
-  stats.sample_rate = fixed.sample_rate;
-  stats.online_generation = fixed.online_generation;
-  stats.window_refs = fixed.window_refs;
-  stats.drift_error = fixed.drift_error;
-  if (entry.knot_count > 0) {
-    std::vector<Knot> knots(entry.knot_count);
-    std::memcpy(knots.data(), entry.knot_bytes,
-                entry.knot_count * sizeof(Knot));
-    auto curve = PiecewiseLinear::FromKnots(std::move(knots));
-    if (!curve.ok()) {
-      return Status::Corruption("stats catalog v3: entry '" +
-                                stats.index_name + "': " +
-                                std::string(curve.status().message()));
+    std::memcpy(&fixed, data + record.fixed_offset, sizeof(fixed));
+    // The zero-copy read: the bounds and alignment checks above make the
+    // knot bytes a Knot array in place.
+    std::span<const Knot> knots(
+        reinterpret_cast<const Knot*>(data + record.knots_offset),
+        record.knot_count);
+    std::string problem;
+    if (EntryCrc(fixed, data + record.knots_offset, knot_bytes,
+                 entry.name) != record.entry_crc) {
+      problem = "checksum mismatch";
+      ++contents.checksum_failures;
+    } else if (entry.name.empty()) {
+      problem = "empty name";
+    } else if (!knots.empty()) {
+      Status curve = PiecewiseLinear::CheckKnots(knots);
+      if (!curve.ok()) problem = curve.message();
     }
-    stats.fpf = std::move(curve).value();
+    if (!problem.empty()) {
+      contents.reasons.push_back("stats catalog v3: entry " +
+                                 std::to_string(i + 1) + ": " + problem);
+      entry.quarantined = true;
+      entry.quarantine_reason = contents.reasons.back();
+      contents.entries.push_back(entry);
+      continue;
+    }
+    entry.view.table_pages = fixed.table_pages;
+    entry.view.table_records = fixed.table_records;
+    entry.view.pages_accessed = fixed.pages_accessed;
+    entry.view.clustering = fixed.clustering;
+    if (!knots.empty()) {
+      entry.view.knots = knots.data();
+      entry.view.knot_count = record.knot_count;
+    }
+    entry.distinct_keys = fixed.distinct_keys;
+    entry.b_min = fixed.b_min;
+    entry.b_max = fixed.b_max;
+    entry.f_min = fixed.f_min;
+    entry.sample_rate = fixed.sample_rate;
+    entry.sampled_refs = fixed.sampled_refs;
+    entry.online_generation = fixed.online_generation;
+    entry.window_refs = fixed.window_refs;
+    entry.drift_error = fixed.drift_error;
+    contents.entries.push_back(entry);
   }
-  return stats;
-}
-
-}  // namespace
-
-bool CatalogV3::SniffMagic(const char* data, size_t size) {
-  return size >= sizeof(kMagic) && std::memcmp(data, kMagic, 8) == 0;
+  // Two entries under one name leave no way to tell which the writer
+  // meant, whatever their checksums say: the image is corrupt as a whole.
+  std::sort(contents.entries.begin(), contents.entries.end(),
+            [](const CatalogSnapshot::Entry& a,
+               const CatalogSnapshot::Entry& b) { return a.name < b.name; });
+  auto repeated = std::adjacent_find(
+      contents.entries.begin(), contents.entries.end(),
+      [](const CatalogSnapshot::Entry& a, const CatalogSnapshot::Entry& b) {
+        return a.name == b.name;
+      });
+  if (repeated != contents.entries.end()) {
+    return corrupt("index name '" + std::string(repeated->name) +
+                   "' appears twice");
+  }
+  return contents;
 }
 
 std::string CatalogV3::Encode(
@@ -297,48 +303,6 @@ std::string CatalogV3::Encode(
   return out;
 }
 
-Result<CatalogV3::Contents> CatalogV3::Decode(const char* data, size_t size,
-                                              bool recover) {
-  EPFIS_ASSIGN_OR_RETURN(ParsedV3 parsed, ParseV3(data, size));
-  Contents contents;
-  size_t slot = 0;
-  for (const ParsedEntry& entry : parsed.entries) {
-    ++slot;
-    std::string reason;
-    bool checksum_failure = false;
-    if (!entry.crc_ok) {
-      reason = "entry checksum mismatch";
-      checksum_failure = true;
-    } else {
-      Result<IndexStats> stats = MaterializeEntry(entry);
-      if (stats.ok() && stats->index_name.empty()) {
-        reason = "entry without name";
-      } else if (!stats.ok()) {
-        reason = std::string(stats.status().message());
-      } else {
-        contents.entries[stats->index_name] = std::move(*stats);
-        continue;
-      }
-    }
-    std::string described =
-        "entry " + std::to_string(slot) + ": " + reason;
-    if (!recover) {
-      return Status::Corruption("stats catalog v3: " + described);
-    }
-    if (checksum_failure) ++contents.checksum_failures;
-    contents.quarantine_reasons.push_back(described);
-    if (!entry.name.empty()) {
-      contents.quarantined[std::string(entry.name)] = described;
-    }
-  }
-  // Mirror the text loader: an index both loaded and quarantined means the
-  // duplicate copies disagree about integrity — distrust it entirely.
-  for (const auto& [name, reason] : contents.quarantined) {
-    contents.entries.erase(name);
-  }
-  return contents;
-}
-
 // ---------------------------------------------------------------------------
 // Zero-copy snapshot open.
 
@@ -350,9 +314,6 @@ class CatalogV3Builder {
       std::vector<CatalogSnapshot::Entry> entries, uint64_t generation,
       std::shared_ptr<void> backing) {
     auto snapshot = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
-    std::sort(entries.begin(), entries.end(),
-              [](const CatalogSnapshot::Entry& a,
-                 const CatalogSnapshot::Entry& b) { return a.name < b.name; });
     snapshot->entries_ = std::move(entries);
     snapshot->generation_ = generation;
     snapshot->backing_ = std::move(backing);
@@ -427,58 +388,10 @@ Result<std::shared_ptr<const CatalogSnapshot>> OpenCatalogSnapshotV3(
     const std::string& path, uint64_t generation) {
   EPFIS_ASSIGN_OR_RETURN(std::shared_ptr<MmapBacking> backing,
                          MapCatalogFile(path));
-  EPFIS_ASSIGN_OR_RETURN(ParsedV3 parsed,
-                         ParseV3(backing->data, backing->size));
-  std::vector<CatalogSnapshot::Entry> entries;
-  entries.reserve(parsed.entries.size());
-  // Quarantine reasons are appended before views are taken of them; the
-  // deque-free reserve keeps the string_views stable.
-  backing->reasons.reserve(parsed.entries.size());
-  size_t slot = 0;
-  for (const ParsedEntry& parsed_entry : parsed.entries) {
-    ++slot;
-    CatalogSnapshot::Entry entry;
-    entry.name = parsed_entry.name;
-    // A 1-knot curve is unrepresentable (PiecewiseLinear needs >= 2);
-    // quarantine it like the materializing decode would.
-    bool degenerate_curve = parsed_entry.knot_count == 1;
-    if (!parsed_entry.crc_ok || parsed_entry.name.empty() ||
-        degenerate_curve) {
-      backing->reasons.push_back(
-          "entry " + std::to_string(slot) +
-          (!parsed_entry.crc_ok ? ": entry checksum mismatch"
-           : degenerate_curve  ? ": degenerate 1-knot curve"
-                               : ": entry without name"));
-      entry.quarantined = true;
-      entry.quarantine_reason = backing->reasons.back();
-      entries.push_back(entry);
-      continue;
-    }
-    EntryFixedV3 fixed;
-    std::memcpy(&fixed, parsed_entry.fixed, sizeof(fixed));
-    entry.view.table_pages = fixed.table_pages;
-    entry.view.table_records = fixed.table_records;
-    entry.view.pages_accessed = fixed.pages_accessed;
-    entry.view.clustering = fixed.clustering;
-    if (parsed_entry.knot_count >= 2) {
-      // The zero-copy read: knots are interpreted in place. ParseV3
-      // verified 8-byte alignment and bounds; the CRC verified content.
-      entry.view.knots =
-          reinterpret_cast<const Knot*>(parsed_entry.knot_bytes);
-      entry.view.knot_count = parsed_entry.knot_count;
-    }
-    entry.distinct_keys = fixed.distinct_keys;
-    entry.b_min = fixed.b_min;
-    entry.b_max = fixed.b_max;
-    entry.f_min = fixed.f_min;
-    entry.sample_rate = fixed.sample_rate;
-    entry.sampled_refs = fixed.sampled_refs;
-    entry.online_generation = fixed.online_generation;
-    entry.window_refs = fixed.window_refs;
-    entry.drift_error = fixed.drift_error;
-    entries.push_back(entry);
-  }
-  return CatalogV3Builder::Make(std::move(entries), generation,
+  EPFIS_ASSIGN_OR_RETURN(CatalogV3::Contents contents,
+                         CatalogV3::Read(backing->data, backing->size));
+  backing->reasons = std::move(contents.reasons);
+  return CatalogV3Builder::Make(std::move(contents.entries), generation,
                                 std::move(backing));
 }
 

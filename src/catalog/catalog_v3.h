@@ -14,8 +14,8 @@
 
 namespace epfis {
 
-/// The binary, mmap-able stats-catalog format (v3) — the serving-side
-/// companion of the v1/v2 text formats in stats_catalog.cc.
+/// The binary, mmap-able stats-catalog format (v3): the one on-disk form
+/// of the statistics catalog.
 ///
 /// Layout (all integers and doubles little-endian, offsets absolute):
 ///
@@ -32,45 +32,45 @@ namespace epfis {
 ///                     place
 ///   [ name heap     ] raw index-name bytes
 ///
-/// Integrity mirrors v2: one CRC32C per entry (covering its fixed fields,
-/// knots, and name) plus a header CRC, so torn writes and bit rot are
-/// detected per entry and a recovering load can quarantine just the bad
-/// ones. The 8-byte alignment of the knot arrays is what makes the
-/// zero-copy load legal: OpenCatalogSnapshotV3 maps the file and hands out
-/// IndexStatsView entries whose knot pointers aim straight into the
-/// mapping — no parse, no copy, O(file size) page-cache warmup only.
+/// Integrity: one CRC32C per entry (covering its fixed fields, knots, and
+/// name) plus a header CRC, so torn writes and bit rot are detected and a
+/// recovering load can quarantine just the bad entries. The 8-byte
+/// alignment of the knot arrays is what makes the zero-copy load legal:
+/// OpenCatalogSnapshotV3 maps the file and hands out IndexStatsView
+/// entries whose knot pointers aim straight into the mapping — no copy,
+/// O(file size) page-cache warmup only.
 struct CatalogV3 {
   static constexpr char kMagic[8] = {'E', 'P', 'F', 'S', 'C', 'A', 'T', '3'};
   static constexpr uint32_t kVersion = 3;
 
-  /// True when `data` starts with the v3 magic (the format sniff used by
-  /// the auto-detecting catalog loads).
-  static bool SniffMagic(const char* data, size_t size);
-
   /// Serializes catalog entries to the v3 byte image.
   static std::string Encode(const std::map<std::string, IndexStats>& entries);
 
-  /// Outcome of a v3 decode, shaped for StatsCatalog::LoadImpl merging.
+  /// An image's entries after validation, sorted by name. They are views:
+  /// names and knots point into the image, quarantine reasons into
+  /// `reasons`, so both must outlive them (moving a Contents keeps the
+  /// views valid).
   struct Contents {
-    std::map<std::string, IndexStats> entries;
-    std::map<std::string, std::string> quarantined;
+    std::vector<CatalogSnapshot::Entry> entries;
+    std::vector<std::string> reasons;
     size_t checksum_failures = 0;
-    std::vector<std::string> quarantine_reasons;
   };
 
-  /// Parses a v3 byte image into materialized entries. Strict mode
-  /// (recover = false) fails with Corruption on the first bad entry;
-  /// recovery quarantines bad entries and loads the rest. A file that is
-  /// not structurally a v3 catalog (bad magic/header/bounds) fails in
-  /// both modes.
-  static Result<Contents> Decode(const char* data, size_t size, bool recover);
+  /// The one v3 reader, behind every load and the snapshot open. Fails
+  /// with Corruption when the image is not structurally a v3 catalog: bad
+  /// magic (text catalogs included), header, bounds or alignment, or an
+  /// index name that appears twice. An entry is trusted when its CRC
+  /// matches, its name is non-empty, and it has no knots or knots that
+  /// pass PiecewiseLinear::CheckKnots; any other entry comes back
+  /// quarantined with its reason. `data` must be 8-byte aligned (a
+  /// mapping or a heap buffer is).
+  static Result<Contents> Read(const char* data, size_t size);
 };
 
-/// Zero-copy serving load: maps `path`, validates the header and every
-/// entry CRC once, and returns a CatalogSnapshot whose FPF knot views
-/// point directly into the mapping (kept alive by the snapshot). Entries
-/// failing their CRC are quarantined in the snapshot, same contract as a
-/// recovering text load. Uses the catalog.load.* fault points.
+/// Zero-copy serving load: maps `path`, reads it with CatalogV3::Read, and
+/// returns a CatalogSnapshot of those entries whose FPF knot views point
+/// directly into the mapping (kept alive by the snapshot). Uses the
+/// catalog.load.* fault points.
 Result<std::shared_ptr<const CatalogSnapshot>> OpenCatalogSnapshotV3(
     const std::string& path, uint64_t generation = 0);
 

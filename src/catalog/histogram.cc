@@ -1,7 +1,6 @@
 #include "catalog/histogram.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace epfis {
 
@@ -72,47 +71,6 @@ double EquiDepthHistogram::EstimateEqualitySelectivity(int64_t value) const {
     }
   }
   return 0.0;
-}
-
-std::string EquiDepthHistogram::ToString() const {
-  std::ostringstream os;
-  os << "histogram total=" << total_records_ << '\n';
-  for (const Bucket& b : buckets_) {
-    os << b.lo << ' ' << b.hi << ' ' << b.count << ' ' << b.distinct << '\n';
-  }
-  return os.str();
-}
-
-Result<EquiDepthHistogram> EquiDepthHistogram::FromString(
-    const std::string& text) {
-  std::istringstream is(text);
-  std::string header;
-  uint64_t total = 0;
-  if (!(is >> header) || header != "histogram") {
-    return Status::Corruption("histogram: bad header");
-  }
-  std::string total_field;
-  if (!(is >> total_field) || total_field.rfind("total=", 0) != 0) {
-    return Status::Corruption("histogram: missing total");
-  }
-  total = std::strtoull(total_field.c_str() + 6, nullptr, 10);
-  std::vector<Bucket> buckets;
-  Bucket b;
-  uint64_t check = 0;
-  while (is >> b.lo >> b.hi >> b.count >> b.distinct) {
-    if (b.hi < b.lo || b.distinct == 0 || b.count == 0) {
-      return Status::Corruption("histogram: malformed bucket");
-    }
-    if (!buckets.empty() && b.lo <= buckets.back().hi) {
-      return Status::Corruption("histogram: overlapping buckets");
-    }
-    check += b.count;
-    buckets.push_back(b);
-  }
-  if (buckets.empty() || check != total) {
-    return Status::Corruption("histogram: bucket counts do not sum to total");
-  }
-  return EquiDepthHistogram(std::move(buckets), total);
 }
 
 }  // namespace epfis

@@ -2,7 +2,6 @@
 #define EPFIS_CATALOG_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "exec/predicate.h"
@@ -44,10 +43,6 @@ class EquiDepthHistogram {
 
   /// Equality selectivity for `key = v`: bucket count / bucket distinct.
   double EstimateEqualitySelectivity(int64_t value) const;
-
-  /// Serialization for catalog storage (one line per bucket).
-  std::string ToString() const;
-  static Result<EquiDepthHistogram> FromString(const std::string& text);
 
  private:
   EquiDepthHistogram(std::vector<Bucket> buckets, uint64_t total)

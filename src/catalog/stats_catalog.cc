@@ -2,14 +2,12 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "catalog/catalog_v3.h"
-#include "util/crc32c.h"
 #include "util/fault.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,83 +17,6 @@
 #endif
 
 namespace epfis {
-namespace {
-
-// v2 on-disk format markers (see the class comment in the header).
-constexpr const char* kCatalogHeaderV2 = "[epfis-stats-catalog-v2]";
-constexpr const char* kCatalogHeaderPrefix = "[epfis-stats-catalog-v";
-constexpr const char* kEntryOpen = "[index]";
-constexpr const char* kEntryCloseV1 = "[end]";
-constexpr const char* kEntryClosePrefix = "[end crc=";
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Parses one `key=value` field line into `current`. Returns a non-empty
-// error description on failure.
-std::string ParseField(const std::string& line, IndexStats* current) {
-  size_t eq = line.find('=');
-  if (eq == std::string::npos) return "expected key=value";
-  std::string key = line.substr(0, eq);
-  std::string value = line.substr(eq + 1);
-  if (key == "name") {
-    current->index_name = value;
-  } else if (key == "table_pages") {
-    current->table_pages = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "table_records") {
-    current->table_records = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "distinct_keys") {
-    current->distinct_keys = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "pages_accessed") {
-    current->pages_accessed = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "b_min") {
-    current->b_min = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "b_max") {
-    current->b_max = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "f_min") {
-    current->f_min = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "clustering") {
-    current->clustering = std::strtod(value.c_str(), nullptr);
-  } else if (key == "sample_rate") {
-    // Absent in pre-sampling catalogs; the IndexStats default (1.0,
-    // exact) then applies.
-    current->sample_rate = std::strtod(value.c_str(), nullptr);
-  } else if (key == "sampled_refs") {
-    current->sampled_refs = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "online_generation") {
-    // Online-mode provenance trio: absent in pre-online catalogs, where
-    // the IndexStats zero defaults (a batch entry) apply.
-    current->online_generation = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "window_refs") {
-    current->window_refs = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (key == "drift_error") {
-    current->drift_error = std::strtod(value.c_str(), nullptr);
-  } else if (key == "knots") {
-    if (value.empty()) return "";
-    std::vector<Knot> knots;
-    std::istringstream ks(value);
-    std::string pair;
-    while (std::getline(ks, pair, ',')) {
-      size_t colon = pair.find(':');
-      if (colon == std::string::npos) return "bad knot pair";
-      Knot k;
-      k.x = std::strtod(pair.substr(0, colon).c_str(), nullptr);
-      k.y = std::strtod(pair.substr(colon + 1).c_str(), nullptr);
-      knots.push_back(k);
-    }
-    auto curve = PiecewiseLinear::FromKnots(std::move(knots));
-    if (!curve.ok()) return std::string(curve.status().message());
-    current->fpf = std::move(curve).value();
-  } else {
-    return "unknown field " + key;
-  }
-  return "";
-}
-
-}  // namespace
 
 void StatsCatalog::Put(IndexStats stats) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -181,223 +102,46 @@ std::shared_ptr<const CatalogSnapshot> StatsCatalog::snapshot() const {
   return snapshot_.load(std::memory_order_acquire);
 }
 
-std::string StatsCatalog::SaveToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return SaveToStringLocked();
-}
-
 std::string StatsCatalog::SaveToStringV3() const {
   std::lock_guard<std::mutex> lock(mu_);
   return CatalogV3::Encode(entries_);
 }
 
-std::string StatsCatalog::SaveToStringLocked() const {
-  std::ostringstream os;
-  os << kCatalogHeaderV2 << '\n';
-  for (const auto& [name, s] : entries_) {
-    // The entry body is built separately so its CRC32C can go into the
-    // trailer; the checksum covers exactly the field lines (with their
-    // newlines), not the [index]/[end] frame.
-    std::ostringstream body;
-    body << "name=" << name << '\n';
-    body << "table_pages=" << s.table_pages << '\n';
-    body << "table_records=" << s.table_records << '\n';
-    body << "distinct_keys=" << s.distinct_keys << '\n';
-    body << "pages_accessed=" << s.pages_accessed << '\n';
-    body << "b_min=" << s.b_min << '\n';
-    body << "b_max=" << s.b_max << '\n';
-    body << "f_min=" << s.f_min << '\n';
-    body << "clustering=" << FormatDouble(s.clustering) << '\n';
-    body << "sample_rate=" << FormatDouble(s.sample_rate) << '\n';
-    body << "sampled_refs=" << s.sampled_refs << '\n';
-    body << "online_generation=" << s.online_generation << '\n';
-    body << "window_refs=" << s.window_refs << '\n';
-    body << "drift_error=" << FormatDouble(s.drift_error) << '\n';
-    body << "knots=";
-    if (s.fpf.has_value()) {
-      bool first = true;
-      for (const Knot& k : s.fpf->knots()) {
-        if (!first) body << ',';
-        body << FormatDouble(k.x) << ':' << FormatDouble(k.y);
-        first = false;
-      }
-    }
-    body << '\n';
-    std::string body_text = body.str();
-    char crc_hex[16];
-    std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32c(body_text));
-    os << kEntryOpen << '\n'
-       << body_text << kEntryClosePrefix << crc_hex << "]\n";
-  }
-  return os.str();
-}
-
-Status StatsCatalog::LoadFromString(const std::string& text) {
-  Result<CatalogLoadReport> report = LoadImpl(text, /*recover=*/false);
+Status StatsCatalog::LoadFromString(const std::string& bytes) {
+  Result<CatalogLoadReport> report = LoadImpl(bytes, /*recover=*/false);
   return report.ok() ? Status::Ok() : report.status();
 }
 
 Result<CatalogLoadReport> StatsCatalog::RecoverFromString(
-    const std::string& text) {
-  return LoadImpl(text, /*recover=*/true);
+    const std::string& bytes) {
+  return LoadImpl(bytes, /*recover=*/true);
 }
 
-Result<CatalogLoadReport> StatsCatalog::LoadV3Impl(const std::string& bytes,
-                                                   bool recover) {
-  EPFIS_ASSIGN_OR_RETURN(
-      CatalogV3::Contents contents,
-      CatalogV3::Decode(bytes.data(), bytes.size(), recover));
-  CatalogLoadReport report;
-  report.format_version = 3;
-  report.entries_loaded = contents.entries.size();
-  report.entries_quarantined = contents.quarantine_reasons.size();
-  report.checksum_failures = contents.checksum_failures;
-  report.quarantine_reasons = std::move(contents.quarantine_reasons);
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_ = std::move(contents.entries);
-  quarantined_ = std::move(contents.quarantined);
-  return report;
-}
-
-Result<CatalogLoadReport> StatsCatalog::LoadImpl(const std::string& text,
+Result<CatalogLoadReport> StatsCatalog::LoadImpl(const std::string& bytes,
                                                  bool recover) {
-  // The binary v3 format announces itself with a magic prefix; everything
-  // else goes through the v1/v2 text parser below.
-  if (CatalogV3::SniffMagic(text.data(), text.size())) {
-    return LoadV3Impl(text, recover);
-  }
-  std::map<std::string, IndexStats> loaded;
+  EPFIS_ASSIGN_OR_RETURN(CatalogV3::Contents contents,
+                         CatalogV3::Read(bytes.data(), bytes.size()));
+  std::map<std::string, IndexStats> entries;
   std::map<std::string, std::string> quarantined;
   CatalogLoadReport report;
-  report.format_version = 1;
-
-  std::istringstream is(text);
-  std::string line;
-  IndexStats current;
-  std::string body;        // Accumulated field lines of the open entry.
-  bool in_entry = false;
-  bool entry_bad = false;  // Recovery: skip to the next [index].
-  bool saw_any_line = false;
-  int line_no = 0;
-
-  auto strict_error = [&](const std::string& what) {
-    return Status::Corruption("stats catalog line " +
-                              std::to_string(line_no) + ": " + what);
-  };
-  // Handles one corrupt entry (or stray region): strict mode fails the
-  // load; recovery quarantines and resynchronizes at the next [index].
-  Status first_error;
-  auto entry_corrupt = [&](const std::string& what, bool checksum) {
+  for (const CatalogSnapshot::Entry& entry : contents.entries) {
+    if (!entry.quarantined) {
+      entries.emplace(entry.name, CatalogSnapshot::Materialize(entry));
+      continue;
+    }
     if (!recover) {
-      if (first_error.ok()) first_error = strict_error(what);
-      return;
+      return Status::Corruption(std::string(entry.quarantine_reason));
     }
-    ++report.entries_quarantined;
-    if (checksum) ++report.checksum_failures;
-    std::string reason =
-        "line " + std::to_string(line_no) + ": " + what;
-    report.quarantine_reasons.push_back(reason);
-    if (!current.index_name.empty()) {
-      quarantined[current.index_name] = reason;
-    }
-    current = IndexStats{};
-    entry_bad = true;
-    in_entry = false;
-  };
-
-  while (first_error.ok() && std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    // Version header (must be the first non-empty line to count).
-    if (!saw_any_line && line.rfind(kCatalogHeaderPrefix, 0) == 0) {
-      saw_any_line = true;
-      if (line != kCatalogHeaderV2) {
-        // A version this build does not know cannot be safely skimmed
-        // for "good" entries; fail even in recovery.
-        return Status::Corruption("stats catalog: unsupported version " +
-                                  line);
-      }
-      report.format_version = 2;
-      continue;
-    }
-    saw_any_line = true;
-    if (line == kEntryOpen) {
-      if (in_entry) {
-        entry_corrupt("nested [index]", /*checksum=*/false);
-        if (!first_error.ok()) break;
-      }
-      current = IndexStats{};
-      body.clear();
-      in_entry = true;
-      entry_bad = false;
-      continue;
-    }
-    if (entry_bad) continue;  // Resynchronizing after a corrupt entry.
-    bool close_v1 = line == kEntryCloseV1;
-    bool close_v2 = line.rfind(kEntryClosePrefix, 0) == 0 &&
-                    line.size() == std::strlen(kEntryClosePrefix) + 9 &&
-                    line.back() == ']';
-    if (close_v1 || close_v2) {
-      if (!in_entry) {
-        entry_corrupt("[end] without [index]", /*checksum=*/false);
-        continue;
-      }
-      if (close_v2) {
-        uint32_t stored = static_cast<uint32_t>(std::strtoul(
-            line.c_str() + std::strlen(kEntryClosePrefix), nullptr, 16));
-        if (stored != Crc32c(body)) {
-          entry_corrupt("entry checksum mismatch", /*checksum=*/true);
-          continue;
-        }
-      } else if (report.format_version >= 2) {
-        // A v2 file whose entry lost its checksum trailer is a torn
-        // write, not a legacy file.
-        entry_corrupt("entry missing checksum", /*checksum=*/false);
-        continue;
-      }
-      if (current.index_name.empty()) {
-        entry_corrupt("entry without name", /*checksum=*/false);
-        continue;
-      }
-      loaded[current.index_name] = std::move(current);
-      ++report.entries_loaded;
-      current = IndexStats{};
-      in_entry = false;
-      continue;
-    }
-    if (!in_entry) {
-      entry_corrupt("field outside [index] block", /*checksum=*/false);
-      continue;
-    }
-    body.append(line);
-    body.push_back('\n');
-    std::string field_error = ParseField(line, &current);
-    if (!field_error.empty()) {
-      entry_corrupt(field_error, /*checksum=*/false);
-      continue;
+    report.quarantine_reasons.emplace_back(entry.quarantine_reason);
+    if (!entry.name.empty()) {
+      quarantined.emplace(entry.name, entry.quarantine_reason);
     }
   }
-  if (!first_error.ok()) return first_error;
-  if (in_entry) {
-    // A torn tail: the file ends inside an entry.
-    if (!recover) return Status::Corruption("stats catalog: unterminated entry");
-    ++line_no;
-    entry_corrupt("unterminated entry (torn write?)", /*checksum=*/false);
-  }
-
-  // An index that appears both good and quarantined (duplicate entries)
-  // is distrusted entirely: the copies disagree about integrity and we
-  // cannot tell which one the writer meant.
-  for (const auto& [name, reason] : quarantined) {
-    auto it = loaded.find(name);
-    if (it != loaded.end()) {
-      loaded.erase(it);
-      --report.entries_loaded;
-    }
-  }
-
+  report.entries_loaded = entries.size();
+  report.entries_quarantined = report.quarantine_reasons.size();
+  report.checksum_failures = contents.checksum_failures;
   std::lock_guard<std::mutex> lock(mu_);
-  entries_ = std::move(loaded);
+  entries_ = std::move(entries);
   quarantined_ = std::move(quarantined);
   return report;
 }
@@ -406,8 +150,8 @@ namespace {
 
 #ifdef EPFIS_CATALOG_POSIX_IO
 
-// Crash-safe byte-image write shared by the v2 text and v3 binary saves:
-// tmp file + fsync + rename, catalog.save.* fault points throughout.
+// Crash-safe byte-image write: tmp file + fsync + rename, catalog.save.*
+// fault points throughout.
 Status WriteCatalogFileAtomic(const std::string& path,
                               const std::string& data) {
   const std::string tmp = path + ".tmp";
@@ -511,8 +255,7 @@ Status WriteCatalogFileAtomic(const std::string& path,
 #endif  // EPFIS_CATALOG_POSIX_IO
 
 // Shared file slurp for the strict and recovering loads, with the
-// catalog.load.* fault points applied. Binary-safe (v3 images pass
-// through it unchanged).
+// catalog.load.* fault points applied.
 Result<std::string> ReadCatalogFile(const std::string& path) {
   EPFIS_RETURN_IF_ERROR(FaultPoint("catalog.load.open"));
   std::ifstream in(path, std::ios::binary);
@@ -528,25 +271,21 @@ Result<std::string> ReadCatalogFile(const std::string& path) {
 
 }  // namespace
 
-Status StatsCatalog::SaveToFile(const std::string& path) const {
+Status StatsCatalog::SaveToFileV3(const std::string& path) const {
   // Serialize before touching the filesystem so a slow disk never holds
   // the catalog mutex.
-  return WriteCatalogFileAtomic(path, SaveToString());
-}
-
-Status StatsCatalog::SaveToFileV3(const std::string& path) const {
   return WriteCatalogFileAtomic(path, SaveToStringV3());
 }
 
 Status StatsCatalog::LoadFromFile(const std::string& path) {
-  EPFIS_ASSIGN_OR_RETURN(std::string text, ReadCatalogFile(path));
-  return LoadFromString(text);
+  EPFIS_ASSIGN_OR_RETURN(std::string bytes, ReadCatalogFile(path));
+  return LoadFromString(bytes);
 }
 
 Result<CatalogLoadReport> StatsCatalog::RecoverFromFile(
     const std::string& path) {
-  EPFIS_ASSIGN_OR_RETURN(std::string text, ReadCatalogFile(path));
-  return RecoverFromString(text);
+  EPFIS_ASSIGN_OR_RETURN(std::string bytes, ReadCatalogFile(path));
+  return RecoverFromString(bytes);
 }
 
 }  // namespace epfis

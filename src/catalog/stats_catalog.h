@@ -19,15 +19,12 @@ namespace epfis {
 /// and consumed by operators deciding whether to trigger a statistics
 /// refresh for the quarantined indexes.
 struct CatalogLoadReport {
-  /// On-disk format version of the file (1 = pre-checksum text,
-  /// 2 = checksummed text, 3 = binary mmap-able).
-  int format_version = 0;
   size_t entries_loaded = 0;
   size_t entries_quarantined = 0;
   /// Of the quarantined entries, how many failed their CRC32C check (the
-  /// rest were structurally unparsable).
+  /// rest had an empty name or knots that make no curve).
   size_t checksum_failures = 0;
-  /// One human-readable reason per quarantined entry, in file order.
+  /// One human-readable reason per quarantined entry, in name order.
   std::vector<std::string> quarantine_reasons;
 };
 
@@ -40,22 +37,14 @@ struct CatalogLoadReport {
 /// RunLruFitBatch workers can publish entries while compilation threads
 /// read them. Get returns a copy, never a reference into the map.
 ///
-/// Entries round-trip through versioned on-disk formats, all of which
-/// load through the same auto-detecting entry points:
+/// Entries persist in the binary v3 format (catalog_v3.h): packed
+/// entries + FPF knots with a CRC32C per entry, written by SaveToFileV3
+/// and read back by the loads below or zero-copy as a CatalogSnapshot
+/// (OpenCatalogSnapshotV3). All of them read through CatalogV3::Read.
+/// Anything else, text catalogs of earlier versions included, fails to
+/// load with Corruption.
 ///
-///   v3 (written)  — the binary mmap-able serving format (catalog_v3.h):
-///                   packed entries + FPF knots with a CRC32C per entry,
-///                   written by SaveToFileV3, loadable zero-copy as a
-///                   CatalogSnapshot (OpenCatalogSnapshotV3).
-///   v2 (written)  — a `[epfis-stats-catalog-v2]` header line, then per
-///                   entry `[index]`, `key=value` fields, and an
-///                   `[end crc=XXXXXXXX]` trailer whose CRC32C covers the
-///                   field lines, so torn writes and bit rot are detected
-///                   per entry instead of silently poisoning estimates.
-///   v1 (read)     — the pre-checksum format: no header, plain `[end]`
-///                   trailers. Still loads, with no integrity check.
-///
-/// SaveToFile is crash-safe: the catalog is written to `path + ".tmp"`,
+/// SaveToFileV3 is crash-safe: the catalog is written to `path + ".tmp"`,
 /// fsynced, and renamed over `path`, so a failure at any step leaves the
 /// previous on-disk catalog intact (and no stale tmp file behind). All
 /// file operations carry `catalog.*` fault-injection points (util/fault.h).
@@ -64,7 +53,7 @@ struct CatalogLoadReport {
 /// load (RecoverFromFile): good entries load, bad ones are remembered by
 /// name, and Get on a quarantined index fails with Corruption — the
 /// signal Est-IO's degraded mode uses to fall back to the formula
-/// estimate instead of trusting a half-parsed curve.
+/// estimate instead of trusting a damaged curve.
 class StatsCatalog {
  public:
   StatsCatalog() = default;
@@ -112,44 +101,33 @@ class StatsCatalog {
   /// resolve handles against it, and use it for the whole batch.
   std::shared_ptr<const CatalogSnapshot> snapshot() const;
 
-  /// Serializes every entry to the v2 text format.
-  std::string SaveToString() const;
-
   /// Serializes every entry to the v3 binary format (catalog_v3.h).
   std::string SaveToStringV3() const;
 
-  /// Parses entries from any supported format (v3 binary sniffed by
-  /// magic, else v1/v2 text), replacing current contents. Strict: any
-  /// corrupt entry fails the whole load with Corruption and leaves the
-  /// catalog unchanged.
-  Status LoadFromString(const std::string& text);
+  /// Loads a v3 image, replacing current contents. Strict: any corrupt
+  /// entry fails the whole load with Corruption and leaves the catalog
+  /// unchanged.
+  Status LoadFromString(const std::string& bytes);
 
-  /// Recovery mode: loads every parsable entry, quarantines the corrupt
-  /// ones (checksum mismatch, truncation, unparsable fields), and reports
-  /// what happened. The catalog is replaced by the surviving entries plus
-  /// the quarantine set. Fails only when the text is not a stats catalog
-  /// at all (bad version header).
-  Result<CatalogLoadReport> RecoverFromString(const std::string& text);
+  /// Recovery mode: loads every trusted entry, quarantines the others
+  /// (checksum mismatch, empty name, knots that make no curve), and
+  /// reports what happened. The catalog is replaced by the surviving
+  /// entries plus the quarantine set. Fails, leaving the catalog
+  /// unchanged, when the image is not structurally a v3 catalog.
+  Result<CatalogLoadReport> RecoverFromString(const std::string& bytes);
 
-  /// Atomic, durable save in the v2 text format: tmp file + fsync +
-  /// rename (see class comment).
-  Status SaveToFile(const std::string& path) const;
-
-  /// Atomic, durable save in the v3 binary format — same tmp + fsync +
-  /// rename machinery and the same catalog.save.* fault points.
+  /// Atomic, durable save in the v3 format: tmp file + fsync + rename
+  /// (see class comment).
   Status SaveToFileV3(const std::string& path) const;
 
-  /// Strict load, any format; Corruption on the first bad entry.
+  /// Strict load (see LoadFromString).
   Status LoadFromFile(const std::string& path);
 
-  /// Recovering load, any format (see RecoverFromString).
+  /// Recovering load (see RecoverFromString).
   Result<CatalogLoadReport> RecoverFromFile(const std::string& path);
 
  private:
-  std::string SaveToStringLocked() const;
-  Result<CatalogLoadReport> LoadImpl(const std::string& text, bool recover);
-  Result<CatalogLoadReport> LoadV3Impl(const std::string& bytes,
-                                       bool recover);
+  Result<CatalogLoadReport> LoadImpl(const std::string& bytes, bool recover);
 
   mutable std::mutex mu_;
   std::map<std::string, IndexStats> entries_;  // Guarded by mu_.

@@ -109,7 +109,7 @@ Result<PiecewiseLinear> FitWithDp(
 
 }  // namespace
 
-Result<PiecewiseLinear> PiecewiseLinear::FromKnots(std::vector<Knot> knots) {
+Status PiecewiseLinear::CheckKnots(std::span<const Knot> knots) {
   if (knots.size() < 2) {
     return Status::InvalidArgument("PiecewiseLinear needs at least 2 knots");
   }
@@ -119,6 +119,11 @@ Result<PiecewiseLinear> PiecewiseLinear::FromKnots(std::vector<Knot> knots) {
           "PiecewiseLinear knots must have strictly increasing x");
     }
   }
+  return Status::Ok();
+}
+
+Result<PiecewiseLinear> PiecewiseLinear::FromKnots(std::vector<Knot> knots) {
+  EPFIS_RETURN_IF_ERROR(CheckKnots(knots));
   return PiecewiseLinear(std::move(knots));
 }
 

@@ -2,6 +2,7 @@
 #define EPFIS_UTIL_PIECEWISE_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/result.h"
@@ -24,9 +25,12 @@ struct Knot {
 /// of an approximated FPF curve: only the knot coordinates need storing.
 class PiecewiseLinear {
  public:
-  /// Builds a curve from knots. Requires >= 2 knots with strictly
-  /// increasing x.
+  /// Builds a curve from knots that pass CheckKnots.
   static Result<PiecewiseLinear> FromKnots(std::vector<Knot> knots);
+
+  /// The rule a knot sequence must meet to be a curve: >= 2 knots with
+  /// strictly increasing x. InvalidArgument, naming the break, otherwise.
+  static Status CheckKnots(std::span<const Knot> knots);
 
   /// Evaluates the function at x, interpolating within the knot range and
   /// extrapolating with the first/last segment's slope outside it.

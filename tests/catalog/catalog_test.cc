@@ -132,9 +132,9 @@ TEST(StatsCatalogTest, SerializationRoundTrip) {
   catalog.Put(MakeStats("CMAC.BRAN"));
   catalog.Put(MakeStats("PLON.CLID"));
 
-  std::string text = catalog.SaveToString();
+  std::string image = catalog.SaveToStringV3();
   StatsCatalog loaded;
-  ASSERT_TRUE(loaded.LoadFromString(text).ok());
+  ASSERT_TRUE(loaded.LoadFromString(image).ok());
   ASSERT_EQ(loaded.size(), 2u);
 
   auto original = catalog.Get("CMAC.BRAN").value();
@@ -147,8 +147,8 @@ TEST(StatsCatalogTest, SerializationRoundTrip) {
   EXPECT_EQ(restored.b_max, original.b_max);
   EXPECT_EQ(restored.f_min, original.f_min);
   EXPECT_DOUBLE_EQ(restored.clustering, original.clustering);
-  // The sampling provenance survives exactly (%.17g round-trips the
-  // non-round effective rate bit for bit).
+  // The sampling provenance survives exactly (v3 stores the non-round
+  // effective rate bit for bit).
   EXPECT_EQ(restored.sample_rate, original.sample_rate);
   EXPECT_EQ(restored.sampled_refs, original.sampled_refs);
   ASSERT_TRUE(restored.fpf.has_value());
@@ -159,35 +159,11 @@ TEST(StatsCatalogTest, SerializationRoundTrip) {
   }
 }
 
-TEST(StatsCatalogTest, LoadsPreSamplingCatalogsWithExactDefaults) {
-  // Catalog files written before the sampling fields existed have no
-  // sample_rate/sampled_refs lines; they must load as exact-pass entries.
-  std::string old_format =
-      "[index]\n"
-      "name=legacy\n"
-      "table_pages=100\n"
-      "table_records=4000\n"
-      "distinct_keys=50\n"
-      "pages_accessed=100\n"
-      "b_min=12\n"
-      "b_max=100\n"
-      "f_min=900\n"
-      "clustering=0.5\n"
-      "knots=12:900,100:100\n"
-      "[end]\n";
-  StatsCatalog catalog;
-  ASSERT_TRUE(catalog.LoadFromString(old_format).ok());
-  auto stats = catalog.Get("legacy");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_DOUBLE_EQ(stats->sample_rate, 1.0);
-  EXPECT_EQ(stats->sampled_refs, 0u);
-}
-
 TEST(StatsCatalogTest, FileRoundTrip) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("idx"));
   std::string path = testing::TempDir() + "/epfis_stats_test.cat";
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
 
   StatsCatalog loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());
@@ -197,17 +173,14 @@ TEST(StatsCatalogTest, FileRoundTrip) {
 
 TEST(StatsCatalogTest, LoadRejectsCorruptInput) {
   StatsCatalog catalog;
-  EXPECT_FALSE(catalog.LoadFromString("garbage line\n").ok());
-  EXPECT_FALSE(catalog.LoadFromString("[index]\nname=x\n").ok());
-  EXPECT_FALSE(
-      catalog.LoadFromString("[index]\nname=x\nbogus_field=1\n[end]\n").ok());
-  EXPECT_FALSE(
-      catalog.LoadFromString("[index]\nname=x\nknots=1-2\n[end]\n").ok());
-  EXPECT_FALSE(catalog.LoadFromString("[index]\n[end]\n").ok());
-  EXPECT_FALSE(catalog.LoadFromString("[end]\n").ok());
-  // Failed loads leave the catalog unchanged.
   catalog.Put(MakeStats("keep"));
-  EXPECT_FALSE(catalog.LoadFromString("junk\n").ok());
+  std::string image = catalog.SaveToStringV3();
+  EXPECT_FALSE(catalog.LoadFromString("").ok());
+  EXPECT_FALSE(catalog.LoadFromString(image.substr(0, 40)).ok());
+  EXPECT_FALSE(catalog.LoadFromString(image.substr(0, image.size() - 1)).ok());
+  EXPECT_FALSE(catalog.LoadFromString(image + "x").ok());
+  EXPECT_FALSE(catalog.LoadFromString(std::string(image.size(), '\0')).ok());
+  // Failed loads leave the catalog unchanged.
   EXPECT_TRUE(catalog.Contains("keep"));
 }
 
@@ -224,7 +197,7 @@ TEST(StatsCatalogTest, IndexNamesSorted) {
 TEST(StatsCatalogTest, EmptyCatalogRoundTrip) {
   StatsCatalog catalog;
   StatsCatalog loaded;
-  ASSERT_TRUE(loaded.LoadFromString(catalog.SaveToString()).ok());
+  ASSERT_TRUE(loaded.LoadFromString(catalog.SaveToStringV3()).ok());
   EXPECT_EQ(loaded.size(), 0u);
 }
 

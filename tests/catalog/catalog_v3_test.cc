@@ -1,6 +1,6 @@
-// The binary mmap-able catalog format (v3): lossless round-trips against
-// the v2 text format, structural validation, per-entry corruption
-// quarantine, and the zero-copy snapshot open.
+// The binary mmap-able catalog format (v3): lossless round-trips,
+// structural validation, per-entry corruption quarantine, the zero-copy
+// snapshot open, and one verdict from every reader on the same image.
 
 #include "catalog/catalog_v3.h"
 
@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "catalog/stats_catalog.h"
+#include "catalog_v3_images.h"
 #include "epfis/est_io.h"
 
 namespace epfis {
@@ -90,32 +92,6 @@ TEST(CatalogV3Test, EncodeDecodeRoundTripsLosslessly) {
   }
 }
 
-TEST(CatalogV3Test, V2ToV3ConversionIsLossless) {
-  // The `catalog convert` path: entries written as v2 text, reloaded,
-  // rewritten as v3 binary, reloaded again — estimates must be
-  // bit-identical across all three generations.
-  StatsCatalog original;
-  original.Put(MakeStats("orders.key", 1250, 0.4));
-  original.Put(MakeStats("lines.key", 800, 0.0));
-
-  StatsCatalog from_v2;
-  ASSERT_TRUE(from_v2.LoadFromString(original.SaveToString()).ok());
-  StatsCatalog from_v3;
-  ASSERT_TRUE(from_v3.LoadFromString(from_v2.SaveToStringV3()).ok());
-
-  for (const std::string& name : original.IndexNames()) {
-    SCOPED_TRACE(name);
-    ExpectStatsEqual(*from_v2.Get(name), *from_v3.Get(name));
-    for (double sigma : {0.01, 0.2, 1.0}) {
-      for (uint64_t b : {20ULL, 300ULL, 900ULL}) {
-        EXPECT_EQ(
-            EstIo::Estimate(*original.Get(name), {sigma, 1.0, b}).value(),
-            EstIo::Estimate(*from_v3.Get(name), {sigma, 1.0, b}).value());
-      }
-    }
-  }
-}
-
 TEST(CatalogV3Test, LoadFromFileAutodetectsBinaryFormat) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("auto.key", 500, 0.5));
@@ -125,7 +101,6 @@ TEST(CatalogV3Test, LoadFromFileAutodetectsBinaryFormat) {
   StatsCatalog loaded;
   auto report = loaded.RecoverFromFile(path);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->format_version, 3);
   EXPECT_EQ(report->entries_loaded, 1u);
   EXPECT_EQ(report->entries_quarantined, 0u);
   ExpectStatsEqual(*catalog.Get("auto.key"), *loaded.Get("auto.key"));
@@ -234,7 +209,6 @@ TEST(CatalogV3Test, FlippedPayloadByteQuarantinesOnlyThatEntry) {
   StatsCatalog recovered;
   auto report = recovered.RecoverFromString(image);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->format_version, 3);
   EXPECT_EQ(report->entries_loaded, 1u);
   EXPECT_EQ(report->entries_quarantined, 1u);
   EXPECT_EQ(report->checksum_failures, 1u);
@@ -320,14 +294,95 @@ TEST(CatalogV3Test, OpenSnapshotMissingFileIsIoError) {
   EXPECT_EQ(snapshot.status().code(), StatusCode::kIoError);
 }
 
-TEST(CatalogV3Test, SniffMagicMatchesOnlyV3Images) {
-  StatsCatalog catalog;
-  catalog.Put(MakeStats("s.key", 400, 0.5));
-  std::string v3 = catalog.SaveToStringV3();
-  std::string v2 = catalog.SaveToString();
-  EXPECT_TRUE(CatalogV3::SniffMagic(v3.data(), v3.size()));
-  EXPECT_FALSE(CatalogV3::SniffMagic(v2.data(), v2.size()));
-  EXPECT_FALSE(CatalogV3::SniffMagic(v3.data(), 4));  // Too short.
+// The readers below must agree on images the writer never produces: the
+// strict and recovering loads and the snapshot open share one reader.
+
+std::string WriteImage(const std::string& image, const std::string& file) {
+  std::string path = testing::TempDir() + "/" + file;
+  std::ofstream(path, std::ios::binary) << image;
+  return path;
+}
+
+// Every reader refuses `image` as a whole with Corruption naming `what`,
+// and a catalog that fails to load keeps what it held.
+void ExpectEveryReaderRefuses(const std::string& image,
+                              const std::string& what,
+                              const std::string& file) {
+  StatsCatalog strict;
+  strict.Put(MakeStats("keep.key", 1000, 0.5));
+  Status status = strict.LoadFromString(image);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(strict.Contains("keep.key"));
+
+  StatsCatalog recovering;
+  recovering.Put(MakeStats("keep.key", 1000, 0.5));
+  auto report = recovering.RecoverFromString(image);
+  EXPECT_EQ(report.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(report.status().message().find(what), std::string::npos)
+      << report.status().ToString();
+  EXPECT_TRUE(recovering.Contains("keep.key"));
+
+  std::string path = WriteImage(image, file);
+  auto snapshot = OpenCatalogSnapshotV3(path);
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snapshot.status().message().find(what), std::string::npos)
+      << snapshot.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(CatalogV3Test, RepeatedNameIsCorruptionInEveryReader) {
+  // Both copies of "aa" pass their CRC: no reader may pick one.
+  ExpectEveryReaderRefuses(
+      RepeatedNameV3Image(MakeStats("aa", 1000, 0.3),
+                          MakeStats("aa", 5000, 0.85), /*reseal=*/true),
+      "index name 'aa' appears twice", "epfis_v3_repeated.cat");
+}
+
+TEST(CatalogV3Test, RepeatedNameWithOneBadCopyIsCorruptionInEveryReader) {
+  // The second "aa" fails its CRC; the first is not trusted for it.
+  ExpectEveryReaderRefuses(
+      RepeatedNameV3Image(MakeStats("aa", 1000, 0.3),
+                          MakeStats("aa", 5000, 0.85), /*reseal=*/false),
+      "index name 'aa' appears twice", "epfis_v3_repeated_bad.cat");
+}
+
+TEST(CatalogV3Test, DecreasingKnotsAreQuarantinedInEveryReader) {
+  // The CRC passes, but the knots make no curve.
+  std::string image = DecreasingKnotsV3Image(MakeStats("aa", 1000, 0.3));
+
+  StatsCatalog strict;
+  Status status = strict.LoadFromString(image);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(status.message(),
+            "stats catalog v3: entry 1: PiecewiseLinear knots must have "
+            "strictly increasing x");
+
+  StatsCatalog recovered;
+  auto report = recovered.RecoverFromString(image);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->entries_loaded, 0u);
+  EXPECT_EQ(report->entries_quarantined, 1u);
+  EXPECT_EQ(report->checksum_failures, 0u);
+  ASSERT_EQ(report->quarantine_reasons.size(), 1u);
+  EXPECT_EQ(report->quarantine_reasons[0], status.message());
+  Status loaded_get = recovered.Get("aa").status();
+  EXPECT_EQ(loaded_get.code(), StatusCode::kCorruption);
+
+  std::string path = WriteImage(image, "epfis_v3_bad_knots.cat");
+  auto snapshot = OpenCatalogSnapshotV3(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ((*snapshot)->size(), 1u);
+  EXPECT_TRUE((*snapshot)->IsQuarantined("aa"));
+  EXPECT_EQ((*snapshot)->Get("aa").status().ToString(),
+            loaded_get.ToString());
+  auto est = EstIo::EstimateFromCatalog(**snapshot, "aa", {0.1, 1.0, 200},
+                                        TableShape{1000, 40000});
+  ASSERT_TRUE(est.ok());
+  EXPECT_EQ(est->source, EstimateSource::kFormulaFallback);
+  EXPECT_EQ(est->stats_status.code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -106,37 +106,6 @@ TEST(HistogramTest, EqualitySelectivityUsesBucketDistinct) {
   EXPECT_DOUBLE_EQ(hist->EstimateEqualitySelectivity(99), 0.0);
 }
 
-TEST(HistogramTest, SerializationRoundTrip) {
-  Rng rng(9);
-  std::vector<uint64_t> counts(200);
-  for (auto& c : counts) c = 1 + rng.NextBounded(20);
-  auto hist = EquiDepthHistogram::Build(counts, 16);
-  ASSERT_TRUE(hist.ok());
-  auto restored = EquiDepthHistogram::FromString(hist->ToString());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->total_records(), hist->total_records());
-  ASSERT_EQ(restored->buckets().size(), hist->buckets().size());
-  for (auto [lo, hi] :
-       {std::pair<int64_t, int64_t>{1, 50}, {60, 61}, {100, 200}}) {
-    EXPECT_DOUBLE_EQ(restored->EstimateRecords(KeyRange::Closed(lo, hi)),
-                     hist->EstimateRecords(KeyRange::Closed(lo, hi)));
-  }
-}
-
-TEST(HistogramTest, FromStringRejectsGarbage) {
-  EXPECT_FALSE(EquiDepthHistogram::FromString("nope").ok());
-  EXPECT_FALSE(EquiDepthHistogram::FromString("histogram total=5\n").ok());
-  EXPECT_FALSE(
-      EquiDepthHistogram::FromString("histogram total=5\n1 2 3 0\n").ok());
-  // Counts not summing to total.
-  EXPECT_FALSE(
-      EquiDepthHistogram::FromString("histogram total=5\n1 2 3 2\n").ok());
-  // Overlapping buckets.
-  EXPECT_FALSE(EquiDepthHistogram::FromString(
-                   "histogram total=6\n1 5 3 2\n4 9 3 2\n")
-                   .ok());
-}
-
 TEST(HistogramOptimizerTest, EstimateSigmaDrivesPlanChoice) {
   SyntheticSpec spec;
   spec.num_records = 10000;

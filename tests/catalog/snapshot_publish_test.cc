@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "catalog/stats_catalog.h"
+#include "catalog_v3_images.h"
 #include "epfis/est_io.h"
 #include "util/fault.h"
 
@@ -84,15 +85,13 @@ TEST(StatsCatalogSnapshotTest, PublishCarriesQuarantineMarks) {
   StatsCatalog catalog;
   catalog.Put(MakeStats(0, 1));
   // Quarantine marks come from recovering loads; simulate one by loading
-  // a v2 image with a corrupted entry.
+  // an image with a flipped byte in idx1's fixed fields.
   StatsCatalog source;
   source.Put(MakeStats(0, 1));
   source.Put(MakeStats(1, 1));
-  std::string text = source.SaveToString();
-  size_t field = text.find("table_pages=", text.find("idx1"));
-  ASSERT_NE(field, std::string::npos);
-  text[field + 12] = 'x';
-  auto report = catalog.RecoverFromString(text);
+  std::string image = source.SaveToStringV3();
+  image[ReadV3Record(image, 1).fixed_offset + 2] ^= 0xFF;
+  auto report = catalog.RecoverFromString(image);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->entries_quarantined, 1u);
 

@@ -1,3 +1,4 @@
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -6,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog_v3.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/fpf_curve.h"
+#include "util/crc32c.h"
 #include "util/fault.h"
 
 namespace epfis {
@@ -29,6 +32,15 @@ IndexStats MakeStats(const std::string& name, uint64_t pages) {
        {static_cast<double>(pages), static_cast<double>(pages)}});
   s.fpf = std::move(curve).value();
   return s;
+}
+
+// The catalog's v3 image with one byte of its first entry's table_pages
+// flipped (the fixed fields follow the 64 B header and the 40 B index
+// records): silent bit rot, frame intact.
+std::string FirstEntryDamaged(const StatsCatalog& catalog) {
+  std::string image = catalog.SaveToStringV3();
+  image[64 + 40 * catalog.size() + 2] ^= 0xFF;
+  return image;
 }
 
 std::string Slurp(const std::string& path) {
@@ -64,33 +76,13 @@ class StatsCatalogRobustnessTest : public testing::Test {
   std::string dir_;
 };
 
-TEST_F(StatsCatalogRobustnessTest, V2RoundTripCarriesHeaderAndChecksums) {
-  StatsCatalog catalog;
-  catalog.Put(MakeStats("ix_a", 100));
-  catalog.Put(MakeStats("ix_b", 200));
-  std::string text = catalog.SaveToString();
-  EXPECT_EQ(text.rfind("[epfis-stats-catalog-v2]", 0), 0u);
-  EXPECT_NE(text.find("[end crc="), std::string::npos);
-  EXPECT_EQ(text.find("[end]\n"), std::string::npos);
-
-  StatsCatalog loaded;
-  ASSERT_TRUE(loaded.LoadFromString(text).ok());
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_TRUE(loaded.Get("ix_a").ok());
-  EXPECT_TRUE(loaded.Get("ix_b").ok());
-}
-
 TEST_F(StatsCatalogRobustnessTest, ChecksumMismatchFailsStrictLoad) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  std::string text = catalog.SaveToString();
-  // Silent bit rot in a field value, frame intact.
-  size_t at = text.find("table_pages=100");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 15, "table_pages=999");
+  std::string image = FirstEntryDamaged(catalog);
 
   StatsCatalog loaded;
-  Status status = loaded.LoadFromString(text);
+  Status status = loaded.LoadFromString(image);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_EQ(loaded.size(), 0u);
 }
@@ -99,15 +91,11 @@ TEST_F(StatsCatalogRobustnessTest, RecoverQuarantinesCorruptEntryOnly) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_bad", 100));
   catalog.Put(MakeStats("ix_good", 200));
-  std::string text = catalog.SaveToString();
-  size_t at = text.find("table_pages=100");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 15, "table_pages=999");
+  std::string image = FirstEntryDamaged(catalog);  // ix_bad sorts first.
 
   StatsCatalog loaded;
-  auto report = loaded.RecoverFromString(text);
+  auto report = loaded.RecoverFromString(image);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->format_version, 2);
   EXPECT_EQ(report->entries_loaded, 1u);
   EXPECT_EQ(report->entries_quarantined, 1u);
   EXPECT_EQ(report->checksum_failures, 1u);
@@ -125,76 +113,84 @@ TEST_F(StatsCatalogRobustnessTest, RecoverQuarantinesCorruptEntryOnly) {
   EXPECT_TRUE(loaded.Get("ix_bad").ok());
 }
 
+// A torn file fails as a whole, even in recovery: the header's file size
+// no longer matches, and the catalog keeps what it held.
 TEST_F(StatsCatalogRobustnessTest, RecoverHandlesTornTail) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
   catalog.Put(MakeStats("ix_b", 200));
-  std::string text = catalog.SaveToString();
-  // A torn write: the file ends mid-entry.
-  size_t cut = text.rfind("[end crc=");
-  ASSERT_NE(cut, std::string::npos);
-  text.resize(cut);
+  std::string image = catalog.SaveToStringV3();
+  image.resize(image.size() - 3);  // The file ends inside the name heap.
 
   StatsCatalog loaded;
-  auto report = loaded.RecoverFromString(text);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->entries_loaded, 1u);
-  EXPECT_EQ(report->entries_quarantined, 1u);
-  EXPECT_EQ(loaded.QuarantinedNames().size(), 1u);
-}
-
-TEST_F(StatsCatalogRobustnessTest, V1FilesStillLoad) {
-  // The pre-checksum format: no header, plain [end] trailers.
-  std::string v1 =
-      "[index]\n"
-      "name=ix_legacy\n"
-      "table_pages=50\n"
-      "table_records=500\n"
-      "distinct_keys=100\n"
-      "pages_accessed=50\n"
-      "b_min=12\n"
-      "b_max=50\n"
-      "f_min=150\n"
-      "clustering=0.5\n"
-      "knots=12:150,50:50\n"
-      "[end]\n";
-  StatsCatalog strict;
-  ASSERT_TRUE(strict.LoadFromString(v1).ok());
-  ASSERT_TRUE(strict.Get("ix_legacy").ok());
-  EXPECT_EQ(strict.Get("ix_legacy")->table_pages, 50u);
-
-  StatsCatalog recovering;
-  auto report = recovering.RecoverFromString(v1);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->format_version, 1);
-  EXPECT_EQ(report->entries_loaded, 1u);
-  EXPECT_EQ(report->entries_quarantined, 0u);
+  loaded.Put(MakeStats("ix_old", 50));
+  auto report = loaded.RecoverFromString(image);
+  EXPECT_EQ(report.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(report.status().message().find("torn"), std::string::npos)
+      << report.status().ToString();
+  EXPECT_EQ(loaded.IndexNames(), std::vector<std::string>{"ix_old"});
 }
 
 TEST_F(StatsCatalogRobustnessTest, UnknownFutureVersionIsRejected) {
-  std::string text = "[epfis-stats-catalog-v9]\n[index]\nname=x\n[end]\n";
-  StatsCatalog catalog;
-  EXPECT_EQ(catalog.LoadFromString(text).code(), StatusCode::kCorruption);
-  EXPECT_EQ(catalog.RecoverFromString(text).status().code(),
-            StatusCode::kCorruption);
-}
-
-TEST_F(StatsCatalogRobustnessTest, V2EntryWithoutChecksumIsTorn) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  std::string text = catalog.SaveToString();
-  size_t at = text.find("[end crc=");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, text.find(']', at) - at + 1, "[end]");
+  std::string image = catalog.SaveToStringV3();
+  // Version 4 at offset 8, with the header CRC (offset 60) recomputed, so
+  // the version is the only thing wrong.
+  uint32_t version = 4;
+  std::memcpy(image.data() + 8, &version, sizeof(version));
+  uint32_t header_crc = Crc32c(image.data(), 60);
+  std::memcpy(image.data() + 60, &header_crc, sizeof(header_crc));
+
   StatsCatalog loaded;
-  EXPECT_EQ(loaded.LoadFromString(text).code(), StatusCode::kCorruption);
+  Status strict = loaded.LoadFromString(image);
+  EXPECT_EQ(strict.code(), StatusCode::kCorruption);
+  EXPECT_NE(strict.message().find("unsupported version 4"),
+            std::string::npos)
+      << strict.ToString();
+  EXPECT_EQ(loaded.RecoverFromString(image).status().ToString(),
+            strict.ToString());
+  std::string path = dir_ + "/v4.cat";
+  std::ofstream(path, std::ios::binary) << image;
+  EXPECT_EQ(OpenCatalogSnapshotV3(path).status().ToString(),
+            strict.ToString());
+}
+
+// Text catalogs (v1, and v2 with its header line) are no longer read:
+// every load refuses them with one message, whatever their length, and
+// leaves the catalog as it was.
+TEST_F(StatsCatalogRobustnessTest, TextCatalogsAreRejected) {
+  const std::string v1 = "[index]\nname=ix_legacy\nknots=12:150,50:50\n[end]\n";
+  const std::string v2 =
+      "[epfis-stats-catalog-v2]\n[index]\nname=ix_legacy\ntable_pages=50\n"
+      "table_records=500\nknots=12:150,50:50\n[end crc=00000000]\n";
+  ASSERT_LT(v1.size(), 64u);  // Shorter than a v3 header.
+  ASSERT_GT(v2.size(), 64u);
+  StatsCatalog catalog;
+  catalog.Put(MakeStats("ix_a", 100));
+  for (const std::string& text : {v1, v2}) {
+    SCOPED_TRACE(text);
+    std::string path = dir_ + "/text.cat";
+    std::ofstream(path, std::ios::binary) << text;
+    for (const Status& status : {catalog.LoadFromString(text),
+                                 catalog.RecoverFromString(text).status(),
+                                 catalog.LoadFromFile(path)}) {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption);
+      EXPECT_NE(status.message().find("not a v3 catalog"), std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find("text catalogs are no longer read"),
+                std::string::npos)
+          << status.ToString();
+    }
+    EXPECT_EQ(catalog.IndexNames(), std::vector<std::string>{"ix_a"});
+  }
 }
 
 TEST_F(StatsCatalogRobustnessTest, FileRoundTripIsAtomicAndDurable) {
   std::string path = dir_ + "/stats.cat";
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
   EXPECT_FALSE(HasTmpLeak());
 
   StatsCatalog loaded;
@@ -209,7 +205,7 @@ TEST_F(StatsCatalogRobustnessTest, InjectedWriteFailurePreservesOldCatalog) {
   std::string path = dir_ + "/stats.cat";
   StatsCatalog old_catalog;
   old_catalog.Put(MakeStats("ix_old", 100));
-  ASSERT_TRUE(old_catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(old_catalog.SaveToFileV3(path).ok());
   std::string old_bytes = Slurp(path);
 
   StatsCatalog new_catalog;
@@ -223,7 +219,7 @@ TEST_F(StatsCatalogRobustnessTest, InjectedWriteFailurePreservesOldCatalog) {
     spec.skip_calls = 0;
     spec.max_fires = 1;
     FaultInjector::Global().Arm(point, spec);
-    Status status = new_catalog.SaveToFile(path);
+    Status status = new_catalog.SaveToFileV3(path);
     EXPECT_EQ(status.code(), StatusCode::kIoError);
     FaultInjector::Global().Disarm(point);
 
@@ -236,7 +232,7 @@ TEST_F(StatsCatalogRobustnessTest, InjectedWriteFailurePreservesOldCatalog) {
   }
 
   // Recovery on the next clean call: the save goes through untouched.
-  ASSERT_TRUE(new_catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(new_catalog.SaveToFileV3(path).ok());
   StatsCatalog check;
   ASSERT_TRUE(check.LoadFromFile(path).ok());
   EXPECT_TRUE(check.Get("ix_new").ok());
@@ -246,7 +242,7 @@ TEST_F(StatsCatalogRobustnessTest, LoadFaultPointsSurfaceAsErrors) {
   std::string path = dir_ + "/stats.cat";
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  ASSERT_TRUE(catalog.SaveToFile(path).ok());
+  ASSERT_TRUE(catalog.SaveToFileV3(path).ok());
 
   for (const char* point : {"catalog.load.open", "catalog.load.read"}) {
     SCOPED_TRACE(point);
@@ -264,12 +260,8 @@ TEST_F(StatsCatalogRobustnessTest, LoadFaultPointsSurfaceAsErrors) {
 TEST_F(StatsCatalogRobustnessTest, RemoveClearsQuarantine) {
   StatsCatalog catalog;
   catalog.Put(MakeStats("ix_a", 100));
-  std::string text = catalog.SaveToString();
-  size_t at = text.find("table_pages=100");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 15, "table_pages=999");
   StatsCatalog loaded;
-  ASSERT_TRUE(loaded.RecoverFromString(text).ok());
+  ASSERT_TRUE(loaded.RecoverFromString(FirstEntryDamaged(catalog)).ok());
   ASSERT_TRUE(loaded.IsQuarantined("ix_a"));
   loaded.Remove("ix_a");
   EXPECT_FALSE(loaded.IsQuarantined("ix_a"));

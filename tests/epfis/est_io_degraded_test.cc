@@ -80,13 +80,13 @@ TEST_F(EstIoDegradedTest, MissingStatsFallBackToYao) {
 }
 
 TEST_F(EstIoDegradedTest, QuarantinedStatsFallBackWithCorruption) {
-  // Quarantine the entry by recovering a tampered serialization.
-  std::string text = catalog_.SaveToString();
-  size_t at = text.find("table_pages=");
-  ASSERT_NE(at, std::string::npos);
-  text[at + 12] ^= 0x01;
+  // Quarantine the entry by recovering a tampered serialization: one
+  // flipped byte in its fixed fields, after the 64 B header and the one
+  // 40 B index record.
+  std::string image = catalog_.SaveToStringV3();
+  image[64 + 40 + 2] ^= 0x01;
   StatsCatalog recovered;
-  ASSERT_TRUE(recovered.RecoverFromString(text).ok());
+  ASSERT_TRUE(recovered.RecoverFromString(image).ok());
   ASSERT_TRUE(recovered.IsQuarantined("ix_good"));
   ASSERT_TRUE(recovered.Publish().ok());
 

@@ -454,15 +454,6 @@ TEST(OnlineLruFitTest, OnlineProvenanceRoundTripsThroughAllFormats) {
   ASSERT_EQ(original->online_generation, 1u);
   ASSERT_EQ(original->window_refs, 6000u);
 
-  // v2 text round-trip.
-  StatsCatalog from_v2;
-  ASSERT_TRUE(from_v2.LoadFromString(catalog.SaveToString()).ok());
-  auto v2 = from_v2.Get("ix_prov");
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->online_generation, original->online_generation);
-  EXPECT_EQ(v2->window_refs, original->window_refs);
-  EXPECT_EQ(v2->drift_error, original->drift_error);
-
   // v3 binary round-trip.
   StatsCatalog from_v3;
   ASSERT_TRUE(from_v3.LoadFromString(catalog.SaveToStringV3()).ok());

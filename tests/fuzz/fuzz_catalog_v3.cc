@@ -1,15 +1,19 @@
-// Fuzz target: the v3 binary catalog decoder, strict and recovering.
-// The decoder consumes attacker-controlled length/offset fields, so this
-// is the highest-value parser to fuzz: every out-of-bounds knot count or
+// Fuzz target: the v3 binary catalog reader, through the strict and the
+// recovering load (the snapshot open shares the same reader). The reader
+// consumes attacker-controlled length/offset fields, so this is the
+// highest-value parser to fuzz: every out-of-bounds knot count or
 // overlapping string table must surface as Corruption, not a wild read.
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
-#include "catalog/catalog_v3.h"
+#include "catalog/stats_catalog.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  const char* bytes = reinterpret_cast<const char*>(data);
-  (void)epfis::CatalogV3::Decode(bytes, size, /*recover=*/false);
-  (void)epfis::CatalogV3::Decode(bytes, size, /*recover=*/true);
+  std::string image(reinterpret_cast<const char*>(data), size);
+  epfis::StatsCatalog strict;
+  (void)strict.LoadFromString(image);
+  epfis::StatsCatalog recovering;
+  (void)recovering.RecoverFromString(image);
   return 0;
 }

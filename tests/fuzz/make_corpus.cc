@@ -1,8 +1,9 @@
 // Seed-corpus generator: writes well-formed inputs for each fuzz target
 // into a directory (argv[1], default "fuzz_corpus") using the real
-// encoders, plus truncated variants of each. Valid seeds let a fuzzer
-// reach the deep per-entry parsing immediately instead of spending its
-// budget rediscovering the magic and framing.
+// encoders, plus truncated variants of each and two hand-edited catalog
+// images. Valid seeds let a fuzzer reach the deep per-entry parsing
+// immediately instead of spending its budget rediscovering the magic and
+// framing.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -11,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "../catalog/catalog_v3_images.h"
 #include "catalog/catalog_v3.h"
-#include "catalog/stats_catalog.h"
 #include "epfis/index_stats.h"
 #include "epfis/trace_io.h"
 
@@ -57,12 +58,6 @@ int main(int argc, char** argv) {
   entries.emplace("seed_a.key", MakeStats("seed_a.key", 900));
   entries.emplace("seed_b.key", MakeStats("seed_b.key", 3000));
 
-  StatsCatalog catalog;
-  for (const auto& [name, stats] : entries) {
-    IndexStats copy = stats;
-    catalog.Put(std::move(copy));
-  }
-  const std::string v2 = catalog.SaveToString();
   const std::string v3 = CatalogV3::Encode(entries);
 
   std::vector<PageId> trace;
@@ -79,12 +74,19 @@ int main(int argc, char** argv) {
                           std::istreambuf_iterator<char>());
   trace_in.close();
 
-  bool ok = WriteBytes(dir + "/catalog_v2_valid.seed", v2) &&
-            WriteBytes(dir + "/catalog_v3_valid.seed", v3) &&
-            WriteBytes(dir + "/catalog_v2_truncated.seed",
-                       v2.substr(0, v2.size() / 2)) &&
+  // Two images the writer never produces, so the fuzzer starts at the
+  // reader's repeated-name check and its knot rule.
+  const std::string repeated_name = RepeatedNameV3Image(
+      MakeStats("aa", 900), MakeStats("aa", 3000), /*reseal=*/true);
+  const std::string bad_knots =
+      DecreasingKnotsV3Image(MakeStats("seed_k.key", 900));
+
+  bool ok = WriteBytes(dir + "/catalog_v3_valid.seed", v3) &&
             WriteBytes(dir + "/catalog_v3_truncated.seed",
                        v3.substr(0, v3.size() / 2)) &&
+            WriteBytes(dir + "/catalog_v3_repeated_name.seed",
+                       repeated_name) &&
+            WriteBytes(dir + "/catalog_v3_bad_knots.seed", bad_knots) &&
             WriteBytes(dir + "/trace_truncated.seed",
                        trace_bytes.substr(0, trace_bytes.size() / 2));
   if (!ok) {

@@ -97,7 +97,7 @@ TEST(StatsCatalogEdgeTest, EntryWithoutCurveRoundTrips) {
   stats.table_records = 100;
   catalog.Put(stats);
   StatsCatalog loaded;
-  ASSERT_TRUE(loaded.LoadFromString(catalog.SaveToString()).ok());
+  ASSERT_TRUE(loaded.LoadFromString(catalog.SaveToStringV3()).ok());
   auto got = loaded.Get("curveless");
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->fpf.has_value());
