@@ -6,7 +6,6 @@
 
 #include "buffer/stack_distance_kernel.h"
 #include "obs/metrics.h"
-#include "util/cancel.h"
 
 namespace epfis {
 namespace {
@@ -79,8 +78,6 @@ Result<SampledStackDistances> ComputeSampledStackDistances(
                              /*window_hint=*/0, sampling);
   std::vector<PageId> buffer(kTraceChunkRefs);
   for (;;) {
-    EPFIS_RETURN_IF_ERROR(
-        CheckCancel(options.cancel, options.deadline, "stack distance"));
     EPFIS_ASSIGN_OR_RETURN(size_t n, trace.Next(buffer.data(), buffer.size()));
     if (n == 0) break;
     EPFIS_RETURN_IF_ERROR(ValidatePageRefs(buffer.data(), n));

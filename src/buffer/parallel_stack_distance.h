@@ -4,7 +4,6 @@
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "epfis/trace_source.h"
-#include "util/cancel.h"
 #include "util/result.h"
 
 // The entry points below are the one serial pass of the
@@ -22,16 +21,6 @@ struct StackDistanceOptions {
   /// (ComputeSampledStackDistances only; the exact entry point rejects
   /// it).
   SamplingOptions sampling;
-
-  /// Cooperative cancellation: polled once per streamed chunk. A fired
-  /// token surfaces as Status::Cancelled. The default null token costs
-  /// one branch per poll.
-  CancellationToken cancel;
-
-  /// Wall-clock budget for the whole computation; checked at the same
-  /// poll points as `cancel` and surfaces as Status::DeadlineExceeded.
-  /// Defaults to infinite.
-  Deadline deadline;
 };
 
 /// Computes the LRU stack-distance histogram of `trace` by streaming it

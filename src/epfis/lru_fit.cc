@@ -41,8 +41,6 @@ Result<SampledStackDistances> SimulateTrace(TraceSource& trace,
   StackDistanceOptions sd_options;
   sd_options.sampling.rate = SampleRateForPages(
       options.sample_rate, options.sample_max_pages, table_pages);
-  sd_options.cancel = options.cancel;
-  sd_options.deadline = options.deadline;
   auto result = ComputeSampledStackDistances(trace, nullptr, sd_options);
   if (!result.ok() &&
       result.status().code() == StatusCode::kInvalidArgument) {
@@ -119,8 +117,6 @@ Result<IndexStats> RunLruFit(TraceSource& trace, uint64_t table_pages,
   static LatencyHistogram fit_ns = registry.GetHistogram("lru_fit.fit_ns");
 
   EPFIS_RETURN_IF_ERROR(options.Validate());
-  EPFIS_RETURN_IF_ERROR(CheckCancel(options.cancel, options.deadline,
-                                    "LRU-Fit"));
   EPFIS_ASSIGN_OR_RETURN(ModelRange range,
                          DetermineRange(table_pages, options));
 
@@ -180,11 +176,8 @@ Result<IndexStats> RunLruFit(TraceSource& trace, uint64_t table_pages,
     // Single modeled size (tiny table): store a flat segment.
     points.push_back(Knot{points[0].x + 1.0, points[0].y});
   }
-  EPFIS_ASSIGN_OR_RETURN(
-      PiecewiseLinear fit,
-      options.fit_criterion == LruFitOptions::FitCriterion::kMinimax
-          ? FitPiecewiseLinearMinimax(points, options.num_segments)
-          : FitPiecewiseLinear(points, options.num_segments));
+  EPFIS_ASSIGN_OR_RETURN(PiecewiseLinear fit,
+                         FitPiecewiseLinear(points, options.num_segments));
   stats.fpf = std::move(fit);
   return stats;
 }

@@ -11,7 +11,6 @@
 #include "epfis/index_stats.h"
 #include "epfis/trace_source.h"
 #include "storage/page.h"
-#include "util/cancel.h"
 #include "util/result.h"
 
 namespace epfis {
@@ -28,11 +27,6 @@ struct LruFitOptions {
   /// Number of approximating line segments; the paper settles on 6 after
   /// sensitivity experiments (reproduced in bench_ablation_segments).
   int num_segments = 6;
-
-  /// Fitting criterion for the segment knots: least squares (default) or
-  /// minimax (the criterion of Natarajan 1991, which §4.1 cites).
-  enum class FitCriterion { kLeastSquares, kMinimax };
-  FitCriterion fit_criterion = FitCriterion::kLeastSquares;
 
   /// Spacing of the modeled buffer sizes.
   BufferSchedule schedule = BufferSchedule::kPaperLinear;
@@ -54,17 +48,6 @@ struct LruFitOptions {
   /// the sample holds about K·A/T <= K pages. An expected size, not a
   /// hard cap. K >= T leaves `sample_rate` alone. 0 disables it.
   uint64_t sample_max_pages = 0;
-
-  /// Cooperative cancellation and wall-clock budget for the whole fit:
-  /// forwarded into the stack simulation (polled once per streamed chunk)
-  /// and checked again between phases.
-  /// A fired token surfaces as Cancelled, an expired deadline as
-  /// DeadlineExceeded; the defaults (null token, infinite deadline) keep
-  /// completed runs bit-identical to an unguarded fit. In RunLruFitBatch
-  /// these act per job: set `deadline` on each job's options to bound
-  /// that job alone.
-  CancellationToken cancel;
-  Deadline deadline;
 
   /// Checks the options for internal consistency: at least one segment,
   /// a non-zero B_sml, overrides with b_min_override <= b_max_override,

@@ -84,8 +84,6 @@ Status OnlineLruFit::Ingest(const PageId* refs, size_t count) {
   }
   EPFIS_RETURN_IF_ERROR(ValidatePageRefs(refs, count));
   while (count > 0) {
-    EPFIS_RETURN_IF_ERROR(CheckCancel(options_.cancel, options_.fit.deadline,
-                                      "online ingest"));
     uint64_t room = options_.refresh_interval - refs_since_refresh_;
     size_t take = static_cast<size_t>(
         std::min<uint64_t>(count, std::max<uint64_t>(room, 1)));
@@ -308,11 +306,8 @@ Result<IndexStats> OnlineLruFit::BuildStats() const {
   if (points.size() == 1) {
     points.push_back(Knot{points[0].x + 1.0, points[0].y});
   }
-  EPFIS_ASSIGN_OR_RETURN(
-      PiecewiseLinear fit,
-      options_.fit.fit_criterion == LruFitOptions::FitCriterion::kMinimax
-          ? FitPiecewiseLinearMinimax(points, options_.fit.num_segments)
-          : FitPiecewiseLinear(points, options_.fit.num_segments));
+  EPFIS_ASSIGN_OR_RETURN(PiecewiseLinear fit,
+                         FitPiecewiseLinear(points, options_.fit.num_segments));
   stats.fpf = std::move(fit);
   return stats;
 }

@@ -116,16 +116,9 @@ struct OnlineLruFitOptions {
 
   DriftDetectorOptions drift;
 
-  /// Curve-fitting knobs shared with batch LRU-Fit (segments, criterion,
-  /// schedule, range overrides).
+  /// Curve-fitting knobs shared with batch LRU-Fit (segments, schedule,
+  /// range overrides).
   LruFitOptions fit;
-
-  /// Cooperative cancellation for the ingest loop: polled once per
-  /// absorbed chunk (refresh_interval granularity at worst), so a
-  /// long-running IngestAll over a large trace stops promptly when the
-  /// token fires. The engine stays consistent — absorbed references stay
-  /// absorbed, and the next Ingest after the token is cleared resumes.
-  CancellationToken cancel;
 
   Status Validate() const;
 };
@@ -183,7 +176,7 @@ class OnlineLruFit {
   Status Refresh();
 
   /// The live curve materialized as a catalog entry: windowed FPF knots
-  /// fitted with the configured criterion, online provenance filled in.
+  /// fitted by least squares, online provenance filled in.
   /// Fails before the first absorb (no live data yet).
   Result<IndexStats> BuildStats() const;
 

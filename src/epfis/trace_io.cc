@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -18,25 +19,10 @@
 namespace epfis {
 namespace {
 
-constexpr const char* kPageMagic = kPageTraceMagic;
-constexpr char kKeyPageMagic[8] = {'E', 'P', 'K', 'T', 'R', 'C', '0', '1'};
-
-Status WriteHeader(std::ofstream& out, const char* magic, uint64_t count) {
-  out.write(magic, 8);
+Status WriteHeader(std::ofstream& out, uint64_t count) {
+  out.write(kPageTraceMagic, 8);
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   return out.good() ? Status::Ok() : Status::IoError("trace header write");
-}
-
-Status ReadHeader(std::ifstream& in, const char* magic, uint64_t* count) {
-  EPFIS_RETURN_IF_ERROR(FaultPoint("trace.read.header"));
-  char buf[8];
-  in.read(buf, 8);
-  if (!in.good() || std::memcmp(buf, magic, 8) != 0) {
-    return Status::Corruption("trace file: bad magic");
-  }
-  in.read(reinterpret_cast<char*>(count), sizeof(*count));
-  if (!in.good()) return Status::Corruption("trace file: truncated header");
-  return Status::Ok();
 }
 
 Status WriteBody(std::ofstream& out, const void* data, size_t len,
@@ -174,7 +160,7 @@ Result<PageTraceReader> PageTraceReader::Open(const std::string& path) {
   // Taxonomy shared with MmapTraceSource: a file too short to hold the 8
   // magic bytes (or holding the wrong ones) is "bad magic"; a good magic
   // with a truncated count is "truncated header".
-  if (got < 8 || std::memcmp(header, kPageMagic, 8) != 0) {
+  if (got < 8 || std::memcmp(header, kPageTraceMagic, 8) != 0) {
     return Status::Corruption("trace file: bad magic");
   }
   if (got < sizeof(header)) {
@@ -223,7 +209,7 @@ Status SavePageTrace(const std::vector<PageId>& trace,
   EPFIS_RETURN_IF_ERROR(FaultPoint("trace.save.open"));
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) return Status::IoError("cannot open " + path);
-  EPFIS_RETURN_IF_ERROR(WriteHeader(out, kPageMagic, trace.size()));
+  EPFIS_RETURN_IF_ERROR(WriteHeader(out, trace.size()));
   if (!trace.empty()) {
     EPFIS_RETURN_IF_ERROR(
         WriteBody(out, trace.data(), trace.size() * sizeof(PageId), path));
@@ -235,6 +221,17 @@ Result<std::vector<PageId>> LoadPageTrace(const std::string& path) {
   // Route the bulk load through the hardened incremental reader so it
   // shares the EINTR/short-read handling and fault points.
   EPFIS_ASSIGN_OR_RETURN(PageTraceReader reader, PageTraceReader::Open(path));
+  // The count is untrusted: allocate only once the file is known to hold
+  // that many entries (compared by division, as MmapTraceSource does, so
+  // a hostile count cannot overflow).
+  std::error_code size_error;
+  uint64_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error) return Status::IoError("cannot stat " + path);
+  if (file_bytes < kPageTraceHeaderSize ||
+      reader.count() >
+          (file_bytes - kPageTraceHeaderSize) / sizeof(PageId)) {
+    return Status::Corruption("trace file: truncated body");
+  }
   std::vector<PageId> trace(reader.count());
   size_t filled = 0;
   while (filled < trace.size()) {
@@ -250,39 +247,6 @@ Result<std::vector<PageId>> LoadPageTrace(const std::string& path) {
   PageId sentinel;
   EPFIS_ASSIGN_OR_RETURN(size_t extra, reader.Read(&sentinel, 1));
   if (extra != 0) return Status::Corruption("trace file: trailing bytes");
-  return trace;
-}
-
-Status SaveKeyPageTrace(const std::vector<KeyPageRef>& trace,
-                        const std::string& path) {
-  EPFIS_RETURN_IF_ERROR(FaultPoint("trace.save.open"));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return Status::IoError("cannot open " + path);
-  EPFIS_RETURN_IF_ERROR(WriteHeader(out, kKeyPageMagic, trace.size()));
-  for (const KeyPageRef& ref : trace) {
-    EPFIS_RETURN_IF_ERROR(WriteBody(out, &ref.key, sizeof(ref.key), path));
-    EPFIS_RETURN_IF_ERROR(WriteBody(out, &ref.page, sizeof(ref.page), path));
-  }
-  return out.good() ? Status::Ok() : Status::IoError("trace write failed");
-}
-
-Result<std::vector<KeyPageRef>> LoadKeyPageTrace(const std::string& path) {
-  EPFIS_RETURN_IF_ERROR(FaultPoint("trace.open"));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IoError("cannot open " + path);
-  uint64_t count = 0;
-  EPFIS_RETURN_IF_ERROR(ReadHeader(in, kKeyPageMagic, &count));
-  std::vector<KeyPageRef> trace(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t want = sizeof(trace[i].key) + sizeof(trace[i].page);
-    FaultIoOutcome fault = FaultIoPoint("trace.read.body", &want);
-    if (!fault.status.ok()) return fault.status;
-    in.read(reinterpret_cast<char*>(&trace[i].key), sizeof(trace[i].key));
-    in.read(reinterpret_cast<char*>(&trace[i].page), sizeof(trace[i].page));
-    if (!in.good()) return Status::Corruption("trace file: truncated body");
-  }
-  in.peek();
-  if (!in.eof()) return Status::Corruption("trace file: trailing bytes");
   return trace;
 }
 

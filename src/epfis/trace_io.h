@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/estimator.h"
 #include "storage/page.h"
 #include "util/result.h"
 
@@ -18,7 +17,7 @@ namespace epfis {
 /// has exactly these characteristics" — in a production deployment the
 /// statistics scan and the LRU modeling can run at different times (or on
 /// a different host). These helpers persist the trace the statistics scan
-/// produces so LRU-Fit / the baseline collectors can be replayed offline.
+/// produces so LRU-Fit can be replayed offline.
 ///
 /// Format: 8-byte magic, u64 count, then fixed-width little-endian
 /// entries. Load validates magic and length and fails with Corruption on
@@ -42,7 +41,10 @@ inline constexpr int kDefaultEintrRetryBudget = 100;
 Status SavePageTrace(const std::vector<PageId>& trace,
                      const std::string& path);
 
-/// Loads a plain data-page trace.
+/// Loads a plain data-page trace. The header's count is untrusted: it is
+/// checked against the file's size before anything is allocated, so a
+/// count the file cannot hold fails with the Corruption "trace file:
+/// truncated body" that OpenTraceSource gives for the same file.
 Result<std::vector<PageId>> LoadPageTrace(const std::string& path);
 
 /// Incremental reader over a SavePageTrace file: validates the header on
@@ -85,13 +87,6 @@ class PageTraceReader {
   uint64_t count_ = 0;
   uint64_t consumed_ = 0;
 };
-
-/// Saves a (key, page) trace (what the §3 baseline collectors consume).
-Status SaveKeyPageTrace(const std::vector<KeyPageRef>& trace,
-                        const std::string& path);
-
-/// Loads a (key, page) trace.
-Result<std::vector<KeyPageRef>> LoadKeyPageTrace(const std::string& path);
 
 }  // namespace epfis
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/cancel.h"
 #include "util/fault.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -28,22 +27,14 @@ Result<size_t> VectorTraceSource::Next(PageId* buffer, size_t capacity) {
 }
 
 Result<FileTraceSource> FileTraceSource::Open(const std::string& path) {
-  return Open(path, TraceOpenOptions{});
-}
-
-Result<FileTraceSource> FileTraceSource::Open(const std::string& path,
-                                              const TraceOpenOptions& options) {
   EPFIS_ASSIGN_OR_RETURN(PageTraceReader reader, PageTraceReader::Open(path));
   static Counter file_opens =
       MetricsRegistry::Global().GetCounter("trace.file_opens");
   file_opens.Increment();
-  FileTraceSource source(std::move(reader));
-  source.cancel_ = options.cancel;
-  return source;
+  return FileTraceSource(std::move(reader));
 }
 
 Result<size_t> FileTraceSource::Next(PageId* buffer, size_t capacity) {
-  EPFIS_RETURN_IF_ERROR(CheckCancel(cancel_, Deadline(), "trace read"));
   return reader_.Read(buffer, capacity);
 }
 
@@ -153,8 +144,7 @@ MmapTraceSource::MmapTraceSource(MmapTraceSource&& other) noexcept
       map_len_(std::exchange(other.map_len_, 0)),
       entries_(std::exchange(other.entries_, nullptr)),
       count_(std::exchange(other.count_, 0)),
-      pos_(std::exchange(other.pos_, 0)),
-      cancel_(std::move(other.cancel_)) {}
+      pos_(std::exchange(other.pos_, 0)) {}
 
 MmapTraceSource& MmapTraceSource::operator=(MmapTraceSource&& other) noexcept {
   if (this != &other) {
@@ -166,20 +156,11 @@ MmapTraceSource& MmapTraceSource::operator=(MmapTraceSource&& other) noexcept {
     entries_ = std::exchange(other.entries_, nullptr);
     count_ = std::exchange(other.count_, 0);
     pos_ = std::exchange(other.pos_, 0);
-    cancel_ = std::move(other.cancel_);
   }
   return *this;
 }
 
-Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path,
-                                              const TraceOpenOptions& options) {
-  EPFIS_ASSIGN_OR_RETURN(MmapTraceSource source, Open(path));
-  source.cancel_ = options.cancel;
-  return source;
-}
-
 Result<size_t> MmapTraceSource::Next(PageId* buffer, size_t capacity) {
-  EPFIS_RETURN_IF_ERROR(CheckCancel(cancel_, Deadline(), "trace read"));
   size_t n = static_cast<size_t>(
       std::min<uint64_t>(capacity, count_ - pos_));
   if (n > 0) {
@@ -189,12 +170,11 @@ Result<size_t> MmapTraceSource::Next(PageId* buffer, size_t capacity) {
   return n;
 }
 
-Result<std::unique_ptr<TraceSource>> OpenTraceSource(
-    const std::string& path, const TraceOpenOptions& options) {
+Result<std::unique_ptr<TraceSource>> OpenTraceSource(const std::string& path) {
   static Counter fallbacks =
       MetricsRegistry::Global().GetCounter("trace.mmap_fallbacks");
   if (MmapTraceSource::Supported()) {
-    Result<MmapTraceSource> source = MmapTraceSource::Open(path, options);
+    Result<MmapTraceSource> source = MmapTraceSource::Open(path);
     if (source.ok()) {
       return std::unique_ptr<TraceSource>(
           new MmapTraceSource(std::move(*source)));
@@ -211,8 +191,7 @@ Result<std::unique_ptr<TraceSource>> OpenTraceSource(
     fallbacks.Increment();
   }
   // Last resort is the streaming reader.
-  EPFIS_ASSIGN_OR_RETURN(FileTraceSource source,
-                         FileTraceSource::Open(path, options));
+  EPFIS_ASSIGN_OR_RETURN(FileTraceSource source, FileTraceSource::Open(path));
   return std::unique_ptr<TraceSource>(new FileTraceSource(std::move(source)));
 }
 

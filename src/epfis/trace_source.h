@@ -9,7 +9,6 @@
 
 #include "epfis/trace_io.h"
 #include "storage/page.h"
-#include "util/cancel.h"
 #include "util/result.h"
 
 namespace epfis {
@@ -78,22 +77,11 @@ class VectorTraceSource final : public TraceSource {
   size_t pos_ = 0;
 };
 
-/// Robustness controls shared by every file-backed source.
-struct TraceOpenOptions {
-  /// Cooperative cancellation for the source's read loop: every Next
-  /// polls the token first and returns Status::Cancelled once it fires,
-  /// so a consumer never sits in a stuck read. The default null token
-  /// costs one branch per Next.
-  CancellationToken cancel;
-};
-
 /// TraceSource over a SavePageTrace file, read in chunks through
 /// PageTraceReader — the whole trace is never resident. Move-only.
 class FileTraceSource final : public TraceSource {
  public:
   static Result<FileTraceSource> Open(const std::string& path);
-  static Result<FileTraceSource> Open(const std::string& path,
-                                      const TraceOpenOptions& options);
 
   FileTraceSource(FileTraceSource&&) = default;
   FileTraceSource& operator=(FileTraceSource&&) = default;
@@ -109,7 +97,6 @@ class FileTraceSource final : public TraceSource {
       : reader_(std::move(reader)) {}
 
   PageTraceReader reader_;
-  CancellationToken cancel_;
 };
 
 /// TraceSource over a SavePageTrace file mapped read-only into the address
@@ -132,8 +119,6 @@ class FileTraceSource final : public TraceSource {
 class MmapTraceSource final : public TraceSource {
  public:
   static Result<MmapTraceSource> Open(const std::string& path);
-  static Result<MmapTraceSource> Open(const std::string& path,
-                                      const TraceOpenOptions& options);
 
   /// Whether this build can mmap at all.
   static bool Supported();
@@ -163,7 +148,6 @@ class MmapTraceSource final : public TraceSource {
   const PageId* entries_ = nullptr;
   uint64_t count_ = 0;
   uint64_t pos_ = 0;
-  CancellationToken cancel_;
 };
 
 /// Opens the fastest available TraceSource for a SavePageTrace file:
@@ -172,8 +156,7 @@ class MmapTraceSource final : public TraceSource {
 /// fallback on a corrupt file — both reject it with the same taxonomy);
 /// an access-path failure — a filesystem that cannot back the mapping —
 /// degrades to the streaming reader and bumps trace.mmap_fallbacks.
-Result<std::unique_ptr<TraceSource>> OpenTraceSource(
-    const std::string& path, const TraceOpenOptions& options = {});
+Result<std::unique_ptr<TraceSource>> OpenTraceSource(const std::string& path);
 
 }  // namespace epfis
 

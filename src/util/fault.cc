@@ -243,12 +243,6 @@ Status FaultInjector::Check(std::string_view point) {
   std::lock_guard<std::mutex> lock(s.mu);
   PointState& st = s.points.try_emplace(std::string(point)).first->second;
   if (!Fires(st)) return Status::Ok();
-  // A cancel fault fires the token and lets the call proceed; the
-  // pipeline notices at its next cooperative poll.
-  if (st.spec.kind == FaultKind::kCancel) {
-    st.spec.cancel_token.Cancel();
-    return Status::Ok();
-  }
   // Short-read / EINTR only mean something at byte-granular I/O points;
   // firing them at a plain check is a configuration mismatch we treat as
   // a no-op rather than inventing an error the caller never returns.
@@ -276,9 +270,6 @@ FaultIoOutcome FaultInjector::CheckIo(std::string_view point,
       break;
     case FaultKind::kEintr:
       outcome.eintr = true;
-      break;
-    case FaultKind::kCancel:
-      st.spec.cancel_token.Cancel();
       break;
   }
   return outcome;

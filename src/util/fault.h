@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/cancel.h"
 #include "util/status.h"
 
 /// Compile-time gate for the fault-injection framework, set from the
@@ -35,11 +34,6 @@ enum class FaultKind {
   /// transferred). Bounded retry loops must absorb a finite burst and
   /// fail with IoError once their budget is exhausted. Check() is a no-op.
   kEintr,
-  /// Fires FaultSpec::cancel_token and lets the call proceed (Check() and
-  /// CheckIo() both return OK). The pipeline then notices the token at its
-  /// next cooperative poll — this is how the cancellation sweep injects a
-  /// cancel "at" each existing fault point without new control flow.
-  kCancel,
 };
 
 /// Failure schedule for one injection point. The default spec fires on
@@ -69,11 +63,6 @@ struct FaultSpec {
   /// kShortRead: bytes the clamped request is allowed to transfer
   /// (floored at 1 so a retry loop always makes progress).
   uint64_t short_io_bytes = 1;
-
-  /// kCancel: the token fired when the point fires. Tests hand the same
-  /// token to the pipeline under drill. (Not expressible in the env
-  /// grammar — a token is a live object.)
-  CancellationToken cancel_token;
 };
 
 /// Lifetime call/fire counters for one injection point.

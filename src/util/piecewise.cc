@@ -37,31 +37,17 @@ double ChordCost(const std::vector<Knot>& pts, size_t i, size_t j) {
   return cost;
 }
 
-// Maximum absolute residual of the same chord.
-double ChordMaxCost(const std::vector<Knot>& pts, size_t i, size_t j) {
-  double x0 = pts[i].x, y0 = pts[i].y;
-  double slope = (pts[j].y - y0) / (pts[j].x - x0);
-  double worst = 0.0;
-  for (size_t m = i + 1; m < j; ++m) {
-    double pred = y0 + slope * (pts[m].x - x0);
-    worst = std::max(worst, std::fabs(pts[m].y - pred));
-  }
-  return worst;
-}
-
-// Shared DP over knot placements; `combine` folds a segment's cost into a
-// path cost (sum for least-squares, max for minimax).
-Result<PiecewiseLinear> FitWithDp(
-    const std::vector<Knot>& points, int max_segments,
-    double (*segment_cost)(const std::vector<Knot>&, size_t, size_t),
-    double (*combine)(double, double)) {
+// DP over knot placements: dp[s][j] is the least total squared residual
+// of an s-segment curve from points[0] to points[j].
+Result<PiecewiseLinear> FitWithDp(const std::vector<Knot>& points,
+                                  int max_segments) {
   const size_t m = points.size();
   const size_t k = std::min<size_t>(static_cast<size_t>(max_segments), m - 1);
 
   std::vector<std::vector<double>> cost(m, std::vector<double>(m, 0.0));
   for (size_t i = 0; i + 1 < m; ++i) {
     for (size_t j = i + 1; j < m; ++j) {
-      cost[i][j] = segment_cost(points, i, j);
+      cost[i][j] = ChordCost(points, i, j);
     }
   }
 
@@ -73,7 +59,7 @@ Result<PiecewiseLinear> FitWithDp(
     for (size_t j = s; j < m; ++j) {
       for (size_t i = s - 1; i < j; ++i) {
         if (dp[s - 1][i] == kInf) continue;
-        double c = combine(dp[s - 1][i], cost[i][j]);
+        double c = dp[s - 1][i] + cost[i][j];
         if (c < dp[s][j]) {
           dp[s][j] = c;
           parent[s][j] = i;
@@ -148,15 +134,7 @@ double PiecewiseLinear::Eval(double x) const {
 Result<PiecewiseLinear> FitPiecewiseLinear(const std::vector<Knot>& points,
                                            int max_segments) {
   EPFIS_RETURN_IF_ERROR(ValidatePoints(points, max_segments));
-  return FitWithDp(points, max_segments, ChordCost,
-                   [](double a, double b) { return a + b; });
-}
-
-Result<PiecewiseLinear> FitPiecewiseLinearMinimax(
-    const std::vector<Knot>& points, int max_segments) {
-  EPFIS_RETURN_IF_ERROR(ValidatePoints(points, max_segments));
-  return FitWithDp(points, max_segments, ChordMaxCost,
-                   [](double a, double b) { return std::max(a, b); });
+  return FitWithDp(points, max_segments);
 }
 
 Result<PiecewiseLinear> FitPiecewiseUniform(const std::vector<Knot>& points,

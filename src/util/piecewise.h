@@ -66,13 +66,6 @@ Result<PiecewiseLinear> FitPiecewiseLinear(const std::vector<Knot>& points,
 Result<PiecewiseLinear> FitPiecewiseUniform(const std::vector<Knot>& points,
                                             int max_segments);
 
-/// Minimax variant: same knot family, but the DP minimizes the *maximum*
-/// absolute residual instead of the sum of squares — the criterion of the
-/// piecewise-approximation literature the paper cites (Natarajan 1991).
-/// Compared against least-squares in the fit-method ablation.
-Result<PiecewiseLinear> FitPiecewiseLinearMinimax(
-    const std::vector<Knot>& points, int max_segments);
-
 /// Total squared vertical residual of `curve` against `points`.
 double SumSquaredResidual(const PiecewiseLinear& curve,
                           const std::vector<Knot>& points);

@@ -24,10 +24,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Corruption";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kCancelled:
-      return "Cancelled";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

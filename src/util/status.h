@@ -20,8 +20,6 @@ enum class StatusCode {
   kIoError,
   kCorruption,
   kInternal,
-  kCancelled,
-  kDeadlineExceeded,
 };
 
 /// Returns a stable human-readable name for `code` (e.g. "InvalidArgument").
@@ -71,12 +69,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -184,28 +184,6 @@ TEST_F(TraceFaultTest, StreamingFallbackOpenFailsOnceThenRecovers) {
   EXPECT_EQ(ReadAll(**source), trace_);
 }
 
-TEST_F(TraceFaultTest, CancelledTokenStopsEveryTraceSourceRead) {
-  CancellationToken token = CancellationToken::Create();
-  TraceOpenOptions options;
-  options.cancel = token;
-
-  auto file_source = FileTraceSource::Open(path_, options);
-  ASSERT_TRUE(file_source.ok());
-  auto any_source = OpenTraceSource(path_, options);
-  ASSERT_TRUE(any_source.ok());
-
-  PageId buf[64];
-  auto before = file_source->Next(buf, 64);
-  ASSERT_TRUE(before.ok());  // Token not fired yet: reads flow.
-  token.Cancel();
-  Result<size_t> after = file_source->Next(buf, 64);
-  ASSERT_FALSE(after.ok());
-  EXPECT_EQ(after.status().code(), StatusCode::kCancelled);
-  Result<size_t> mapped = (*any_source)->Next(buf, 64);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kCancelled);
-}
-
 TEST_F(TraceFaultTest, LoadPageTraceSharesHardenedPath) {
   FaultSpec spec;
   spec.kind = FaultKind::kShortRead;

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
 #include "epfis/lru_fit.h"
+#include "epfis/trace_source.h"
 #include "util/random.h"
 
 namespace epfis {
@@ -20,6 +22,17 @@ class TraceIoTest : public ::testing::Test {
             ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  // Writes a trace file by hand: `magic`, then `count`, then `body`.
+  void WriteRaw(const char* magic, uint64_t count,
+                const std::vector<PageId>& body) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(magic, 8);
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.write(reinterpret_cast<const char*>(body.data()),
+              static_cast<std::streamsize>(body.size() * sizeof(PageId)));
+  }
+
   std::string path_;
 };
 
@@ -42,25 +55,30 @@ TEST_F(TraceIoTest, EmptyPageTraceRoundTrip) {
   EXPECT_TRUE(loaded->empty());
 }
 
-TEST_F(TraceIoTest, KeyPageTraceRoundTrip) {
-  std::vector<KeyPageRef> trace;
-  for (int64_t k = 0; k < 3000; ++k) {
-    trace.push_back(KeyPageRef{k / 3, static_cast<PageId>(k % 97)});
-  }
-  ASSERT_TRUE(SaveKeyPageTrace(trace, path_).ok());
-  auto loaded = LoadKeyPageTrace(path_);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), trace.size());
-  for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].key, trace[i].key);
-    EXPECT_EQ((*loaded)[i].page, trace[i].page);
-  }
+TEST_F(TraceIoTest, WrongMagicRejected) {
+  // A well-formed count and body under a foreign magic.
+  WriteRaw("EPKTRC01", 3, {1, 2, 3});
+  auto loaded = LoadPageTrace(path_);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(loaded.status().message(), "trace file: bad magic");
 }
 
-TEST_F(TraceIoTest, WrongMagicRejected) {
-  ASSERT_TRUE(SavePageTrace({1, 2, 3}, path_).ok());
-  // A page trace is not a key-page trace.
-  EXPECT_EQ(LoadKeyPageTrace(path_).status().code(), StatusCode::kCorruption);
+// The header's count is untrusted. A count the file cannot hold fails
+// before anything is sized from it, with the status OpenTraceSource gives
+// for the same file, never with a vector length error or a huge
+// allocation.
+TEST_F(TraceIoTest, HeaderCountBeyondTheFileIsCorruption) {
+  for (uint64_t count : {uint64_t{11}, uint64_t{1} << 62, UINT64_MAX}) {
+    SCOPED_TRACE(count);
+    WriteRaw(kPageTraceMagic, count, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+    auto loaded = LoadPageTrace(path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(loaded.status().message(), "trace file: truncated body");
+    auto source = OpenTraceSource(path_);
+    ASSERT_FALSE(source.ok());
+    EXPECT_EQ(loaded.status(), source.status());
+  }
 }
 
 TEST_F(TraceIoTest, TruncationDetected) {

@@ -21,7 +21,6 @@
 #include "epfis/online_lru_fit.h"
 #include "epfis/trace_io.h"
 #include "epfis/trace_source.h"
-#include "util/cancel.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
@@ -79,19 +78,14 @@ class FaultSweepTest : public testing::Test {
 
   // One pass over every instrumented subsystem. Every stage runs
   // regardless of earlier failures, so a single armed point cannot shadow
-  // the reachability of the points behind it. The optional token is
-  // threaded into every cancellable option struct — a pass with a null
-  // token (the default) is the pre-existing fault sweep unchanged.
-  PassResult RunPipeline(const std::string& tag,
-                         CancellationToken cancel = {}) {
+  // the reachability of the points behind it.
+  PassResult RunPipeline(const std::string& tag) {
     PassResult result;
     auto record = [&result](Status s) { result.stages.push_back(s); };
 
     // Catalog save path (open/write/fsync/rename).
     StatsCatalog catalog;
-    LruFitOptions serial_options;
-    serial_options.cancel = cancel;
-    auto stats = RunLruFit(trace_, 300, 100, "ix_fixture", serial_options);
+    auto stats = RunLruFit(trace_, 300, 100, "ix_fixture");
     record(stats.ok() ? Status::Ok() : stats.status());
     if (stats.ok()) catalog.Put(std::move(*stats));
     record(catalog.SaveToFileV3(dir_ + "/sweep_" + tag + ".cat"));
@@ -104,9 +98,7 @@ class FaultSweepTest : public testing::Test {
     record(SavePageTrace(trace_, dir_ + "/sweep_" + tag + ".bin"));
 
     // Streaming trace read path (open/header/body).
-    TraceOpenOptions source_options;
-    source_options.cancel = cancel;
-    auto file_source = FileTraceSource::Open(trace_path_, source_options);
+    auto file_source = FileTraceSource::Open(trace_path_);
     record(file_source.ok() ? Status::Ok() : file_source.status());
     if (file_source.ok()) {
       PageId buf[1024];
@@ -123,7 +115,7 @@ class FaultSweepTest : public testing::Test {
     }
 
     // mmap open + degrade path.
-    auto any_source = OpenTraceSource(trace_path_, source_options);
+    auto any_source = OpenTraceSource(trace_path_);
     record(any_source.ok() ? Status::Ok() : any_source.status());
 
     // Batch path (lru_fit.batch.job).
@@ -135,7 +127,6 @@ class FaultSweepTest : public testing::Test {
         job.trace = std::make_unique<VectorTraceSource>(MakeTrace(4000));
         job.table_pages = 300;
         job.index_name = "ix_batch_" + std::to_string(j);
-        job.options.cancel = cancel;
         jobs.push_back(std::move(job));
       }
       LruFitBatchResult batch = RunLruFitBatch(std::move(jobs), pool,
@@ -155,7 +146,6 @@ class FaultSweepTest : public testing::Test {
       online_options.distinct_keys = 100;
       online_options.window_refs = 20000;
       online_options.refresh_interval = 5000;
-      online_options.cancel = cancel;
       OnlineLruFit engine("ix_online", online_options, &online_catalog);
       record(engine.Ingest(trace_));
     }
@@ -189,11 +179,6 @@ class FaultSweepTest : public testing::Test {
       std::vector<CatalogEstimate> results(probes.size());
       record(EstIo::EstimateBatch(*snapshot, probes, results));
     }
-
-    // A last serial LRU-Fit: it polls the token on entry, so a token
-    // fired by any point above is observed by at least this stage.
-    auto last = RunLruFit(trace_, 300, 100, "ix_last", serial_options);
-    record(last.ok() ? Status::Ok() : last.status());
     return result;
   }
 
@@ -285,59 +270,6 @@ TEST_F(FaultSweepTest, ProbabilisticScheduleIsReproducible) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_FALSE(HasTmpLeak());
-}
-
-// The cancellation sweep: at every injection point, fire a cancel token
-// (FaultKind::kCancel lets the faulted call itself proceed) and run the
-// pipeline with that same token threaded through every option struct.
-// Cancellation must surface only through the Status taxonomy — every
-// failed stage reads Cancelled or DeadlineExceeded, nothing crashes or
-// hangs, no tmp file leaks, and a pass with a fresh token is healthy.
-TEST_F(FaultSweepTest, CancellationAtEveryPointSurfacesCleanly) {
-  int swept = 0;
-  for (const char* point : kAllFaultPoints) {
-    SCOPED_TRACE(point);
-    FaultInjector::Global().DisarmAll();
-    CancellationToken token = CancellationToken::Create();
-    FaultSpec spec;
-    spec.kind = FaultKind::kCancel;
-    spec.cancel_token = token;
-    spec.max_fires = 1;
-    FaultInjector::Global().Arm(point, spec);
-    uint64_t fires_before = FaultInjector::Global().counters(point).fires;
-
-    PassResult pass = RunPipeline(std::string("cancel_") + point, token);
-
-    EXPECT_EQ(FaultInjector::Global().counters(point).fires,
-              fires_before + 1)
-        << "armed point never fired — injection not reachable";
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_FALSE(HasTmpLeak()) << "tmp file leaked under cancellation";
-    int cancelled_stages = 0;
-    for (size_t i = 0; i < pass.stages.size(); ++i) {
-      const Status& s = pass.stages[i];
-      if (s.ok()) continue;
-      EXPECT_TRUE(s.code() == StatusCode::kCancelled ||
-                  s.code() == StatusCode::kDeadlineExceeded)
-          << "stage " << i << " failed with a non-cancellation code: "
-          << s.message();
-      ++cancelled_stages;
-    }
-    // Every point fires before the final LRU-Fit stage, which observes
-    // the token even when every earlier stage had already passed its
-    // last poll.
-    EXPECT_GT(cancelled_stages, 0)
-        << "cancellation vanished without stopping anything";
-
-    // A fresh pass with a null token is fully healthy: cancellation is
-    // per-run state, never sticky process state.
-    FaultInjector::Global().DisarmAll();
-    PassResult recovered = RunPipeline(std::string("post_") + point);
-    EXPECT_TRUE(recovered.all_ok()) << "pipeline did not recover";
-    EXPECT_FALSE(HasTmpLeak());
-    ++swept;
-  }
-  EXPECT_GE(swept, 12);
 }
 
 // The serving invariant under a failed publish: readers keep the previous

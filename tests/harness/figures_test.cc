@@ -8,7 +8,6 @@
 
 #include "baselines/ml.h"
 #include "catalog/stats_catalog.h"
-#include "epfis/lru_fit.h"
 #include "exec/multi_index.h"
 #include "workload/data_gen.h"
 
@@ -102,24 +101,6 @@ TEST(StatsCatalogEdgeTest, EntryWithoutCurveRoundTrips) {
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got->fpf.has_value());
   EXPECT_EQ(got->FullScanFetches(5.0), 0.0);
-}
-
-TEST(LruFitEdgeTest, MinimaxCriterionProducesValidStats) {
-  std::vector<PageId> trace;
-  for (int r = 0; r < 5; ++r) {
-    for (PageId p = 0; p < 200; ++p) trace.push_back(p);
-  }
-  LruFitOptions options;
-  options.fit_criterion = LruFitOptions::FitCriterion::kMinimax;
-  auto stats = RunLruFit(trace, 200, 40, "mm", options);
-  ASSERT_TRUE(stats.ok());
-  ASSERT_TRUE(stats->fpf.has_value());
-  EXPECT_LE(stats->fpf->num_segments(), 6u);
-  // Both criteria agree on the endpoints of the modeled range.
-  auto lsq = RunLruFit(trace, 200, 40, "ls");
-  ASSERT_TRUE(lsq.ok());
-  EXPECT_DOUBLE_EQ(stats->fpf->min_x(), lsq->fpf->min_x());
-  EXPECT_DOUBLE_EQ(stats->fpf->max_x(), lsq->fpf->max_x());
 }
 
 }  // namespace
