@@ -18,16 +18,9 @@ void PublishKernelMetrics(const StackDistanceKernel& kernel) {
   static Counter refs = registry.GetCounter("kernel.refs");
   static Counter compactions = registry.GetCounter("kernel.compactions");
   static Counter resizes = registry.GetCounter("kernel.window_resizes");
-  static Counter lookups = registry.GetCounter("kernel.hash_lookups");
-  static Counter probes = registry.GetCounter("kernel.hash_probes");
-  static Counter grows = registry.GetCounter("kernel.hash_grows");
   refs.Increment(kernel.accesses());
   compactions.Increment(kernel.compactions());
   resizes.Increment(kernel.window_resizes());
-  auto hash = kernel.hash_stats();
-  lookups.Increment(hash.lookups);
-  probes.Increment(hash.probes);
-  grows.Increment(hash.grows);
 }
 
 // Publishes what a sampled pass did: volumes on both sides of the filter

@@ -28,8 +28,8 @@ struct StackDistanceOptions {
 /// StackDistanceSimulator. The trace is consumed in 64K-reference chunks
 /// and never materialized whole.
 ///
-/// Fails with InvalidArgument on an empty trace, on a chunk that holds
-/// kInvalidPageId (the kernel's reserved empty-slot key), or if
+/// Fails with InvalidArgument on an empty trace, on a chunk that holds a
+/// page id at or above kPageIdLimit (see ValidatePageRefs), or if
 /// `options.sampling` requests sampling (use ComputeSampledStackDistances
 /// — an exact entry point silently downgraded to an estimate would be a
 /// trap).
@@ -47,8 +47,8 @@ Result<StackDistanceHistogram> ComputeStackDistances(
 /// benchmark passes it.
 ///
 /// Fails with InvalidArgument on invalid sampling options, on an empty
-/// trace, on a chunk that holds kInvalidPageId, and with
-/// FailedPrecondition when the trace is non-empty but no reference
+/// trace, on a chunk that holds a page id at or above kPageIdLimit, and
+/// with FailedPrecondition when the trace is non-empty but no reference
 /// survived the filter (the rate is too low for the trace; an all-zero
 /// curve would be an estimate of nothing).
 Result<SampledStackDistances> ComputeSampledStackDistances(

@@ -64,9 +64,7 @@ inline constexpr uint64_t kSampleModulus = uint64_t{1} << 24;
 /// Position of `page` in the sampling hash space, uniform on
 /// [0, kSampleModulus). A splitmix-style finalizer: page ids are small
 /// dense integers, so the input bits must be spread before the top bits
-/// are taken. Deliberately a different function from the flat table's
-/// Fibonacci hash so the sampled subset is uncorrelated with probe
-/// placement.
+/// are taken.
 inline uint64_t SampleHash(PageId page) {
   uint64_t h = static_cast<uint64_t>(page) + 0x9E3779B97F4A7C15ull;
   h ^= h >> 30;
@@ -90,7 +88,8 @@ inline uint64_t SampleThresholdForRate(double rate) {
 /// First-touch tracker for exact cold-miss counting under fixed-rate
 /// sampling: one bit per page id, grown on demand. Page-trace ids are
 /// dense table page numbers, so the bitmap costs max_page_id / 8 bytes —
-/// kilobytes for the table sizes this models — and a touch is one
+/// kilobytes for the table sizes this models, and at most 2 MiB under the
+/// kPageIdLimit that every streamed feed enforces — and a touch is one
 /// test-and-set, cheap enough for the per-reference skip path.
 class PageSeenSet {
  public:

@@ -9,7 +9,6 @@
 #include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "storage/page.h"
-#include "util/flat_hash.h"
 #include "util/status.h"
 
 namespace epfis {
@@ -21,33 +20,40 @@ namespace epfis {
 ///
 /// Three changes over the legacy loop, each attacking a cache problem:
 ///
-///  1. **Flat last-access table.** `unordered_map<PageId, uint64_t>`
-///     chases a bucket pointer per reference; FlatHashMap keeps (page,
-///     last access) inline in an open-addressed array, so a lookup is the
-///     probe sequence's cache lines and nothing else, and AccessAll
-///     prefetches the first probe slot a few references ahead.
+///  1. **Dense last-access table.** Page ids are dense table page numbers
+///     (storage/page.h), so page p's last access is entry p of a uint32
+///     array, grown to the next power of two on demand: one load per
+///     reference, with no hashing and no probing. Ids are bounded by
+///     kPageIdLimit, so the array is too. Under sampling the array still
+///     spans the largest sampled id, so it is sized by the table, not by
+///     the sample.
 ///
-///  2. **One-sided Fenwick query.** Every live bit sits at some page's
-///     last-access time < now, so PrefixSum(now-1) is just the live-bit
-///     count — which equals the table size. The legacy two-sided
-///     RangeSum(prev, now-1) therefore collapses to
-///     `table.size() - PrefixSum(prev-1)`: one O(log n) tree walk per
-///     re-reference instead of two (`prev == 0` short-circuits to 0
-///     rather than underflowing the prefix bound).
+///  2. **A bitmap head in front of the Fenwick tree.** Every page owns
+///     exactly one live bit, at its last-access time. The bits sit in
+///     64-bit words. The newest kHeadWords words (the head, which always
+///     holds `now`) stay out of the tree, which sums the popcounts of the
+///     older words only. So a first touch is one bit flip. A
+///     re-reference whose previous access lies in the head counts its
+///     distance off at most kHeadWords bitmap words and moves its bit
+///     without touching the tree. An older one costs one prefix walk —
+///     every live bit is a distinct page, so the bits at [prev, now) are
+///     distinct − CountBelow(prev) — and one point update to clear the
+///     old bit. When `now` is kHeadWords words past the head's start, the
+///     oldest half of the head is folded into the tree, one point update
+///     per non-empty word.
 ///
 ///  3. **Timestamp compaction.** The legacy tree is indexed by reference
-///     timestamp and grows with the trace; on multi-million-reference
-///     traces every walk spans a tree far larger than cache. Live bits
-///     are only ever *read* through order statistics, so when `now`
-///     reaches the window capacity the kernel remaps the live last-access
-///     times onto a dense prefix [0, distinct) in ascending order —
-///     distances depend only on the relative order of live positions, so
-///     the histogram is unchanged — and restarts the clock at `distinct`.
-///     The tree is thereby bounded by O(distinct pages), not O(references),
-///     and the doubling Resize of the legacy loop disappears. Each
-///     compaction is O(window + distinct·log distinct) and frees at least
-///     half the window, so the amortized cost is O(log distinct) per
-///     reference.
+///     timestamp and grows with the trace. Distances depend only on the
+///     relative order of the live bits, so when `now` reaches the window
+///     capacity the kernel rewrites each page's live time, in place, to
+///     its rank among the live times and restarts the clock at
+///     `distinct`: the histogram is unchanged and the time axis stays
+///     O(table size), not O(references). A rank is one masked popcount
+///     plus a per-word prefix count, so a compaction costs one pass over
+///     the table and one over the bitmap. The window is kept at least
+///     twice max(distinct + 1, table size) and grown to four times that,
+///     so each compaction frees at least half the window and its cost
+///     amortizes to O(1) per reference.
 ///
 /// On top of the exact machinery sits optional SHARDS-style spatial
 /// sampling at a fixed rate (see sampling.h): references whose page hash
@@ -61,16 +67,14 @@ namespace epfis {
 /// code path below is the exact kernel's and the histogram is
 /// bit-identical.
 ///
-/// The last-access table keys on page ids and uses kInvalidPageId as its
-/// empty-slot marker, so a trace must never contain that id. Callers that
-/// feed references from outside the program check each chunk with
-/// ValidatePageRefs first.
+/// Every page id must be below kPageIdLimit. Callers that feed references
+/// from outside the program check each chunk with ValidatePageRefs first.
 class StackDistanceKernel {
  public:
-  /// `expected_refs` pre-sizes the timestamp window and the last-access
-  /// table (pass TraceSource::size_hint() when known); under sampling the
-  /// pre-sizing uses `expected_refs * rate`, so a 1% sample of a huge
-  /// trace does not allocate full-trace structures.
+  /// `expected_refs` pre-sizes the timestamp window (pass
+  /// TraceSource::size_hint() when known); under sampling the pre-sizing
+  /// uses `expected_refs * rate`, so a 1% sample of a huge trace does not
+  /// allocate a full-trace window.
   /// `window_hint` overrides the initial window capacity; tests pass tiny
   /// values to force compactions on short traces.
   explicit StackDistanceKernel(size_t expected_refs = 1024,
@@ -86,10 +90,8 @@ class StackDistanceKernel {
   }
 
   /// Processes `count` references from a buffer (chunked streaming; the
-  /// main entry point). Each reference prefetches the flat-table probe
-  /// slot of the reference a few positions ahead; resolution stays
-  /// strictly in trace order, so the histogram does not depend on how
-  /// the caller chunks the trace.
+  /// main entry point). Resolution is strictly in trace order, so the
+  /// histogram does not depend on how the caller chunks the trace.
   void AccessAll(const PageId* trace, size_t count);
 
   /// Number of page fetches a `buffer_size`-slot LRU buffer would have
@@ -114,6 +116,14 @@ class StackDistanceKernel {
   /// First-touch misses; equals distinct_pages().
   uint64_t cold_misses() const { return histogram_.cold_misses(); }
 
+  /// Distinct pages of the full trace: the first-touch bitmap's exact
+  /// count when sampling is on, the cold-miss count otherwise. Equals
+  /// sampled_result().distinct_pages() without copying the histogram.
+  uint64_t trace_distinct_pages() const {
+    return sampling_.enabled() ? exact_seen_.distinct()
+                               : histogram_.cold_misses();
+  }
+
   /// The accumulated histogram.
   const StackDistanceHistogram& histogram() const { return histogram_; }
 
@@ -124,12 +134,6 @@ class StackDistanceKernel {
   /// Compactions that also had to grow the timestamp window (the distinct
   /// page count outpaced the initial sizing).
   uint64_t window_resizes() const { return window_resizes_; }
-
-  /// Probe behavior of the last-access table (lookups / probes / grows);
-  /// probes/lookups near 1.0 means the Fibonacci hashing is doing its job.
-  FlatHashMap<PageId, uint64_t, kInvalidPageId>::Stats hash_stats() const {
-    return last_access_.stats();
-  }
 
   /// What the sampling filter did. With sampling inactive this reports an
   /// exact pass (total == sampled, effective rate 1). Note that under
@@ -161,118 +165,121 @@ class StackDistanceKernel {
   }
 
   /// Distinct pages in the sampled set (== distinct_pages()).
-  size_t sampled_pages() const { return last_access_.size(); }
+  size_t sampled_pages() const { return histogram_.cold_misses(); }
 
  private:
-  // Order-statistic structure over the compacted time axis, specialized
-  // for the hot loop. Instead of a flat Fenwick tree with one node per
-  // timestamp (8 bytes x references in the legacy simulator — megabytes
-  // that every O(log n) walk sprays cache misses across), live bits are
-  // stored in 64-bit bitmap words with a Fenwick tree over the per-word
-  // popcounts. A window of W timestamps costs W/8 bytes of bitmap plus
-  // W/16 bytes of tree (uint32 nodes), so with the compaction keeping W
-  // at O(distinct pages) the whole structure sits in L2. CountBelow is
-  // one masked popcount plus a word-level prefix walk; Set/Clear are one
-  // bit flip plus a word-level tree update. Word counts are live-bit
-  // counts, bounded by the distinct-page count < 2^32 (PageId is
-  // 32-bit), and the -1 updates wrap modularly, so sums stay exact.
+  // Live bits over the compacted time axis: one bit per timestamp in
+  // 64-bit words, with a Fenwick tree over the popcounts of the words
+  // below the head. A window of W timestamps costs W/8 bytes of bitmap
+  // plus W/16 bytes of tree (uint32 nodes), so with the window kept at
+  // O(table size) the structure sits in L2. Word counts are live-bit
+  // counts, bounded by kPageIdLimit, and the -1 updates wrap modularly,
+  // so sums stay exact.
   class LiveTree {
    public:
     explicit LiveTree(size_t n) { AssignPrefixOnes(0, n); }
 
-    void Set(size_t i) {
-      bits_[i >> 6] |= uint64_t{1} << (i & 63);
-      Add(i >> 6, 1);
+    /// Marks `now`, which lies in the head, live.
+    void Set(size_t now) { bits_[now >> 6] |= Bit(now); }
+
+    /// Live bits in [prev, now) given `live` bits in all, then moves the
+    /// bit at `prev` to `now`. A head `prev` is counted off the bitmap;
+    /// an older one takes one prefix walk and one point update.
+    uint64_t Move(size_t prev, size_t now, uint64_t live) {
+      size_t word = prev >> 6;
+      uint64_t d;
+      if (word >= head_) {
+        d = CountRange(prev, now);
+      } else {
+        d = live - CountBelow(prev);
+        Add(word, static_cast<uint32_t>(-1));
+      }
+      bits_[word] &= ~Bit(prev);
+      Set(now);
+      return d;
     }
 
-    void Clear(size_t i) {
-      bits_[i >> 6] &= ~(uint64_t{1} << (i & 63));
-      Add(i >> 6, static_cast<uint32_t>(-1));
+    /// Keeps the head at most kHeadWords words wide, ending at `now`'s
+    /// word: folds its oldest half into the tree once it is full.
+    void Advance(size_t now) {
+      if ((now >> 6) - head_ < kHeadWords) return;
+      Fold(head_ + kHeadWords / 2);
     }
 
-    /// Clear(from) followed by Set(to) for from < to, with the two
-    /// Fenwick walks fused: both update paths climb toward the same
-    /// power-of-two ancestor, and from the meeting node upward the -1
-    /// and +1 cancel exactly, so the fused walk stops there instead of
-    /// climbing the whole tree twice. A hot page re-referenced after a
-    /// short interval has `from` and `to` in the same or nearby words,
-    /// collapsing the dependent 2·O(log W) update chain of the scalar
-    /// form to a handful of node touches (often zero). Tree contents
-    /// end up bit-identical to the two separate walks.
-    void MovePair(size_t from, size_t to) {
-      bits_[from >> 6] &= ~(uint64_t{1} << (from & 63));
-      bits_[to >> 6] |= uint64_t{1} << (to & 63);
-      size_t n = tree_.size();
-      size_t p1 = (from >> 6) + 1;
-      size_t p2 = (to >> 6) + 1;
-      while (p1 != p2) {
-        // The smaller index being past the end implies the larger is
-        // too — both tails are out of range, nothing left to apply.
-        if (p1 < p2) {
-          if (p1 >= n) return;
-          tree_[p1] += static_cast<uint32_t>(-1);
-          p1 += p1 & (~p1 + 1);
-        } else {
-          if (p2 >= n) return;
-          tree_[p2] += 1;
-          p2 += p2 & (~p2 + 1);
-        }
+    /// Replaces the tree by each word's count of live bits in the words
+    /// below it, so Rank runs in O(1) anywhere. AssignPrefixOnes must
+    /// follow before the next Move or Advance.
+    void PrepareRanks() {
+      uint32_t below = 0;
+      for (size_t w = 0; w < bits_.size(); ++w) {
+        tree_[w] = below;
+        below += static_cast<uint32_t>(std::popcount(bits_[w]));
       }
-      // p1 == p2: the rest of the path is shared and cancels.
     }
 
-    /// Number of live bits at positions strictly below `i` (no underflow
-    /// edge: i == 0 sums an empty prefix and returns 0).
-    uint64_t CountBelow(size_t i) const {
-      size_t word = i >> 6;
-      uint64_t mask = (uint64_t{1} << (i & 63)) - 1;
-      uint32_t sum = static_cast<uint32_t>(
-          std::popcount(bits_[word] & mask));
-      for (size_t p = word; p > 0; p -= p & (~p + 1)) {
-        sum += tree_[p];
-      }
-      return sum;
-    }
-
-    /// Number of live bits in [lo, hi), counted by scanning the bitmap
-    /// words directly — O((hi - lo)/64) popcounts over lines that are
-    /// hot (the range ends at the current timestamp, where every recent
-    /// reference just wrote). The kernel takes this path when the reuse
-    /// window is short instead of the Fenwick prefix walk; both compute
-    /// the same value. Precondition: lo < hi.
-    uint64_t CountRange(size_t lo, size_t hi) const {
-      size_t lo_word = lo >> 6;
-      size_t hi_word = hi >> 6;
-      uint64_t lo_mask = ~((uint64_t{1} << (lo & 63)) - 1);
-      uint64_t hi_mask = (uint64_t{1} << (hi & 63)) - 1;
-      if (lo_word == hi_word) {
-        return static_cast<uint64_t>(
-            std::popcount(bits_[lo_word] & lo_mask & hi_mask));
-      }
-      uint64_t sum =
-          static_cast<uint64_t>(std::popcount(bits_[lo_word] & lo_mask));
-      for (size_t w = lo_word + 1; w < hi_word; ++w) {
-        sum += static_cast<uint64_t>(std::popcount(bits_[w]));
-      }
-      sum += static_cast<uint64_t>(std::popcount(bits_[hi_word] & hi_mask));
-      return sum;
+    /// Number of live bits below `i`, after PrepareRanks.
+    uint32_t Rank(size_t i) const {
+      return tree_[i >> 6] + static_cast<uint32_t>(std::popcount(
+                                 bits_[i >> 6] & (Bit(i) - 1)));
     }
 
     /// Reinitializes to `n` positions with [0, ones) live, in O(n / 64).
+    /// The head starts at the word of `ones`, the next timestamp.
     void AssignPrefixOnes(size_t ones, size_t n) {
       size_t words = (n >> 6) + 1;
+      head_ = ones >> 6;
       bits_.assign(words, 0);
       tree_.assign(words + 1, 0);
-      for (size_t i = 0; i < ones >> 6; ++i) bits_[i] = ~uint64_t{0};
-      if (ones & 63) bits_[ones >> 6] = (uint64_t{1} << (ones & 63)) - 1;
+      for (size_t i = 0; i < head_; ++i) bits_[i] = ~uint64_t{0};
+      if (ones & 63) bits_[head_] = Bit(ones) - 1;
       for (size_t i = 1; i <= words; ++i) {
-        tree_[i] += static_cast<uint32_t>(std::popcount(bits_[i - 1]));
+        if (i <= head_) tree_[i] += 64;
         size_t parent = i + (i & (~i + 1));
         if (parent <= words) tree_[parent] += tree_[i];
       }
     }
 
    private:
+    static constexpr size_t kHeadWords = 16;
+
+    static uint64_t Bit(size_t i) { return uint64_t{1} << (i & 63); }
+
+    // Number of live bits at positions strictly below `i`, which must lie
+    // below the head (i == 0 sums an empty prefix and returns 0).
+    uint64_t CountBelow(size_t i) const {
+      size_t word = i >> 6;
+      uint32_t sum = static_cast<uint32_t>(
+          std::popcount(bits_[word] & (Bit(i) - 1)));
+      for (size_t p = word; p > 0; p -= p & (~p + 1)) sum += tree_[p];
+      return sum;
+    }
+
+    // Live bits in [lo, hi), lo < hi, counted off the bitmap words.
+    uint64_t CountRange(size_t lo, size_t hi) const {
+      size_t lo_word = lo >> 6;
+      size_t hi_word = hi >> 6;
+      uint64_t low = bits_[lo_word] & ~(Bit(lo) - 1);
+      if (lo_word == hi_word) {
+        return static_cast<uint64_t>(std::popcount(low & (Bit(hi) - 1)));
+      }
+      uint64_t sum = static_cast<uint64_t>(std::popcount(low));
+      for (size_t w = lo_word + 1; w < hi_word; ++w) {
+        sum += static_cast<uint64_t>(std::popcount(bits_[w]));
+      }
+      return sum + static_cast<uint64_t>(
+                       std::popcount(bits_[hi_word] & (Bit(hi) - 1)));
+    }
+
+    // Moves the head's start to `end`, adding each non-empty word's
+    // popcount to the tree.
+    void Fold(size_t end) {
+      for (; head_ < end; ++head_) {
+        if (bits_[head_] != 0) {
+          Add(head_, static_cast<uint32_t>(std::popcount(bits_[head_])));
+        }
+      }
+    }
+
     // Fenwick point update at `word` (1-based internally).
     void Add(size_t word, uint32_t delta) {
       for (size_t p = word + 1; p < tree_.size(); p += p & (~p + 1)) {
@@ -281,7 +288,9 @@ class StackDistanceKernel {
     }
 
     std::vector<uint64_t> bits_;  // Live bits.
-    std::vector<uint32_t> tree_;  // Word popcounts.
+    std::vector<uint32_t> tree_;  // Fenwick tree over the popcounts of
+                                  // the words below head_.
+    size_t head_ = 0;             // First word kept out of the tree.
   };
 
   void Compact();
@@ -291,20 +300,16 @@ class StackDistanceKernel {
   // sampling is enabled.
   void AccessSampled(PageId page_id);
 
-  // In-order run over references that already passed the filter (or an
-  // unfiltered trace), with a rolling probe-slot prefetch.
-  void AccessRun(const PageId* refs, size_t count);
+  // Last-access table entry of a page never referenced.
+  static constexpr uint32_t kNever = UINT32_MAX;
 
   uint64_t now_ = 0;   // Next timestamp on the (compacted) time axis.
-  size_t window_ = 0;  // Fenwick capacity; now_ < window_ between accesses.
+  size_t window_ = 0;  // Time-axis capacity; now_ < window_ between accesses.
   LiveTree live_;
-  FlatHashMap<PageId, uint64_t, kInvalidPageId> last_access_;
+  std::vector<uint32_t> last_access_;  // By page id; kNever if untouched.
   StackDistanceHistogram histogram_;
   uint64_t compactions_ = 0;
   uint64_t window_resizes_ = 0;
-  // Scratch buffers reused across compactions.
-  std::vector<uint64_t> sorted_positions_;
-  std::vector<uint64_t> remap_;
 
   // Sampling state, fixed for the kernel's lifetime. When sampling is
   // enabled, cold misses are tracked exactly for every page via the
@@ -318,9 +323,18 @@ class StackDistanceKernel {
                              // sampling is enabled (else == accesses()).
 };
 
-/// InvalidArgument if `refs[0, count)` holds kInvalidPageId, the kernel's
-/// empty-slot key; a trace containing it would corrupt the last-access
-/// table silently. One branch-free pass over the chunk.
+/// Page ids a trace may hold lie below this limit: 2^24, 16x the largest
+/// table this repository builds (1M pages). The kernel's last-access
+/// table and the sampled path's first-touch bitmap are dense arrays
+/// indexed by page id, so the limit bounds them at 64 MiB and 2 MiB
+/// whatever a trace file holds. kInvalidPageId lies above it.
+inline constexpr PageId kPageIdLimit = PageId{1} << 24;
+
+/// InvalidArgument if `refs[0, count)` holds an id at or above
+/// kPageIdLimit. Every streamed feed into the kernel (RunLruFit,
+/// SampleFpfCurve, ComputeSampledStackDistances, OnlineLruFit::Ingest)
+/// checks each chunk with it before the kernel sees the chunk. One
+/// branch-free pass over the chunk.
 Status ValidatePageRefs(const PageId* refs, size_t count);
 
 }  // namespace epfis

@@ -73,7 +73,8 @@ double SampleRateForPages(double sample_rate, uint64_t max_pages,
 ///
 /// The trace is pulled in chunks from `trace` (vector-backed, file-backed,
 /// or online) and is never required to be resident in memory. A chunk
-/// holding kInvalidPageId fails the fit with InvalidArgument.
+/// holding a page id at or above kPageIdLimit fails the fit with
+/// InvalidArgument.
 ///
 /// `table_pages` is T (it may exceed the number of *accessed* pages if some
 /// pages hold no indexed records). The record count N is the trace length.

@@ -119,7 +119,7 @@ std::vector<double> OnlineLruFit::LiveFetches(
   // assert it): est = A + (N - A) * (F - A) / (N - A) = F.
   double n = static_cast<double>(
       options_.table_records > 0 ? options_.table_records : total_refs());
-  double a = static_cast<double>(kernel_.sampled_result().distinct_pages());
+  double a = static_cast<double>(kernel_.trace_distinct_pages());
   a = std::min(a, static_cast<double>(options_.table_pages));
   a = std::min(a, n);
   // The window lives in the kernel's *emission* domain (that is what is
@@ -279,7 +279,7 @@ Result<IndexStats> OnlineLruFit::BuildStats() const {
   stats.table_records = options_.table_records > 0 ? options_.table_records
                                                    : summary.total_refs;
   stats.distinct_keys = options_.distinct_keys;
-  uint64_t accessed = kernel_.sampled_result().distinct_pages();
+  uint64_t accessed = kernel_.trace_distinct_pages();
   stats.pages_accessed = std::min(accessed, options_.table_pages);
   stats.b_min = sizes.front();
   stats.b_max = sizes.back();

@@ -161,8 +161,8 @@ class OnlineLruFit {
   Status Validate() const { return options_.Validate(); }
 
   /// Feeds `count` references, refreshing every `refresh_interval`.
-  /// InvalidArgument, with nothing absorbed, if `refs` holds
-  /// kInvalidPageId (the kernel's reserved empty-slot key).
+  /// InvalidArgument, with nothing absorbed, if `refs` holds a page id
+  /// at or above kPageIdLimit (see ValidatePageRefs).
   Status Ingest(const PageId* refs, size_t count);
   Status Ingest(const std::vector<PageId>& refs) {
     return Ingest(refs.data(), refs.size());

@@ -6,27 +6,20 @@
 #include <utility>
 #include <vector>
 
-// Mirrors the build-wide gate from obs/metrics.h without depending on it:
-// this header sits below the obs layer.
-#ifndef EPFIS_METRICS_ENABLED
-#define EPFIS_METRICS_ENABLED 1
-#endif
-
 namespace epfis {
 
-/// Open-addressing hash map tuned for the Mattson stack-distance hot loop:
-/// flat slot array (no per-node allocation, no pointer chasing), power-of-two
-/// capacity with Fibonacci hashing, linear probing, and no tombstones —
-/// Erase uses backward-shift deletion, so probe sequences stay as short as
-/// if the erased keys had never been inserted (the buffer pool's page
-/// table drops evicted pages; the kernels only insert and update).
+/// Open-addressing hash map for page-keyed lookups (the buffer pool's page
+/// table, the index scan's accessed-page set): flat slot array (no
+/// per-node allocation, no pointer chasing), power-of-two capacity with
+/// Fibonacci hashing, linear probing, and no tombstones — Erase uses
+/// backward-shift deletion, so probe sequences stay as short as if the
+/// erased keys had never been inserted (the buffer pool's page table
+/// drops evicted pages).
 ///
-/// `kEmptyKey` marks unoccupied slots and must never be inserted (the
-/// simulators use kInvalidPageId; the stack-distance passes reject traces
-/// that hold it, see ValidatePageRefs). Values are
+/// `kEmptyKey` marks unoccupied slots and must never be inserted (both
+/// callers use kInvalidPageId and keep it out of the map). Values are
 /// stored inline next to their key, so a lookup touches exactly the cache
-/// lines of its probe sequence, and `Prefetch` lets a caller pull
-/// the first probe slot of an upcoming key into cache ahead of time.
+/// lines of its probe sequence.
 ///
 /// Grows at a 0.7 load factor by doubling and reinserting; pointers
 /// returned by Find/TryEmplace are invalidated by any later insert.
@@ -36,39 +29,11 @@ class FlatHashMap {
   explicit FlatHashMap(size_t expected = 0) { Rebuild(CapacityFor(expected)); }
 
   size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
-
-  /// Probe-behavior instrumentation. Counts are plain members bumped in
-  /// the lookup loops (no atomics: a map has one owner); with the metrics
-  /// layer compiled out the increments vanish and stats() reads zeros.
-  struct Stats {
-    uint64_t lookups = 0;  ///< Find / TryEmplace calls.
-    uint64_t probes = 0;   ///< Slots inspected across all lookups.
-    uint64_t grows = 0;    ///< Load-triggered rehashes (initial build not counted).
-  };
-  Stats stats() const { return stats_; }
-
-  /// Ensures `n` entries fit without another rehash.
-  void Reserve(size_t n) {
-    size_t want = CapacityFor(n);
-    if (want > slots_.size()) {
-      Rebuild(want);
-#if EPFIS_METRICS_ENABLED
-      ++stats_.grows;
-#endif
-    }
-  }
 
   /// Pointer to the value for `key`, or nullptr if absent.
   Value* Find(Key key) {
     size_t i = IndexFor(key);
-#if EPFIS_METRICS_ENABLED
-    ++stats_.lookups;
-#endif
     for (;;) {
-#if EPFIS_METRICS_ENABLED
-      ++stats_.probes;
-#endif
       Slot& slot = slots_[i];
       if (slot.key == key) return &slot.value;
       if (slot.key == kEmptyKey) return nullptr;
@@ -85,18 +50,9 @@ class FlatHashMap {
   std::pair<Value*, bool> TryEmplace(Key key, Value value) {
     if ((size_ + 1) * 10 > slots_.size() * 7) {
       Rebuild(slots_.size() * 2);
-#if EPFIS_METRICS_ENABLED
-      ++stats_.grows;
-#endif
     }
     size_t i = IndexFor(key);
-#if EPFIS_METRICS_ENABLED
-    ++stats_.lookups;
-#endif
     for (;;) {
-#if EPFIS_METRICS_ENABLED
-      ++stats_.probes;
-#endif
       Slot& slot = slots_[i];
       if (slot.key == key) return {&slot.value, false};
       if (slot.key == kEmptyKey) {
@@ -115,13 +71,7 @@ class FlatHashMap {
   /// lookups never scan dead slots.
   bool Erase(Key key) {
     size_t i = IndexFor(key);
-#if EPFIS_METRICS_ENABLED
-    ++stats_.lookups;
-#endif
     for (;;) {
-#if EPFIS_METRICS_ENABLED
-      ++stats_.probes;
-#endif
       if (slots_[i].key == key) break;
       if (slots_[i].key == kEmptyKey) return false;
       i = (i + 1) & mask_;
@@ -141,31 +91,6 @@ class FlatHashMap {
     slots_[hole].value = Value{};
     --size_;
     return true;
-  }
-
-  /// Hints the CPU to load the first probe slot of `key`'s sequence.
-  void Prefetch(Key key) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[IndexFor(key)]);
-#else
-    (void)key;
-#endif
-  }
-
-  /// Calls fn(key, value) for every occupied slot, in unspecified order.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.key != kEmptyKey) fn(slot.key, slot.value);
-    }
-  }
-
-  /// Mutable variant: fn(key, Value&). Keys must not be changed.
-  template <typename Fn>
-  void ForEachMutable(Fn fn) {
-    for (Slot& slot : slots_) {
-      if (slot.key != kEmptyKey) fn(slot.key, slot.value);
-    }
   }
 
  private:
@@ -221,7 +146,6 @@ class FlatHashMap {
   size_t size_ = 0;
   size_t mask_ = 0;
   unsigned shift_ = 64;
-  Stats stats_;
 };
 
 }  // namespace epfis

@@ -179,33 +179,55 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The kernel's last-access table keys on page ids and marks empty slots
-// with kInvalidPageId, so a trace holding that id would silently merge it
-// with "no page": on {1, X, 2, X, 1} the kernel reported A = 2 and
-// F(2) = 2 where every LRU oracle gives A = 3 and F(2) = 4. Trace bodies
-// come from outside the program, so each feed into the kernel rejects the
-// id instead.
+// The kernel's last-access table and the sampled path's first-touch
+// bitmap are dense arrays indexed by page id, so every feed into the
+// kernel rejects ids at or above kPageIdLimit: a hostile trace must not
+// size them. kInvalidPageId stays as a regression case: a kernel that
+// used it as a hash table's empty key reported A = 2 and F(2) = 2 on
+// {1, X, 2, X, 1}, where every LRU oracle gives A = 3 and F(2) = 4. The
+// largest allowed id still works on every feed.
 TEST(LruOracleReservedIdTest, EveryKernelFeedRejectsIt) {
-  const std::vector<PageId> trace{1, kInvalidPageId, 2, kInvalidPageId, 1};
-  StackDistanceSimulator legacy;
-  legacy.AccessAll(trace);
-  EXPECT_EQ(legacy.distinct_pages(), 3u);
-  EXPECT_EQ(legacy.Fetches(2), 4u);
-  EXPECT_EQ(CountLruFetches(trace, 2), 4u);
+  for (PageId x : {kInvalidPageId, kPageIdLimit, kPageIdLimit - 1}) {
+    SCOPED_TRACE("id=" + std::to_string(x));
+    const std::vector<PageId> trace{1, x, 2, x, 1};
+    StackDistanceSimulator legacy;
+    legacy.AccessAll(trace);
+    EXPECT_EQ(legacy.distinct_pages(), 3u);
+    EXPECT_EQ(legacy.Fetches(2), 4u);
+    EXPECT_EQ(CountLruFetches(trace, 2), 4u);
+    const bool allowed = x < kPageIdLimit;
+    const StatusCode want =
+        allowed ? StatusCode::kOk : StatusCode::kInvalidArgument;
 
-  auto fit = RunLruFit(trace, 10, 3, "x");
-  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+    auto fit = RunLruFit(trace, 10, 3, "x");
+    EXPECT_EQ(fit.status().code(), want);
 
-  VectorTraceSource source = VectorTraceSource::View(trace);
-  auto sampled = ComputeSampledStackDistances(source, nullptr);
-  EXPECT_EQ(sampled.status().code(), StatusCode::kInvalidArgument);
+    auto points = SampleFpfCurve(trace, 1, 3, BufferSchedule::kPaperLinear);
+    EXPECT_EQ(points.status().code(), want);
 
-  StatsCatalog catalog;
-  OnlineLruFitOptions options;
-  options.table_pages = 10;
-  OnlineLruFit engine("x", options, &catalog);
-  EXPECT_EQ(engine.Ingest(trace).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.total_refs(), 0u);  // Nothing was absorbed.
+    VectorTraceSource source = VectorTraceSource::View(trace);
+    auto sampled = ComputeSampledStackDistances(source, nullptr);
+    EXPECT_EQ(sampled.status().code(), want);
+
+    StatsCatalog catalog;
+    OnlineLruFitOptions options;
+    options.table_pages = 10;
+    OnlineLruFit engine("x", options, &catalog);
+    EXPECT_EQ(engine.Ingest(trace).code(), want);
+    // Nothing is absorbed from a rejected chunk.
+    EXPECT_EQ(engine.total_refs(), allowed ? trace.size() : 0u);
+
+    if (allowed) {
+      ASSERT_TRUE(points.ok());
+      for (const FpfPoint& p : *points) {
+        EXPECT_EQ(p.fetches, legacy.Fetches(p.buffer_size));
+      }
+      ASSERT_TRUE(sampled.ok());
+      for (uint64_t b : {1u, 2u, 3u}) {
+        EXPECT_EQ(sampled->Fetches(b), legacy.Fetches(b)) << "b=" << b;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -158,6 +158,36 @@ TEST(StackDistanceKernelTest, ReReferenceOfTimeZeroPage) {
   ExpectKernelMatchesLegacy({5, 6, 7, 5, 6, 7, 5}, /*window_hint=*/3);
 }
 
+// The kernel counts a re-reference off the bitmap when the previous access
+// lies in the head (the newest 16 words, 1,024 timestamps) and through the
+// Fenwick tree when it lies below. Without compaction the head starts at
+// word 16 (timestamp 1024) for every reference in [1536, 2048), after the
+// folds at 1024 and 1536. Probe pages first touched on the head's first
+// word (1024, 1087), one word below it (960, 1023) and inside the head
+// (1088, 1500, 1790) are re-referenced from 1800 on. Fillers cycle
+// through 700 pages, so their reuse (~11 words back) straddles the head's
+// start as it folds. Small windows add compactions while the head holds
+// live bits.
+TEST(StackDistanceKernelTest, MatchesLegacyAtHeadBoundaries) {
+  std::vector<PageId> trace(2'400);
+  for (size_t t = 0; t < trace.size(); ++t) {
+    trace[t] = static_cast<PageId>(t % 700);
+  }
+  PageId probe = 1'000;
+  size_t reref = 1'800;
+  for (size_t first : {960u, 1023u, 1024u, 1087u, 1088u, 1500u, 1790u}) {
+    trace[first] = probe;
+    trace[reref++] = probe++;
+  }
+  ExpectKernelMatchesLegacy(trace, /*window_hint=*/size_t{1} << 16);
+  for (size_t window : {2u, 64u, 1'100u, 1'700u, 1'801u}) {
+    ExpectKernelMatchesLegacy(trace, window);
+    StackDistanceKernel kernel(trace.size(), window);
+    kernel.AccessAll(trace);
+    EXPECT_GT(kernel.compactions(), 0u) << "window=" << window;
+  }
+}
+
 // The production entry point consumes the kernel through
 // ComputeStackDistances' streamed pass; pin that wiring with a
 // source-vs-legacy comparison.

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -505,10 +506,15 @@ TEST(OnlineLruFitConcurrencyTest, PublishesDoNotBlockBatchReaders) {
   shape.table_pages = kPages;
   shape.table_records = trace.size();
 
+  // Ingest starts only once every reader has finished one read, so the
+  // readers run beside the publishes however the threads are scheduled.
+  constexpr int kReaders = 4;
+  std::latch all_read(kReaders);
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       uint64_t last_generation = 0;
+      bool counted = false;
       while (!stop.load(std::memory_order_acquire)) {
         std::shared_ptr<const CatalogSnapshot> snapshot = catalog.snapshot();
         uint64_t generation = snapshot->generation();
@@ -527,10 +533,16 @@ TEST(OnlineLruFitConcurrencyTest, PublishesDoNotBlockBatchReaders) {
           }
         }
         reads.fetch_add(1, std::memory_order_relaxed);
+        if (!counted) {
+          all_read.count_down();
+          counted = true;
+        }
       }
+      if (!counted) all_read.count_down();  // A failed first read.
     });
   }
 
+  all_read.wait();
   Status ingest = engine.Ingest(trace);
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
@@ -538,7 +550,7 @@ TEST(OnlineLruFitConcurrencyTest, PublishesDoNotBlockBatchReaders) {
   ASSERT_TRUE(ingest.ok());
   EXPECT_FALSE(failed.load());
   EXPECT_GE(engine.publishes(), 2u) << "storm never materialized";
-  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GE(reads.load(), static_cast<uint64_t>(kReaders));
 }
 
 }  // namespace

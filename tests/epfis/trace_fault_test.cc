@@ -45,6 +45,13 @@ class TraceFaultTest : public testing::Test {
     return out;
   }
 
+  // A point's lifetime fire count. DisarmAll does not reset it, so tests
+  // assert the change across the action they drive, which keeps them
+  // independent of the tests that ran before them in the process.
+  static uint64_t Fires(const std::string& point) {
+    return FaultInjector::Global().counters(point).fires;
+  }
+
   std::vector<PageId> ReadAll(TraceSource& source) {
     std::vector<PageId> out;
     PageId buf[128];
@@ -71,10 +78,11 @@ TEST_F(TraceFaultTest, ShortReadsAreTransparentlyContinued) {
   spec.short_io_bytes = 3;  // Not a divisor of sizeof(PageId): splits entries.
   FaultInjector::Global().Arm("trace.read.body", spec);
 
+  const uint64_t fired = Fires("trace.read.body");
   auto reader = PageTraceReader::Open(path_);
   ASSERT_TRUE(reader.ok()) << reader.status().message();
   EXPECT_EQ(ReadAll(*reader), trace_);
-  EXPECT_GT(FaultInjector::Global().counters("trace.read.body").fires, 0u);
+  EXPECT_GT(Fires("trace.read.body") - fired, 0u);
 }
 
 TEST_F(TraceFaultTest, ShortReadsOnHeaderToo) {
@@ -96,10 +104,11 @@ TEST_F(TraceFaultTest, FiniteEintrBurstIsRetried) {
   spec.max_fires = 7;
   FaultInjector::Global().Arm("trace.read.body", spec);
 
+  const uint64_t fired = Fires("trace.read.body");
   auto reader = PageTraceReader::Open(path_);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(ReadAll(*reader), trace_);
-  EXPECT_EQ(FaultInjector::Global().counters("trace.read.body").fires, 7u);
+  EXPECT_EQ(Fires("trace.read.body") - fired, 7u);
 }
 
 TEST_F(TraceFaultTest, UnboundedEintrStormFailsWithIoError) {
@@ -107,6 +116,7 @@ TEST_F(TraceFaultTest, UnboundedEintrStormFailsWithIoError) {
   spec.kind = FaultKind::kEintr;  // Fires on every call, forever.
   FaultInjector::Global().Arm("trace.read.body", spec);
 
+  const uint64_t fired = Fires("trace.read.body");
   auto reader = PageTraceReader::Open(path_);
   ASSERT_TRUE(reader.ok());
   PageId buf[64];
@@ -119,7 +129,7 @@ TEST_F(TraceFaultTest, UnboundedEintrStormFailsWithIoError) {
             std::string::npos)
       << n.status().message();
   // The retry budget bounds the spin: ~100 consults, not millions.
-  EXPECT_LE(FaultInjector::Global().counters("trace.read.body").fires, 200u);
+  EXPECT_LE(Fires("trace.read.body") - fired, 200u);
 }
 
 TEST_F(TraceFaultTest, OpenAndSaveFaultPointsSurface) {
@@ -148,9 +158,10 @@ TEST_F(TraceFaultTest, MmapFailureDegradesToStreaming) {
   one_shot.max_fires = 1;
   FaultInjector::Global().Arm("trace.mmap.map", one_shot);
 
+  const uint64_t fired = Fires("trace.mmap.map");
   auto source = OpenTraceSource(path_);
   ASSERT_TRUE(source.ok()) << source.status().message();
-  EXPECT_EQ(FaultInjector::Global().counters("trace.mmap.map").fires, 1u);
+  EXPECT_EQ(Fires("trace.mmap.map") - fired, 1u);
   // The fallback source streams the identical trace.
   EXPECT_EQ(ReadAll(**source), trace_);
 }
@@ -176,8 +187,9 @@ TEST_F(TraceFaultTest, StreamingFallbackOpenFailsOnceThenRecovers) {
   // mmap must also fail so OpenTraceSource reaches the streaming opener.
   FaultInjector::Global().Arm("trace.mmap.map", FaultSpec{});
 
+  const uint64_t fired = Fires("trace.open");
   EXPECT_EQ(OpenTraceSource(path_).status().code(), StatusCode::kIoError);
-  EXPECT_EQ(FaultInjector::Global().counters("trace.open").fires, 1u);
+  EXPECT_EQ(Fires("trace.open") - fired, 1u);
 
   auto source = OpenTraceSource(path_);
   ASSERT_TRUE(source.ok()) << source.status().message();
