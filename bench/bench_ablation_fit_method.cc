@@ -24,7 +24,9 @@ namespace epfis {
 namespace {
 
 int Run(int argc, char** argv) {
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.05);
+  ArgParser args(argc, argv);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.05);
+  ExitOnBadArgs(args);
   std::cout << "Ablation: line segments vs polynomial FPF representation "
                "(scale=" << options.scale << ")\n\n";
 

@@ -20,9 +20,10 @@ namespace {
 
 int Run(int argc, char** argv) {
   ArgParser args(argc, argv);
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.05);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.05);
   std::vector<double> ks = {0.05, 0.20, 0.50};
   if (args.Has("k")) ks = {args.GetDouble("k", 0.05)};
+  ExitOnBadArgs(args);
 
   std::cout << "Ablation: phi interpretation in the small-sigma correction\n"
             << "(scale=" << options.scale << ", " << options.scans

@@ -21,8 +21,9 @@ namespace {
 
 int Run(int argc, char** argv) {
   ArgParser args(argc, argv);
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.05);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.05);
   double buffer_frac = args.GetDouble("buffer-frac", 0.30);
+  ExitOnBadArgs(args);
 
   for (double k : {0.1, 0.5}) {
     SyntheticSpec spec;

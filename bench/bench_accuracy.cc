@@ -25,30 +25,17 @@
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "harness/accuracy.h"
 #include "obs/accuracy.h"
 #include "obs/metrics.h"
-#include "util/arg_parser.h"
 
 using namespace epfis;
 
 namespace {
-
-std::vector<double> ParseList(const std::string& text,
-                              std::vector<double> fallback) {
-  if (text.empty()) return fallback;
-  std::vector<double> values;
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) values.push_back(std::stod(item));
-  }
-  return values.empty() ? fallback : values;
-}
 
 void EmitList(std::ostream& out, const std::vector<double>& values) {
   out << '[';
@@ -71,9 +58,9 @@ int main(int argc, char** argv) {
   config.theta = args.GetDouble("theta", 0.86);
   config.noise = args.GetDouble("noise", 0.05);
   config.window_fractions =
-      ParseList(args.GetString("windows", ""), config.window_fractions);
+      args.GetDoubleList("windows", config.window_fractions);
   config.buffer_fractions =
-      ParseList(args.GetString("buffers", ""), config.buffer_fractions);
+      args.GetDoubleList("buffers", config.buffer_fractions);
   config.scans_per_dataset = static_cast<int>(args.GetInt("scans", 100));
   config.min_buffer_pages =
       static_cast<uint64_t>(args.GetInt("min-buffer", 12));
@@ -84,6 +71,7 @@ int main(int argc, char** argv) {
   const std::string json_path =
       args.GetString("json", "ACCURACY_errors.json");
   const double max_mean_abs_err = args.GetDouble("max-mean-abs-err", 0.0);
+  ExitOnBadArgs(args);
 
   AccuracyTracker tracker;
   auto report = RunAccuracyHarness(config, &tracker);

@@ -1,9 +1,9 @@
 #ifndef EPFIS_BENCH_BENCH_COMMON_H_
 #define EPFIS_BENCH_BENCH_COMMON_H_
 
-// Shared helpers for the experiment-reproduction binaries in bench/.
+// Shared helpers for the binaries in bench/.
 //
-// Every binary accepts:
+// Every experiment-reproduction binary accepts:
 //   --scale=F        linear size scale vs the paper (default per binary;
 //                    1.0 = the paper's dataset sizes)
 //   --scans=N        random scans per experiment (paper: 200)
@@ -12,8 +12,13 @@
 //
 // Shapes are scale-invariant: running at --scale=1 reproduces the paper's
 // sizes exactly but takes correspondingly longer on one core.
+//
+// Every binary exits with status 2, naming the argument, on a flag it
+// does not read, a positional argument (also what `--scale 1` leaves
+// behind) or a value that does not parse.
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -31,9 +36,7 @@ struct BenchOptions {
   std::string csv;
 };
 
-inline BenchOptions ParseBenchOptions(int argc, char** argv,
-                                      double default_scale) {
-  ArgParser args(argc, argv);
+inline BenchOptions ParseBenchOptions(ArgParser& args, double default_scale) {
   BenchOptions options;
   options.scale = args.GetDouble("scale", default_scale);
   if (args.GetBool("paper-scale", false)) options.scale = 1.0;
@@ -41,6 +44,15 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv,
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   options.csv = args.GetString("csv", "");
   return options;
+}
+
+/// Call once every flag is read: exits with status 2, naming the bad
+/// argument, unless ArgParser::Check passes.
+inline void ExitOnBadArgs(const ArgParser& args) {
+  Status status = args.Check();
+  if (status.ok()) return;
+  std::cerr << "error: " << status.message() << '\n';
+  std::exit(2);
 }
 
 /// The paper's experiment configuration (§5), with the minimum buffer

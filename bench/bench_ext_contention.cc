@@ -22,7 +22,11 @@ namespace {
 
 int Run(int argc, char** argv) {
   ArgParser args(argc, argv);
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.05);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.05);
+  InterleaveMode mode = args.GetString("interleave", "roundrobin") == "random"
+                            ? InterleaveMode::kRandom
+                            : InterleaveMode::kRoundRobin;
+  ExitOnBadArgs(args);
 
   SyntheticSpec spec;
   spec.num_records = static_cast<uint64_t>(1'000'000 * options.scale);
@@ -38,10 +42,6 @@ int Run(int argc, char** argv) {
   }
   Dataset& dataset = **dataset_or;
   uint64_t t = dataset.num_pages();
-
-  InterleaveMode mode = args.GetString("interleave", "roundrobin") == "random"
-                            ? InterleaveMode::kRandom
-                            : InterleaveMode::kRoundRobin;
 
   std::cout << "Contention extension: " << "T=" << t
             << " pages, 10%-selectivity scans, "

@@ -24,7 +24,9 @@ namespace epfis {
 namespace {
 
 int Run(int argc, char** argv) {
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.05);
+  ArgParser args(argc, argv);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.05);
+  ExitOnBadArgs(args);
   SyntheticSpec spec;
   spec.num_records = static_cast<uint64_t>(1'000'000 * options.scale);
   spec.num_distinct = static_cast<uint64_t>(10'000 * options.scale);

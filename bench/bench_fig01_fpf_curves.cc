@@ -22,7 +22,9 @@ namespace epfis {
 namespace {
 
 int Run(int argc, char** argv) {
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.5);
+  ArgParser args(argc, argv);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.5);
+  ExitOnBadArgs(args);
   std::cout << "Figure 1: FPF curves for GWL-like indexes (scale="
             << options.scale << ")\n\n";
 

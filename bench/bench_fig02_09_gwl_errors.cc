@@ -12,8 +12,10 @@
 // full GWL sizes. --gate exits non-zero unless EPFIS has the lowest max
 // |error| of every estimator on each column run.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "workload/gwl.h"
@@ -23,9 +25,19 @@ namespace {
 
 int Run(int argc, char** argv) {
   ArgParser args(argc, argv);
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.5);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.5);
   std::string only = args.GetString("column", "");
   const bool gate = args.GetBool("gate", false);
+  ExitOnBadArgs(args);
+  const std::vector<GwlColumnSpec> columns = GwlColumns();
+  if (!only.empty() &&
+      std::none_of(columns.begin(), columns.end(),
+                   [&](const GwlColumnSpec& c) { return c.name == only; })) {
+    std::cerr << "error: --column=" << only << " matches no column; one of:";
+    for (const GwlColumnSpec& c : columns) std::cerr << ' ' << c.name;
+    std::cerr << '\n';
+    return 2;
+  }
   int columns_run = 0;
   int columns_lost = 0;
 
@@ -33,7 +45,7 @@ int Run(int argc, char** argv) {
             << options.scale << ", " << options.scans << " scans)\n\n";
 
   int figure = 2;
-  for (const GwlColumnSpec& column : GwlColumns()) {
+  for (const GwlColumnSpec& column : columns) {
     if (!only.empty() && column.name != only) {
       ++figure;
       continue;

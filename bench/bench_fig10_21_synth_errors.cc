@@ -28,7 +28,7 @@ namespace {
 
 int Run(int argc, char** argv) {
   ArgParser args(argc, argv);
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.1);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.1);
 
   std::vector<double> thetas = {0.0, 0.86};
   std::vector<double> ks = {0.0, 0.05, 0.10, 0.20, 0.50, 1.0};
@@ -37,6 +37,7 @@ int Run(int argc, char** argv) {
   uint32_t records_per_page =
       static_cast<uint32_t>(args.GetInt("r", 40));
   const bool gate = args.GetBool("gate", false);
+  ExitOnBadArgs(args);
   constexpr double kGateMaxErrPct = 48.0;
   double epfis_max = 0.0;
   int cells_lost = 0;

@@ -29,11 +29,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "buffer/stack_distance.h"
 #include "buffer/stack_distance_kernel.h"
 #include "epfis/trace_io.h"
 #include "epfis/trace_source.h"
-#include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   const std::string json_path = args.GetString("json", "BENCH_kernel.json");
   const std::string trace_path = args.GetString("trace", "");
+  ExitOnBadArgs(args);
 
   if (refs == 0 || pages == 0 || reps < 1) {
     std::cerr << "--refs, --pages, and --reps must be positive\n";

@@ -50,11 +50,11 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
 #include "epfis/lru_fit.h"
 #include "epfis/online_lru_fit.h"
-#include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/zipf.h"
@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
   const int gate_detect =
       static_cast<int>(args.GetInt("gate-detect-intervals", 0));
   const double gate_fresh = args.GetDouble("gate-fresh-err", 0.0);
+  ExitOnBadArgs(args);
 
   if (pages == 0 || phase_refs == 0 || window == 0 || interval == 0 ||
       phase_refs % interval != 0) {

@@ -30,10 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/lru_fit.h"
 #include "epfis/trace_source.h"
-#include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
   const size_t threads = static_cast<size_t>(args.GetInt("threads", 8));
   const int batch_indexes = static_cast<int>(args.GetInt("batch", 16));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  ExitOnBadArgs(args);
 
   if (refs == 0 || pages == 0 || threads == 0 || batch_indexes < 1) {
     std::cerr << "--refs, --pages, --threads, and --batch must be positive\n";

@@ -32,13 +32,12 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "buffer/sampling.h"
 #include "buffer/stack_distance_kernel.h"
-#include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/zipf.h"
@@ -63,16 +62,6 @@ std::vector<PageId> MakeZipfTrace(uint64_t refs, uint64_t pages,
     trace.push_back(static_cast<PageId>(zipf.Sample(rng) - 1));
   }
   return trace;
-}
-
-std::vector<double> ParseRates(const std::string& text) {
-  std::vector<double> rates;
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) rates.push_back(std::stod(item));
-  }
-  return rates;
 }
 
 // ~20 log-spaced buffer sizes from a small buffer up to the page count:
@@ -111,11 +100,12 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.GetInt("reps", 3));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   const std::string json_path = args.GetString("json", "BENCH_sampling.json");
-  std::vector<double> rates = ParseRates(
-      args.GetString("rates", "1.0,0.1,0.01,0.001"));
+  std::vector<double> rates =
+      args.GetDoubleList("rates", {1.0, 0.1, 0.01, 0.001});
   const double gate_rate = args.GetDouble("gate-rate", 0.0);
   const double gate_err = args.GetDouble("gate-err", 0.05);
   const double gate_speedup = args.GetDouble("gate-speedup", 0.0);
+  ExitOnBadArgs(args);
 
   if (refs == 0 || pages == 0 || reps < 1 || rates.empty()) {
     std::cerr << "--refs, --pages, --reps, and --rates must be positive\n";

@@ -46,10 +46,10 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "catalog/catalog_v3.h"
 #include "catalog/stats_catalog.h"
 #include "epfis/est_io.h"
-#include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 
@@ -127,6 +127,7 @@ int main(int argc, char** argv) {
   const std::string json_path =
       args.GetString("json", "BENCH_serving.json");
   const double gate_rate = args.GetDouble("gate-rate", 0.0);
+  ExitOnBadArgs(args);
 
   if (indexes == 0 || knots < 2 || probes_n == 0 || batch_n == 0 ||
       reps < 1) {

@@ -24,8 +24,10 @@ namespace epfis {
 namespace {
 
 int Run(int argc, char** argv) {
-  BenchOptions options = ParseBenchOptions(argc, argv, /*default_scale=*/0.5);
-  const bool gate = ArgParser(argc, argv).GetBool("gate", false);
+  ArgParser args(argc, argv);
+  BenchOptions options = ParseBenchOptions(args, /*default_scale=*/0.5);
+  const bool gate = args.GetBool("gate", false);
+  ExitOnBadArgs(args);
   constexpr double kGatePoints = 2.0;
   int off_target = 0;
   std::cout << "Tables 2 & 3: GWL-like database statistics (scale="

@@ -78,6 +78,11 @@ class StackDistanceHistogram {
   }
 
  private:
+  // The kernel's per-chunk loop keeps the counters in locals and stores
+  // distances straight into hist_, which it keeps sized past the
+  // distinct count.
+  friend class StackDistanceKernel;
+
   /// hist_ without trailing zero buckets, so logically equal histograms
   /// compare equal regardless of resize history.
   std::vector<uint64_t> TrimmedHist() const;

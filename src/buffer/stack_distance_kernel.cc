@@ -1,6 +1,7 @@
 #include "buffer/stack_distance_kernel.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace epfis {
 namespace {
@@ -10,6 +11,12 @@ namespace {
 // reference-sized initial tree would only re-create the legacy cache
 // footprint; the window instead grows to track the table size.
 constexpr size_t kMaxInitialWindow = size_t{1} << 16;
+
+// Width of the bitmap head, in words, kept out of the Fenwick tree.
+constexpr size_t kHeadWords = 16;
+
+// References between a last-access prefetch and its use.
+constexpr size_t kLookahead = 16;
 
 size_t InitialWindow(size_t expected_refs, size_t window_hint) {
   if (window_hint > 0) return std::max<size_t>(window_hint, 2);
@@ -30,6 +37,39 @@ size_t SampledExpectedRefs(size_t expected_refs,
   return expected_refs;
 }
 
+uint64_t Bit(size_t i) { return uint64_t{1} << (i & 63); }
+
+uint32_t Popcount(uint64_t word) {
+  return static_cast<uint32_t>(std::popcount(word));
+}
+
+// Fenwick point update at `word` (1-based internally).
+void TreeAdd(uint32_t* tree, size_t tree_size, size_t word, uint32_t delta) {
+  for (size_t p = word + 1; p < tree_size; p += p & (~p + 1)) {
+    tree[p] += delta;
+  }
+}
+
+// Number of live bits at positions strictly below `i`, which must lie
+// below the head (i == 0 sums an empty prefix and returns 0).
+uint32_t CountBelow(const uint64_t* bits, const uint32_t* tree, size_t i) {
+  size_t word = i >> 6;
+  uint32_t sum = Popcount(bits[word] & (Bit(i) - 1));
+  for (size_t p = word; p > 0; p -= p & (~p + 1)) sum += tree[p];
+  return sum;
+}
+
+// Live bits in [lo, hi), lo < hi, counted off the bitmap words.
+uint32_t CountRange(const uint64_t* bits, size_t lo, size_t hi) {
+  size_t lo_word = lo >> 6;
+  size_t hi_word = hi >> 6;
+  uint64_t low = bits[lo_word] & ~(Bit(lo) - 1);
+  if (lo_word == hi_word) return Popcount(low & (Bit(hi) - 1));
+  uint32_t sum = Popcount(low);
+  for (size_t w = lo_word + 1; w < hi_word; ++w) sum += Popcount(bits[w]);
+  return sum + Popcount(bits[hi_word] & (Bit(hi) - 1));
+}
+
 }  // namespace
 
 StackDistanceKernel::StackDistanceKernel(size_t expected_refs,
@@ -37,59 +77,136 @@ StackDistanceKernel::StackDistanceKernel(size_t expected_refs,
                                          SamplingOptions sampling)
     : window_(InitialWindow(SampledExpectedRefs(expected_refs, sampling),
                             window_hint)),
-      live_(window_),
       sampling_(sampling),
       threshold_(sampling.enabled() ? SampleThresholdForRate(sampling.rate)
                                     : kSampleModulus),
       inv_rate_(static_cast<double>(kSampleModulus) /
-                static_cast<double>(threshold_)) {}
-
-void StackDistanceKernel::Access(PageId page_id) {
-  if (sampling_.enabled()) {
-    ++total_refs_;
-    exact_seen_.TestAndSet(page_id);
-    if (SampleHash(page_id) >= threshold_) return;
-  }
-  AccessSampled(page_id);
-}
-
-void StackDistanceKernel::AccessSampled(PageId page_id) {
-  if (now_ == window_) Compact();
-  live_.Advance(static_cast<size_t>(now_));
-  if (page_id >= last_access_.size()) {
-    last_access_.resize(std::bit_ceil(size_t{page_id} + 1), kNever);
-  }
-  uint32_t& last = last_access_[page_id];
-  if (last == kNever) {
-    histogram_.AddColdMiss();
-    live_.Set(static_cast<size_t>(now_));
-  } else {
-    histogram_.AddDistance(live_.Move(last, static_cast<size_t>(now_),
-                                      histogram_.cold_misses()));
-  }
-  last = static_cast<uint32_t>(now_++);
+                static_cast<double>(threshold_)) {
+  ResetLiveBits(0);
 }
 
 void StackDistanceKernel::AccessAll(const PageId* trace, size_t count) {
-  if (!sampling_.enabled()) {
-    for (size_t i = 0; i < count; ++i) AccessSampled(trace[i]);
-    return;
+  if (sampling_.enabled()) {
+    total_refs_ += count;
+    Run<true>(trace, count);
+  } else {
+    Run<false>(trace, count);
   }
-  total_refs_ += count;
+}
+
+template <bool kSampled>
+void StackDistanceKernel::Run(const PageId* trace, size_t count) {
+  // The loop state lives in locals. As members, every uint64_t store into
+  // the bins could alias them and force a reload per reference.
+  uint64_t now = now_;
+  size_t head = head_;
+  size_t window = window_;
+  uint64_t distinct = histogram_.cold_misses_;
+  uint64_t resolved = 0;  // References that passed the filter.
+  uint64_t* bits = bits_.data();
+  uint32_t* tree = tree_.data();
+  size_t tree_size = tree_.size();
+  uint32_t* table = last_access_.data();
+  size_t table_mask = last_access_.size() - 1;  // The size is a power of 2.
+  uint64_t* bins = histogram_.hist_.data();
+  size_t bins_size = histogram_.hist_.size();
+  const uint64_t threshold = threshold_;
+
+  auto store = [&] {
+    now_ = now;
+    head_ = head;
+    histogram_.cold_misses_ = distinct;
+    histogram_.accesses_ += resolved;
+    histogram_.suffix_valid_ = false;
+    resolved = 0;
+  };
+
   for (size_t i = 0; i < count; ++i) {
-    exact_seen_.TestAndSet(trace[i]);
-    if (SampleHash(trace[i]) < threshold_) AccessSampled(trace[i]);
+    const PageId page = trace[i];
+    // Masked, so an id past the table prefetches a line inside it. The
+    // sampled loop skips it: most of its references never reach the
+    // table, and the wasted prefetches cost more than the hits save.
+    if (!kSampled && i + kLookahead < count) {
+      __builtin_prefetch(table + (trace[i + kLookahead] & table_mask));
+    }
+    if constexpr (kSampled) {
+      exact_seen_.TestAndSet(page);
+      if (SampleHash(page) >= threshold) continue;
+    }
+    if (now == window) {
+      store();
+      Compact();
+      now = now_;
+      head = head_;
+      window = window_;
+      bits = bits_.data();
+      tree = tree_.data();
+      tree_size = tree_.size();
+    }
+    // Keep the head at most kHeadWords words wide, ending at now's word:
+    // fold its oldest half into the tree once it is full, one point
+    // update per non-empty word.
+    if ((now >> 6) - head >= kHeadWords) {
+      for (size_t end = head + kHeadWords / 2; head < end; ++head) {
+        if (bits[head] != 0) {
+          TreeAdd(tree, tree_size, head, Popcount(bits[head]));
+        }
+      }
+    }
+    if (page > table_mask) {
+      last_access_.resize(std::bit_ceil(size_t{page} + 1), kNever);
+      table = last_access_.data();
+      table_mask = last_access_.size() - 1;
+    }
+    uint32_t& last = table[page];
+    if (last == kNever) {
+      // A distance never exceeds distinct, so bins up to distinct make
+      // every re-reference's store in bounds.
+      if (++distinct >= bins_size) {
+        histogram_.hist_.resize(std::bit_ceil(distinct + 1), 0);
+        bins = histogram_.hist_.data();
+        bins_size = histogram_.hist_.size();
+      }
+    } else {
+      // Every live bit is a distinct page, so the distance is the live
+      // bits in [prev, now): off the bitmap when prev lies in the head,
+      // else distinct - CountBelow(prev), with one point update to clear
+      // the old bit.
+      size_t prev = last;
+      size_t word = prev >> 6;
+      uint32_t d;
+      if (word >= head) {
+        d = CountRange(bits, prev, static_cast<size_t>(now));
+      } else {
+        d = static_cast<uint32_t>(distinct) - CountBelow(bits, tree, prev);
+        TreeAdd(tree, tree_size, word, static_cast<uint32_t>(-1));
+      }
+      bits[word] &= ~Bit(prev);
+      ++bins[d];
+    }
+    bits[now >> 6] |= Bit(static_cast<size_t>(now));
+    last = static_cast<uint32_t>(now++);
+    ++resolved;
   }
+  store();
 }
 
 void StackDistanceKernel::Compact() {
   // Each live time becomes its rank among the live times, so the live
   // bits become the dense prefix [0, distinct) in the same order.
   // Distances only read the bits through "live bits below prev", which an
-  // order-preserving rewrite leaves unchanged.
-  live_.PrepareRanks();
+  // order-preserving rewrite leaves unchanged. The tree first becomes
+  // each word's count of live bits in the words below it, so a rank is
+  // one lookup plus one masked popcount.
+  uint32_t below = 0;
+  for (size_t w = 0; w < bits_.size(); ++w) {
+    tree_[w] = below;
+    below += Popcount(bits_[w]);
+  }
   for (uint32_t& t : last_access_) {
-    if (t != kNever) t = live_.Rank(t);
+    if (t != kNever) {
+      t = tree_[t >> 6] + Popcount(bits_[t >> 6] & (Bit(t) - 1));
+    }
   }
 
   // Each compaction walks the whole table and the window's words. Keep
@@ -103,9 +220,23 @@ void StackDistanceKernel::Compact() {
     while (window_ < want) window_ *= 2;
     ++window_resizes_;
   }
-  live_.AssignPrefixOnes(distinct, window_);
+  ResetLiveBits(distinct);
   now_ = distinct;
   ++compactions_;
+}
+
+void StackDistanceKernel::ResetLiveBits(size_t ones) {
+  size_t words = (window_ >> 6) + 1;
+  head_ = ones >> 6;
+  bits_.assign(words, 0);
+  tree_.assign(words + 1, 0);
+  for (size_t i = 0; i < head_; ++i) bits_[i] = ~uint64_t{0};
+  if (ones & 63) bits_[head_] = Bit(ones) - 1;
+  for (size_t i = 1; i <= words; ++i) {
+    if (i <= head_) tree_[i] += 64;
+    size_t parent = i + (i & (~i + 1));
+    if (parent <= words) tree_[parent] += tree_[i];
+  }
 }
 
 Status ValidatePageRefs(const PageId* refs, size_t count) {

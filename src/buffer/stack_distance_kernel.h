@@ -1,7 +1,6 @@
 #ifndef EPFIS_BUFFER_STACK_DISTANCE_KERNEL_H_
 #define EPFIS_BUFFER_STACK_DISTANCE_KERNEL_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -55,6 +54,15 @@ namespace epfis {
 ///     so each compaction frees at least half the window and its cost
 ///     amortizes to O(1) per reference.
 ///
+/// Every reference, whichever entry point it came through, runs one loop
+/// per chunk that keeps the clock, the head, the distinct count and raw
+/// pointers to the bitmap, tree, table and histogram bins in locals, and
+/// writes them back once per chunk and around each compaction. The bins
+/// grow on first touches to cover distinct + 1, so a re-reference stores
+/// its distance without a bounds check. Without sampling, the loop
+/// prefetches the table entry of the reference 16 ahead, which pays most
+/// once the table and bins spill out of L2.
+///
 /// On top of the exact machinery sits optional SHARDS-style spatial
 /// sampling at a fixed rate (see sampling.h): references whose page hash
 /// falls above a threshold are dropped before they touch the table or
@@ -82,7 +90,7 @@ class StackDistanceKernel {
                                SamplingOptions sampling = {});
 
   /// Processes one page reference.
-  void Access(PageId page_id);
+  void Access(PageId page_id) { AccessAll(&page_id, 1); }
 
   /// Processes a whole reference string.
   void AccessAll(const std::vector<PageId>& trace) {
@@ -168,6 +176,24 @@ class StackDistanceKernel {
   size_t sampled_pages() const { return histogram_.cold_misses(); }
 
  private:
+  // The per-reference loop over one chunk, with the sampling filter
+  // compiled in or out.
+  template <bool kSampled>
+  void Run(const PageId* trace, size_t count);
+
+  void Compact();
+
+  // Reinitializes the live bits to window_ positions with [0, ones) live,
+  // in O(window_ / 64). The head starts at the word of `ones`, the next
+  // timestamp.
+  void ResetLiveBits(size_t ones);
+
+  // Last-access table entry of a page never referenced.
+  static constexpr uint32_t kNever = UINT32_MAX;
+
+  uint64_t now_ = 0;   // Next timestamp on the (compacted) time axis.
+  size_t window_ = 0;  // Time-axis capacity; now_ < window_ between accesses.
+
   // Live bits over the compacted time axis: one bit per timestamp in
   // 64-bit words, with a Fenwick tree over the popcounts of the words
   // below the head. A window of W timestamps costs W/8 bytes of bitmap
@@ -175,138 +201,13 @@ class StackDistanceKernel {
   // O(table size) the structure sits in L2. Word counts are live-bit
   // counts, bounded by kPageIdLimit, and the -1 updates wrap modularly,
   // so sums stay exact.
-  class LiveTree {
-   public:
-    explicit LiveTree(size_t n) { AssignPrefixOnes(0, n); }
+  std::vector<uint64_t> bits_;
+  std::vector<uint32_t> tree_;  // 1-based; size bits_.size() + 1.
+  size_t head_ = 0;             // First word kept out of the tree.
 
-    /// Marks `now`, which lies in the head, live.
-    void Set(size_t now) { bits_[now >> 6] |= Bit(now); }
-
-    /// Live bits in [prev, now) given `live` bits in all, then moves the
-    /// bit at `prev` to `now`. A head `prev` is counted off the bitmap;
-    /// an older one takes one prefix walk and one point update.
-    uint64_t Move(size_t prev, size_t now, uint64_t live) {
-      size_t word = prev >> 6;
-      uint64_t d;
-      if (word >= head_) {
-        d = CountRange(prev, now);
-      } else {
-        d = live - CountBelow(prev);
-        Add(word, static_cast<uint32_t>(-1));
-      }
-      bits_[word] &= ~Bit(prev);
-      Set(now);
-      return d;
-    }
-
-    /// Keeps the head at most kHeadWords words wide, ending at `now`'s
-    /// word: folds its oldest half into the tree once it is full.
-    void Advance(size_t now) {
-      if ((now >> 6) - head_ < kHeadWords) return;
-      Fold(head_ + kHeadWords / 2);
-    }
-
-    /// Replaces the tree by each word's count of live bits in the words
-    /// below it, so Rank runs in O(1) anywhere. AssignPrefixOnes must
-    /// follow before the next Move or Advance.
-    void PrepareRanks() {
-      uint32_t below = 0;
-      for (size_t w = 0; w < bits_.size(); ++w) {
-        tree_[w] = below;
-        below += static_cast<uint32_t>(std::popcount(bits_[w]));
-      }
-    }
-
-    /// Number of live bits below `i`, after PrepareRanks.
-    uint32_t Rank(size_t i) const {
-      return tree_[i >> 6] + static_cast<uint32_t>(std::popcount(
-                                 bits_[i >> 6] & (Bit(i) - 1)));
-    }
-
-    /// Reinitializes to `n` positions with [0, ones) live, in O(n / 64).
-    /// The head starts at the word of `ones`, the next timestamp.
-    void AssignPrefixOnes(size_t ones, size_t n) {
-      size_t words = (n >> 6) + 1;
-      head_ = ones >> 6;
-      bits_.assign(words, 0);
-      tree_.assign(words + 1, 0);
-      for (size_t i = 0; i < head_; ++i) bits_[i] = ~uint64_t{0};
-      if (ones & 63) bits_[head_] = Bit(ones) - 1;
-      for (size_t i = 1; i <= words; ++i) {
-        if (i <= head_) tree_[i] += 64;
-        size_t parent = i + (i & (~i + 1));
-        if (parent <= words) tree_[parent] += tree_[i];
-      }
-    }
-
-   private:
-    static constexpr size_t kHeadWords = 16;
-
-    static uint64_t Bit(size_t i) { return uint64_t{1} << (i & 63); }
-
-    // Number of live bits at positions strictly below `i`, which must lie
-    // below the head (i == 0 sums an empty prefix and returns 0).
-    uint64_t CountBelow(size_t i) const {
-      size_t word = i >> 6;
-      uint32_t sum = static_cast<uint32_t>(
-          std::popcount(bits_[word] & (Bit(i) - 1)));
-      for (size_t p = word; p > 0; p -= p & (~p + 1)) sum += tree_[p];
-      return sum;
-    }
-
-    // Live bits in [lo, hi), lo < hi, counted off the bitmap words.
-    uint64_t CountRange(size_t lo, size_t hi) const {
-      size_t lo_word = lo >> 6;
-      size_t hi_word = hi >> 6;
-      uint64_t low = bits_[lo_word] & ~(Bit(lo) - 1);
-      if (lo_word == hi_word) {
-        return static_cast<uint64_t>(std::popcount(low & (Bit(hi) - 1)));
-      }
-      uint64_t sum = static_cast<uint64_t>(std::popcount(low));
-      for (size_t w = lo_word + 1; w < hi_word; ++w) {
-        sum += static_cast<uint64_t>(std::popcount(bits_[w]));
-      }
-      return sum + static_cast<uint64_t>(
-                       std::popcount(bits_[hi_word] & (Bit(hi) - 1)));
-    }
-
-    // Moves the head's start to `end`, adding each non-empty word's
-    // popcount to the tree.
-    void Fold(size_t end) {
-      for (; head_ < end; ++head_) {
-        if (bits_[head_] != 0) {
-          Add(head_, static_cast<uint32_t>(std::popcount(bits_[head_])));
-        }
-      }
-    }
-
-    // Fenwick point update at `word` (1-based internally).
-    void Add(size_t word, uint32_t delta) {
-      for (size_t p = word + 1; p < tree_.size(); p += p & (~p + 1)) {
-        tree_[p] += delta;
-      }
-    }
-
-    std::vector<uint64_t> bits_;  // Live bits.
-    std::vector<uint32_t> tree_;  // Fenwick tree over the popcounts of
-                                  // the words below head_.
-    size_t head_ = 0;             // First word kept out of the tree.
-  };
-
-  void Compact();
-
-  // One filtered reference: the exact per-reference path. Callers have
-  // already counted the reference and applied the hash filter when
-  // sampling is enabled.
-  void AccessSampled(PageId page_id);
-
-  // Last-access table entry of a page never referenced.
-  static constexpr uint32_t kNever = UINT32_MAX;
-
-  uint64_t now_ = 0;   // Next timestamp on the (compacted) time axis.
-  size_t window_ = 0;  // Time-axis capacity; now_ < window_ between accesses.
-  LiveTree live_;
-  std::vector<uint32_t> last_access_;  // By page id; kNever if untouched.
+  // By page id; kNever if untouched. Never empty, so the lookahead's
+  // masked prefetch always lands inside it.
+  std::vector<uint32_t> last_access_ = std::vector<uint32_t>(1, kNever);
   StackDistanceHistogram histogram_;
   uint64_t compactions_ = 0;
   uint64_t window_resizes_ = 0;

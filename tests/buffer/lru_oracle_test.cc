@@ -3,11 +3,18 @@
 // StackDistanceSimulator, the StackDistanceKernel (default sizing, and a
 // tiny window so compactions run) and ComputeSampledStackDistances at
 // R = 1; all of them must report the same fetch count at every buffer
-// size. The adversarial families follow PAPERS.md: random walks on an
-// access graph (Boyar et al., relative interval analysis on access
-// graphs) and interleaved sequential scans over overlapping ranges
-// (cooperative scans / predictive buffer management), next to uniform,
-// Zipf, a cyclic loop and a single repeated page.
+// size. The kernel's histogram must also equal the legacy one when the
+// trace arrives in chunks of 1 to 17 references (around its 16-reference
+// lookahead), with single Access calls between chunks, and at R = 0.5,
+// where the raw sampled histogram must equal the legacy histogram of the
+// hash-filtered trace at window hints 2 to 64. The adversarial families
+// follow PAPERS.md: random walks on an access graph (Boyar et al.,
+// relative interval analysis on access graphs) and interleaved
+// sequential scans over overlapping ranges (cooperative scans /
+// predictive buffer management), next to uniform, Zipf, sequential runs
+// mixed with random jumps (the shape of index scans), ids that outgrow
+// the kernel's table inside its lookahead, a cyclic loop and a single
+// repeated page.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +26,7 @@
 #include "buffer/buffer_pool.h"
 #include "buffer/lru_simulator.h"
 #include "buffer/parallel_stack_distance.h"
+#include "buffer/sampling.h"
 #include "buffer/stack_distance.h"
 #include "buffer/stack_distance_kernel.h"
 #include "catalog/stats_catalog.h"
@@ -36,6 +44,7 @@ struct OracleCase {
   std::string name;
   std::vector<PageId> trace;
   uint64_t loop = 1;  // L: the family's cliff (loop length, scan count).
+  std::vector<uint64_t> extra_sizes = {};  // Checked besides BufferSizes.
 };
 
 // Names the case in failure messages and test listings instead of a byte
@@ -97,6 +106,45 @@ std::vector<PageId> InterleavedScans(uint32_t scans, uint32_t pages,
   return trace;
 }
 
+// Sequential runs of 1 to 8 pages from random starts, mixed with random
+// jumps, like real index scans.
+std::vector<PageId> RunsAndJumps(uint32_t pages, size_t refs, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PageId> trace;
+  while (trace.size() < refs) {
+    if (rng.NextBernoulli(0.3)) {
+      PageId start = static_cast<PageId>(rng.NextBounded(pages));
+      int run = 1 + static_cast<int>(rng.NextBounded(8));
+      for (int r = 0; r < run && trace.size() < refs; ++r) {
+        trace.push_back((start + r) % pages);
+      }
+    } else {
+      trace.push_back(static_cast<PageId>(rng.NextBounded(pages)));
+    }
+  }
+  return trace;
+}
+
+// New ids in rising order, up to four in each [2^r, 2^(r+1)), each after
+// 20 re-references of random earlier ids. The first id of each range
+// lies past the kernel's last-access table, so the table grows in the
+// middle of a chunk, after the lookahead has met the id.
+std::vector<PageId> GrowingIds(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PageId> trace;
+  std::vector<PageId> seen{0};
+  for (PageId base = 1; base < 2'048; base *= 2) {
+    for (PageId id = base; id < 2 * base; id += std::max(base / 4, 1u)) {
+      for (int r = 0; r < 20; ++r) {
+        trace.push_back(seen[rng.NextBounded(seen.size())]);
+      }
+      trace.push_back(id);
+      seen.push_back(id);
+    }
+  }
+  return trace;
+}
+
 std::vector<PageId> CyclicLoop(uint32_t loop, int rounds) {
   std::vector<PageId> trace;
   for (int r = 0; r < rounds; ++r) {
@@ -116,21 +164,54 @@ std::vector<OracleCase> Cases() {
   }
   cases.push_back({"interleaved_scans", InterleavedScans(5, 200, 37, 600),
                    5});
+  // Runs of up to 8 pages; B on a Fibonacci ladder to 89.
+  const std::vector<uint64_t> ladder{2, 3, 5, 8, 13, 21, 34, 55, 89};
+  struct RunsSpec { uint32_t pages; size_t refs; uint64_t seed; };
+  for (RunsSpec r : {RunsSpec{10, 500, 1}, RunsSpec{50, 2'000, 2},
+                     RunsSpec{100, 5'000, 3}, RunsSpec{7, 300, 4},
+                     RunsSpec{200, 3'000, 5}, RunsSpec{3, 1'000, 6}}) {
+    cases.push_back({"runs_p" + std::to_string(r.pages) + "_s" +
+                         std::to_string(r.seed),
+                     RunsAndJumps(r.pages, r.refs, r.seed), 8, ladder});
+  }
+  // A 40-page table that every trace covers, at B = 1, 2, T/2, T, T + 3.
+  for (uint64_t seed : {77u, 1u, 2u, 9001u}) {
+    cases.push_back({"uni40_s" + std::to_string(seed),
+                     UniformTrace(1'500, 40, seed), 2, {43}});
+  }
+  cases.push_back({"growing_ids", GrowingIds(3), 4});
   cases.push_back({"cyclic_loop", CyclicLoop(50, 40), 50});
   cases.push_back({"one_page", std::vector<PageId>(500, 7), 1});
   return cases;
 }
 
-// B = 1, L - 1, L, L + 1, and sizes at and past the distinct count.
-std::vector<uint64_t> BufferSizes(uint64_t loop, uint64_t distinct) {
+// B = 1, L - 1, L, L + 1, sizes at and past the distinct count, and the
+// case's own extra sizes.
+std::vector<uint64_t> BufferSizes(const OracleCase& c, uint64_t distinct) {
+  const uint64_t loop = c.loop;
   std::vector<uint64_t> sizes{1,        loop - 1,     loop,
                               loop + 1, distinct / 2, distinct,
                               distinct + 7};
+  sizes.insert(sizes.end(), c.extra_sizes.begin(), c.extra_sizes.end());
   sizes.erase(std::remove(sizes.begin(), sizes.end(), uint64_t{0}),
               sizes.end());
   std::sort(sizes.begin(), sizes.end());
   sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
   return sizes;
+}
+
+// Feeds `trace` to `kernel` in chunks whose lengths cycle through 1..17,
+// around the kernel's 16-reference lookahead; with `singles`, one Access
+// call goes before each chunk.
+void FeedInChunks(StackDistanceKernel& kernel,
+                  const std::vector<PageId>& trace, bool singles) {
+  size_t i = 0;
+  for (size_t len = 1; i < trace.size(); len = len % 17 + 1) {
+    if (singles) kernel.Access(trace[i++]);
+    size_t n = std::min(len, trace.size() - i);
+    kernel.AccessAll(trace.data() + i, n);
+    i += n;
+  }
 }
 
 class LruOracleTest : public ::testing::TestWithParam<OracleCase> {};
@@ -145,6 +226,33 @@ TEST_P(LruOracleTest, AllOraclesAgreeAtEveryBufferSize) {
   StackDistanceKernel compacting(/*expected_refs=*/16, /*window_hint=*/2);
   compacting.AccessAll(trace);
   EXPECT_GT(compacting.compactions(), 0u);
+  EXPECT_TRUE(kernel.histogram() == legacy.histogram());
+  EXPECT_TRUE(compacting.histogram() == legacy.histogram());
+  for (bool singles : {false, true}) {
+    StackDistanceKernel chunked(/*expected_refs=*/16, /*window_hint=*/64);
+    FeedInChunks(chunked, trace, singles);
+    EXPECT_TRUE(chunked.histogram() == legacy.histogram())
+        << "singles=" << singles;
+  }
+
+  // A sampled run is the exact kernel over the hash-filtered trace.
+  SamplingOptions half;
+  half.rate = 0.5;
+  std::vector<PageId> filtered;
+  for (PageId p : trace) {
+    if (SampleHash(p) < SampleThresholdForRate(half.rate)) {
+      filtered.push_back(p);
+    }
+  }
+  StackDistanceSimulator filtered_legacy(filtered.size() + 1);
+  filtered_legacy.AccessAll(filtered);
+  for (size_t window : {2u, 3u, 16u, 17u, 64u}) {
+    StackDistanceKernel sampled_kernel(/*expected_refs=*/16, window, half);
+    FeedInChunks(sampled_kernel, trace, /*singles=*/window % 2 == 1);
+    EXPECT_TRUE(sampled_kernel.histogram() == filtered_legacy.histogram())
+        << "window=" << window;
+    EXPECT_EQ(sampled_kernel.sampling_summary().total_refs, trace.size());
+  }
   StackDistanceOptions options;
   options.sampling.rate = 1.0;
   VectorTraceSource source = VectorTraceSource::View(trace);
@@ -156,7 +264,7 @@ TEST_P(LruOracleTest, AllOraclesAgreeAtEveryBufferSize) {
   for (PageId p = 0; p <= max_page; ++p) disk.AllocatePage();
 
   for (uint64_t b :
-       BufferSizes(GetParam().loop, legacy.histogram().distinct_pages())) {
+       BufferSizes(GetParam(), legacy.histogram().distinct_pages())) {
     SCOPED_TRACE("B=" + std::to_string(b));
     BufferPool pool(&disk, static_cast<size_t>(b));
     for (PageId page : trace) ASSERT_TRUE(pool.FetchPage(page).ok());

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "buffer/buffer_pool.h"
 #include "buffer/lru_simulator.h"
 #include "buffer/stack_distance.h"
-#include "storage/disk_manager.h"
 #include "util/random.h"
 
 namespace epfis {
@@ -101,83 +98,6 @@ TEST(StackDistanceTest, InclusionPropertyMonotoneFetches) {
   }
   // At capacity >= distinct pages, only cold misses remain.
   EXPECT_EQ(sim.Fetches(100), sim.cold_misses());
-}
-
-// Property: the one-pass stack simulation must agree exactly with a direct
-// LRU simulation at every buffer size, for a variety of trace shapes.
-class StackVsDirectTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(StackVsDirectTest, MatchesDirectLruSimulation) {
-  auto [num_pages, trace_len, seed] = GetParam();
-  Rng rng(static_cast<uint64_t>(seed));
-  std::vector<PageId> trace;
-  trace.reserve(trace_len);
-  // Mix of sequential runs and random jumps, like real index scans.
-  int i = 0;
-  while (i < trace_len) {
-    if (rng.NextBernoulli(0.3)) {
-      PageId start = static_cast<PageId>(rng.NextBounded(num_pages));
-      int run = 1 + static_cast<int>(rng.NextBounded(8));
-      for (int r = 0; r < run && i < trace_len; ++r, ++i) {
-        trace.push_back((start + r) % num_pages);
-      }
-    } else {
-      trace.push_back(static_cast<PageId>(rng.NextBounded(num_pages)));
-      ++i;
-    }
-  }
-
-  StackDistanceSimulator stack;
-  stack.AccessAll(trace);
-  for (size_t b : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u, 55u, 89u}) {
-    EXPECT_EQ(stack.Fetches(b), CountLruFetches(trace, b))
-        << "buffer=" << b << " pages=" << num_pages;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Traces, StackVsDirectTest,
-    ::testing::Values(std::make_tuple(10, 500, 1),
-                      std::make_tuple(50, 2000, 2),
-                      std::make_tuple(100, 5000, 3),
-                      std::make_tuple(7, 300, 4),
-                      std::make_tuple(200, 3000, 5),
-                      std::make_tuple(3, 1000, 6)));
-
-TEST(StackDistanceTest, MatchesRealBufferPoolFetches) {
-  // The stack simulator and LruSimulator must agree with the actual
-  // pin/unpin buffer pool, whose other counters must tell the same story.
-  DiskManager disk;
-  const size_t kPages = 40;  // T: every page is referenced.
-  for (size_t i = 0; i < kPages; ++i) disk.AllocatePage();
-
-  for (uint64_t seed : {77u, 1u, 2u, 9001u}) {
-    Rng rng(seed);
-    std::vector<PageId> trace;
-    for (int i = 0; i < 1500; ++i) {
-      trace.push_back(static_cast<PageId>(rng.NextBounded(kPages)));
-    }
-
-    StackDistanceSimulator stack;
-    stack.AccessAll(trace);
-
-    for (size_t b : {size_t{1}, size_t{2}, kPages / 2, kPages, kPages + 3}) {
-      BufferPool pool(&disk, b);
-      for (PageId pid : trace) {
-        auto guard = pool.FetchPage(pid);
-        ASSERT_TRUE(guard.ok());
-      }
-      const BufferPoolStats& stats = pool.stats();
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " buffer=" + std::to_string(b));
-      EXPECT_EQ(stack.Fetches(b), stats.fetches);
-      EXPECT_EQ(CountLruFetches(trace, b), stats.fetches);
-      EXPECT_EQ(stats.requests, trace.size());
-      EXPECT_EQ(stats.hits, stats.requests - stats.fetches);
-      EXPECT_EQ(stats.evictions, stats.fetches > b ? stats.fetches - b : 0u);
-    }
-  }
 }
 
 TEST(StackDistanceTest, FetchesForSizesMatchesScalarQueries) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/arg_parser.h"
 #include "util/csv.h"
@@ -110,6 +112,69 @@ TEST(ArgParserTest, BoolForms) {
   EXPECT_TRUE(args.GetBool("on", false));
   EXPECT_TRUE(args.GetBool("one", false));
   EXPECT_FALSE(args.GetBool("off", true));
+}
+
+// Check passes only once every flag given was read and parsed, and no
+// positional argument was given; otherwise its message names the first
+// bad argument.
+void ExpectCheckNames(const ArgParser& args, const std::string& needle) {
+  Status status = args.Check();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(needle), std::string::npos)
+      << status.message();
+}
+
+TEST(ArgParserTest, CheckPassesWhenEveryFlagIsRead) {
+  const char* argv[] = {"prog", "--gate", "--refs=12", "--rates=1,0.5"};
+  ArgParser args(4, const_cast<char**>(argv));
+  EXPECT_TRUE(args.GetBool("gate", false));
+  EXPECT_EQ(args.GetInt("refs", 0), 12);
+  EXPECT_EQ(args.GetDoubleList("rates", {}), (std::vector<double>{1, 0.5}));
+  EXPECT_FALSE(args.Has("absent"));
+  EXPECT_TRUE(args.Check().ok());
+}
+
+TEST(ArgParserTest, CheckRejectsAnUnknownFlag) {
+  const char* argv[] = {"prog", "--gaet"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_FALSE(args.GetBool("gate", false));
+  ExpectCheckNames(args, "--gaet");
+}
+
+TEST(ArgParserTest, CheckRejectsASpaceSeparatedValue) {
+  // `--scale 1` gives --scale no value and leaves `1` positional.
+  const char* argv[] = {"prog", "--scale", "1"};
+  ArgParser args(3, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(args.GetDouble("scale", 0.5), 0.5);
+  ExpectCheckNames(args, "--scale");
+
+  const char* stray[] = {"prog", "--gate", "1"};
+  ArgParser positional(3, const_cast<char**>(stray));
+  EXPECT_TRUE(positional.GetBool("gate", false));
+  ExpectCheckNames(positional, "'1'");
+}
+
+TEST(ArgParserTest, CheckRejectsMalformedValues) {
+  struct Probe {
+    const char* arg;
+    const char* needle;
+  };
+  for (Probe probe : {Probe{"--refs=12x", "--refs=12x"},
+                      Probe{"--refs=", "--refs needs a value"},
+                      Probe{"--refs=99999999999999999999", "--refs="},
+                      Probe{"--scale=0.5.1", "--scale=0.5.1"},
+                      Probe{"--gate=yes", "--gate=yes"},
+                      Probe{"--rates=1,x", "--rates=1,x"},
+                      Probe{"--rates=,", "--rates=,"}}) {
+    SCOPED_TRACE(probe.arg);
+    const char* argv[] = {"prog", probe.arg};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EQ(args.GetInt("refs", 7), 7);
+    EXPECT_DOUBLE_EQ(args.GetDouble("scale", 0.5), 0.5);
+    EXPECT_FALSE(args.GetBool("gate", false));
+    EXPECT_EQ(args.GetDoubleList("rates", {2.0}), std::vector<double>{2.0});
+    ExpectCheckNames(args, probe.needle);
+  }
 }
 
 }  // namespace
