@@ -15,12 +15,18 @@
 #include <iostream>
 
 #include "epfis/epfis.h"
+#include "util/arg_parser.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 
 using namespace epfis;
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no arguments: any argument is rejected, by name.
+  if (Status status = ArgParser(argc, argv).Check(); !status.ok()) {
+    std::cerr << "error: " << status.message() << '\n';
+    return 2;
+  }
   struct IndexUnderStudy {
     const char* name;
     double window;

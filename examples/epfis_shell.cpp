@@ -67,6 +67,7 @@
 #include "exec/index_scan.h"
 #include "exec/optimizer.h"
 #include "exec/table_scan.h"
+#include "util/arg_parser.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 #include "workload/gwl.h"
@@ -545,7 +546,12 @@ class Shell {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no arguments: any argument is rejected, by name.
+  if (Status status = ArgParser(argc, argv).Check(); !status.ok()) {
+    std::cerr << "error: " << status.message() << '\n';
+    return 2;
+  }
   std::cout << "epfis shell — type 'help' for commands\n";
   Shell shell;
   return shell.Loop(std::cin);

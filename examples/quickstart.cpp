@@ -15,13 +15,19 @@
 #include "catalog/stats_catalog.h"
 #include "epfis/epfis.h"
 #include "exec/index_scan.h"
+#include "util/arg_parser.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 #include "workload/scan_gen.h"
 
 using namespace epfis;
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no arguments: any argument is rejected, by name.
+  if (Status status = ArgParser(argc, argv).Check(); !status.ok()) {
+    std::cerr << "error: " << status.message() << '\n';
+    return 2;
+  }
   // --- 1. A 50k-record table with a moderately unclustered index. ---
   SyntheticSpec spec;
   spec.name = "orders";

@@ -16,12 +16,18 @@
 #include "exec/multi_index.h"
 #include "exec/optimizer.h"
 #include "exec/rid_list.h"
+#include "util/arg_parser.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 
 using namespace epfis;
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no arguments: any argument is rejected, by name.
+  if (Status status = ArgParser(argc, argv).Check(); !status.ok()) {
+    std::cerr << "error: " << status.message() << '\n';
+    return 2;
+  }
   SyntheticSpec spec;
   spec.name = "sales";
   spec.num_records = 50'000;

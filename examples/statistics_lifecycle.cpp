@@ -23,6 +23,7 @@
 #include "catalog/stats_catalog.h"
 #include "epfis/epfis.h"
 #include "exec/index_scan.h"
+#include "util/arg_parser.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -52,7 +53,12 @@ Result<LruFitJob> MakeCollectionJob(Dataset& dataset,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // Takes no arguments: any argument is rejected, by name.
+  if (Status status = ArgParser(argc, argv).Check(); !status.ok()) {
+    std::cerr << "error: " << status.message() << '\n';
+    return 2;
+  }
   SyntheticSpec spec;
   spec.name = "ledger";
   spec.num_records = 30'000;

@@ -7,17 +7,14 @@
 
 namespace epfis {
 
-SdEstimator::SdEstimator(const BaselineTraceStats& stats,
-                         SdExponentMode mode)
+SdEstimator::SdEstimator(const BaselineTraceStats& stats)
     : t_(static_cast<double>(stats.table_pages)),
       n_records_(static_cast<double>(stats.table_records)),
       i_(std::max<double>(1.0, static_cast<double>(stats.distinct_keys))) {
   double j = static_cast<double>(stats.j1);
   cr_ = (n_records_ > t_) ? (n_records_ - j) / (n_records_ - t_) : 1.0;
   cr_ = Clamp(cr_, 0.0, 1.0);
-  double exponent =
-      (mode == SdExponentMode::kPaperTOverI) ? t_ / i_ : n_records_ / i_;
-  cardenas_per_key_ = CardenasPages(t_, exponent);
+  cardenas_per_key_ = CardenasPages(t_, t_ / i_);
 }
 
 double SdEstimator::Estimate(const EstimatorQuery& query) const {

@@ -5,25 +5,19 @@
 
 namespace epfis {
 
-/// Exponent used in Algorithm SD's Cardenas term. The paper prints
-/// (1 - 1/T)^{T/I}; the quantity Cardenas's formula wants is records per
-/// key value, N/I — plausibly a typo. Both are provided; the default is as
-/// printed.
-enum class SdExponentMode {
-  kPaperTOverI,  ///< exponent = T / I (as printed).
-  kNOverI,       ///< exponent = N / I (records per distinct value).
-};
-
 /// Algorithm SD (§3.3). With J = full-scan fetches under a 1-page buffer:
 ///
 ///   CR = (N - J) / (N - T)          ("jumps" above the minimum)
 ///   U  = sigma * I * T (1 - (1 - 1/T)^{T/I})
 ///   V  = min(U, T) if T < B else U
 ///   F  = CR * T * sigma + (1 - CR) * V
+///
+/// The exponent T/I is as printed. Cardenas's formula would want records
+/// per key value, N/I, so it is plausibly a typo; the paper's SD numbers
+/// are reproduced as printed.
 class SdEstimator final : public Estimator {
  public:
-  SdEstimator(const BaselineTraceStats& stats,
-              SdExponentMode mode = SdExponentMode::kPaperTOverI);
+  explicit SdEstimator(const BaselineTraceStats& stats);
 
   std::string name() const override { return "SD"; }
   double Estimate(const EstimatorQuery& query) const override;

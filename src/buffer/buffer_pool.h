@@ -96,7 +96,6 @@ class BufferPool {
 
   size_t pool_size() const { return frames_.size(); }
   const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferPoolStats{}; }
 
   /// Number of currently pinned pages (for tests).
   size_t num_pinned() const;

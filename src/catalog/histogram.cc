@@ -61,16 +61,4 @@ double EquiDepthHistogram::EstimateSelectivity(const KeyRange& range) const {
   return EstimateRecords(range) / static_cast<double>(total_records_);
 }
 
-double EquiDepthHistogram::EstimateEqualitySelectivity(int64_t value) const {
-  for (const Bucket& bucket : buckets_) {
-    if (value >= bucket.lo && value <= bucket.hi) {
-      if (bucket.distinct == 0) return 0.0;
-      return static_cast<double>(bucket.count) /
-             static_cast<double>(bucket.distinct) /
-             static_cast<double>(total_records_);
-    }
-  }
-  return 0.0;
-}
-
 }  // namespace epfis

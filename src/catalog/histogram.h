@@ -41,9 +41,6 @@ class EquiDepthHistogram {
   /// EstimateRecords / total, in [0, 1] — the optimizer's sigma.
   double EstimateSelectivity(const KeyRange& range) const;
 
-  /// Equality selectivity for `key = v`: bucket count / bucket distinct.
-  double EstimateEqualitySelectivity(int64_t value) const;
-
  private:
   EquiDepthHistogram(std::vector<Bucket> buckets, uint64_t total)
       : buckets_(std::move(buckets)), total_records_(total) {}

@@ -67,14 +67,6 @@ bool StatsCatalog::IsQuarantined(const std::string& index_name) const {
   return quarantined_.count(index_name) > 0;
 }
 
-std::vector<std::string> StatsCatalog::QuarantinedNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(quarantined_.size());
-  for (const auto& [name, reason] : quarantined_) names.push_back(name);
-  return names;
-}
-
 Status StatsCatalog::Publish() {
   std::map<std::string, IndexStats> entries;
   std::map<std::string, std::string> quarantined;

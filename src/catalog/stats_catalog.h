@@ -77,9 +77,6 @@ class StatsCatalog {
   /// Whether a recovering load quarantined this index's entry.
   bool IsQuarantined(const std::string& index_name) const;
 
-  /// Names of all quarantined indexes, sorted.
-  std::vector<std::string> QuarantinedNames() const;
-
   /// ## The RCU write side (see CatalogSnapshot for the read contract)
   ///
   /// Freezes the current entries (and quarantine marks) into a new

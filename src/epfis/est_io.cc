@@ -18,7 +18,6 @@ namespace {
 // actually fire.
 enum TallySlot : size_t {
   kEstimates,
-  kFullScans,
   kRejected,
   kCorrectionApplied,
   kSargableReductions,
@@ -39,8 +38,8 @@ void Flush(const Tally& tally) {
   // teardown still has its counters.
   static auto* counters = new CounterGroup<kTallySlots>(
       MetricsRegistry::Global().GetCounterGroup<kTallySlots>(
-          {"est_io.estimates", "est_io.full_scan_estimates",
-           "est_io.rejected", "est_io.correction_applied",
+          {"est_io.estimates", "est_io.rejected",
+           "est_io.correction_applied",
            "est_io.sargable_reductions", "est_io.clamped_at_qualifying",
            "est_io.degraded", "est_io.batches", "est_io.batch_probes"}));
   counters->Add(tally);
@@ -321,13 +320,6 @@ Status EstIo::EstimateBatch(const CatalogSnapshot& snapshot,
   tally[kBatchProbes] += probes.size();
   Flush(tally);
   return Status::Ok();
-}
-
-Result<double> EstIo::EstimateFullScan(const IndexStats& stats,
-                                       uint64_t buffer_pages) {
-  if (buffer_pages == 0) return Rejected("Est-IO: buffer_pages must be >= 1");
-  CountOne(kFullScans);
-  return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 
 }  // namespace epfis

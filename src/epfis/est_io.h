@@ -130,11 +130,6 @@ struct EstIo {
                                  const ScanSpec& scan,
                                  const EstIoOptions& options = {});
 
-  /// Validated full-scan estimate (PF_B alone); rejects
-  /// `buffer_pages == 0`.
-  static Result<double> EstimateFullScan(const IndexStats& stats,
-                                         uint64_t buffer_pages);
-
   /// Catalog-backed estimate with graceful degradation, reading an
   /// immutable published snapshot (StatsCatalog::snapshot() or
   /// OpenCatalogSnapshotV3) with no mutex and no allocation on the curve

@@ -15,25 +15,8 @@
 namespace epfis {
 namespace {
 
-struct ModelRange {
-  uint64_t b_min;
-  uint64_t b_max;
-};
-
-Result<ModelRange> DetermineRange(uint64_t table_pages,
-                                  const LruFitOptions& options) {
-  uint64_t b_max = options.b_max_override.value_or(table_pages);
-  uint64_t b_min = options.b_min_override.value_or(
-      std::max<uint64_t>(static_cast<uint64_t>(std::ceil(
-                             0.01 * static_cast<double>(table_pages))),
-                         options.b_sml));
-  b_min = std::max<uint64_t>(b_min, 1);
-  if (b_min > b_max) b_min = b_max;
-  if (b_max == 0) {
-    return Status::InvalidArgument("LRU-Fit: empty modeling range");
-  }
-  return ModelRange{b_min, b_max};
-}
+// B_sml: the smallest buffer size LRU-Fit ever models (§4.1).
+constexpr uint64_t kSmallestModeledBuffer = 12;
 
 Result<SampledStackDistances> SimulateTrace(TraceSource& trace,
                                             uint64_t table_pages,
@@ -55,14 +38,6 @@ Status LruFitOptions::Validate() const {
   if (num_segments < 1) {
     return Status::InvalidArgument("LRU-Fit: need at least one segment");
   }
-  if (b_sml == 0) {
-    return Status::InvalidArgument("LRU-Fit: b_sml must be >= 1");
-  }
-  if (b_min_override.has_value() && b_max_override.has_value() &&
-      *b_min_override > *b_max_override) {
-    return Status::InvalidArgument(
-        "LRU-Fit: b_min_override exceeds b_max_override");
-  }
   if (!(sample_rate > 0.0) || sample_rate > 1.0) {
     return Status::InvalidArgument(
         "LRU-Fit: sample_rate must be in (0, 1]");
@@ -75,6 +50,19 @@ double SampleRateForPages(double sample_rate, uint64_t max_pages,
   if (max_pages == 0 || max_pages >= table_pages) return sample_rate;
   return std::min(sample_rate, static_cast<double>(max_pages) /
                                    static_cast<double>(table_pages));
+}
+
+Result<std::vector<uint64_t>> ModeledBufferSizes(uint64_t table_pages,
+                                                 BufferSchedule schedule) {
+  if (table_pages == 0) {
+    return Status::InvalidArgument("LRU-Fit: empty modeling range");
+  }
+  uint64_t b_min = std::max<uint64_t>(
+      static_cast<uint64_t>(
+          std::ceil(0.01 * static_cast<double>(table_pages))),
+      kSmallestModeledBuffer);
+  return MakeBufferSchedule(std::min(b_min, table_pages), table_pages,
+                            schedule);
 }
 
 Result<std::vector<FpfPoint>> SampleFpfCurve(TraceSource& trace,
@@ -117,8 +105,6 @@ Result<IndexStats> RunLruFit(TraceSource& trace, uint64_t table_pages,
   static LatencyHistogram fit_ns = registry.GetHistogram("lru_fit.fit_ns");
 
   EPFIS_RETURN_IF_ERROR(options.Validate());
-  EPFIS_ASSIGN_OR_RETURN(ModelRange range,
-                         DetermineRange(table_pages, options));
 
   // One pass over the trace: the stack simulation gives F for *every*
   // buffer size; we read it out at the scheduled sizes. Under sampling
@@ -126,8 +112,7 @@ Result<IndexStats> RunLruFit(TraceSource& trace, uint64_t table_pages,
   // below rescale to full-trace estimates; the reference count N stays
   // exact (the filter counts what it drops).
   EPFIS_ASSIGN_OR_RETURN(std::vector<uint64_t> sizes,
-                         MakeBufferSchedule(range.b_min, range.b_max,
-                                            options.schedule));
+                         ModeledBufferSizes(table_pages, options.schedule));
   SampledStackDistances histogram;
   {
     ScopedTimer timer(simulate_ns);
@@ -149,9 +134,9 @@ Result<IndexStats> RunLruFit(TraceSource& trace, uint64_t table_pages,
     // bound A <= T; clamp so downstream [A, N] clamps stay physical.
     stats.pages_accessed = std::min(stats.pages_accessed, table_pages);
   }
-  stats.b_min = range.b_min;
-  stats.b_max = range.b_max;
-  stats.f_min = histogram.Fetches(range.b_min);
+  stats.b_min = sizes.front();
+  stats.b_max = sizes.back();
+  stats.f_min = histogram.Fetches(stats.b_min);
   stats.sample_rate = histogram.sampling.effective_rate;
   stats.sampled_refs = histogram.sampling.sampled_refs;
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,21 +19,12 @@ class ThreadPool;
 
 /// Options for Subprogram LRU-Fit (§4.1).
 struct LruFitOptions {
-  /// Smallest buffer size ever modeled (B_sml). The paper uses 12 "to avoid
-  /// the large effects on page fetches due to too small a buffer size".
-  uint64_t b_sml = 12;
-
   /// Number of approximating line segments; the paper settles on 6 after
   /// sensitivity experiments (reproduced in bench_ablation_segments).
   int num_segments = 6;
 
   /// Spacing of the modeled buffer sizes.
   BufferSchedule schedule = BufferSchedule::kPaperLinear;
-
-  /// DBA-specified modeling range; when absent the paper's defaults apply:
-  /// B_min = max(0.01 * T, b_sml), B_max = T.
-  std::optional<uint64_t> b_min_override;
-  std::optional<uint64_t> b_max_override;
 
   /// SHARDS spatial sampling of the statistics pass (DESIGN.md §10): keep
   /// a page's references iff its hash falls under `sample_rate`, run the
@@ -49,8 +39,7 @@ struct LruFitOptions {
   /// hard cap. K >= T leaves `sample_rate` alone. 0 disables it.
   uint64_t sample_max_pages = 0;
 
-  /// Checks the options for internal consistency: at least one segment,
-  /// a non-zero B_sml, overrides with b_min_override <= b_max_override,
+  /// Checks the options for internal consistency: at least one segment
   /// and a sample rate in (0, 1].
   /// RunLruFit calls this first, so option errors surface as
   /// InvalidArgument before any simulation work starts.
@@ -62,6 +51,15 @@ struct LruFitOptions {
 /// set and smaller than T. `table_pages` == 0 leaves the rate alone.
 double SampleRateForPages(double sample_rate, uint64_t max_pages,
                           uint64_t table_pages);
+
+/// The buffer sizes LRU-Fit models for a T-page table (§4.1), spaced by
+/// `schedule`: B_max = T and B_min = max(ceil(0.01 T), B_sml), capped at
+/// B_max, where B_sml = 12 is the paper's smallest modeled size ("to avoid
+/// the large effects on page fetches due to too small a buffer size").
+/// Batch and online LRU-Fit both model this range. Fails with
+/// InvalidArgument when T is 0.
+Result<std::vector<uint64_t>> ModeledBufferSizes(uint64_t table_pages,
+                                                 BufferSchedule schedule);
 
 /// Runs Subprogram LRU-Fit over the data-page reference string of a *full*
 /// index scan (the source yields the page of the record pointed to by each

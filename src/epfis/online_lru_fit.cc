@@ -10,28 +10,6 @@
 #include "util/formulas.h"
 
 namespace epfis {
-namespace {
-
-/// The modeled buffer sizes for the online curve — the same range rule as
-/// batch LRU-Fit (DetermineRange in lru_fit.cc): B_max = T, B_min =
-/// max(0.01 * T, b_sml), both overridable.
-Result<std::vector<uint64_t>> OnlineSchedule(uint64_t table_pages,
-                                             const LruFitOptions& fit) {
-  uint64_t b_max = fit.b_max_override.value_or(table_pages);
-  uint64_t b_min = fit.b_min_override.value_or(
-      std::max<uint64_t>(static_cast<uint64_t>(std::ceil(
-                             0.01 * static_cast<double>(table_pages))),
-                         fit.b_sml));
-  b_min = std::max<uint64_t>(b_min, 1);
-  if (b_min > b_max) b_min = b_max;
-  if (b_max == 0) {
-    return Status::InvalidArgument("online LRU-Fit: empty modeling range");
-  }
-  return MakeBufferSchedule(b_min, b_max, fit.schedule);
-}
-
-}  // namespace
-
 bool DriftDetector::Observe(double error) {
   last_error_ = error;
   if (std::isnan(error)) return false;  // Invalid measurement: no evidence.
@@ -96,16 +74,6 @@ Status OnlineLruFit::Ingest(const PageId* refs, size_t count) {
     }
   }
   return Status::Ok();
-}
-
-Status OnlineLruFit::IngestAll(TraceSource& trace) {
-  std::vector<PageId> buffer(1 << 14);
-  for (;;) {
-    EPFIS_ASSIGN_OR_RETURN(size_t got,
-                           trace.Next(buffer.data(), buffer.size()));
-    if (got == 0) return Status::Ok();
-    EPFIS_RETURN_IF_ERROR(Ingest(buffer.data(), got));
-  }
 }
 
 std::vector<double> OnlineLruFit::LiveFetches(
@@ -231,7 +199,7 @@ Status OnlineLruFit::Refresh() {
 
   EPFIS_ASSIGN_OR_RETURN(
       std::vector<uint64_t> sizes,
-      OnlineSchedule(options_.table_pages, options_.fit));
+      ModeledBufferSizes(options_.table_pages, options_.fit.schedule));
   double err = DriftError(sizes);
   drift_ppm.Set(std::isnan(err) ? int64_t{-1}
                                 : static_cast<int64_t>(std::llround(
@@ -269,7 +237,7 @@ Result<IndexStats> OnlineLruFit::BuildStats() const {
   }
   EPFIS_ASSIGN_OR_RETURN(
       std::vector<uint64_t> sizes,
-      OnlineSchedule(options_.table_pages, options_.fit));
+      ModeledBufferSizes(options_.table_pages, options_.fit.schedule));
   std::vector<double> fetches = LiveFetches(sizes);
   SamplingSummary summary = kernel_.sampling_summary();
 

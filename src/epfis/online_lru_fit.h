@@ -168,9 +168,6 @@ class OnlineLruFit {
     return Ingest(refs.data(), refs.size());
   }
 
-  /// Drains `trace` to exhaustion through Ingest.
-  Status IngestAll(TraceSource& trace);
-
   /// Forces a refresh now (shutdown flush, tests). Also restarts the
   /// interval clock.
   Status Refresh();

@@ -1,14 +1,17 @@
 #include "epfis/trace_source.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
 
 #if defined(__unix__) || defined(__APPLE__)
-#define EPFIS_HAS_MMAP 1
+#define EPFIS_HAS_MMAP 1  // POSIX: raw descriptors and mmap.
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -16,6 +19,43 @@
 #endif
 
 namespace epfis {
+namespace {
+
+// Ceiling on consecutive interrupted reads (EINTR) the streaming reader
+// retries before failing with IoError. Real EINTR storms resolve in a
+// handful of retries; the bound exists so an injected `eintr` schedule (or
+// a pathological signal load) turns into a clean error instead of an
+// unbounded spin.
+constexpr int kEintrRetryBudget = 100;
+
+// The one format check behind both file sources' Open: `header` holds the
+// file's first `got` bytes (at most kPageTraceHeaderSize) and `file_size`
+// is its length. A file too short to hold the 8 magic bytes, or holding
+// the wrong ones, is "bad magic"; a good magic with a truncated count is
+// "truncated header"; a body shorter than the count says is "truncated
+// body" and a longer one "trailing bytes". Returns the entry count.
+Result<uint64_t> CheckTraceFile(const char* header, size_t got,
+                                uint64_t file_size) {
+  if (got < 8 || std::memcmp(header, kPageTraceMagic, 8) != 0) {
+    return Status::Corruption("trace file: bad magic");
+  }
+  if (got < kPageTraceHeaderSize || file_size < kPageTraceHeaderSize) {
+    return Status::Corruption("trace file: truncated header");
+  }
+  uint64_t count;
+  std::memcpy(&count, header + 8, sizeof(count));
+  uint64_t body = file_size - kPageTraceHeaderSize;
+  // Compare via division so a hostile count cannot overflow count * 4.
+  if (count > body / sizeof(PageId)) {
+    return Status::Corruption("trace file: truncated body");
+  }
+  if (body > count * sizeof(PageId)) {
+    return Status::Corruption("trace file: trailing bytes");
+  }
+  return count;
+}
+
+}  // namespace
 
 Result<size_t> VectorTraceSource::Next(PageId* buffer, size_t capacity) {
   size_t n = std::min(capacity, data_->size() - pos_);
@@ -26,17 +66,159 @@ Result<size_t> VectorTraceSource::Next(PageId* buffer, size_t capacity) {
   return n;
 }
 
+// ---------------------------------------------------------------------------
+// FileTraceSource::Impl — raw-descriptor backend with EINTR retry and
+// short-read continuation.
+// ---------------------------------------------------------------------------
+
+class FileTraceSource::Impl {
+ public:
+  static Result<std::unique_ptr<Impl>> Open(const std::string& path) {
+    EPFIS_RETURN_IF_ERROR(FaultPoint("trace.open"));
+    auto impl = std::unique_ptr<Impl>(new Impl);
+    impl->path_ = path;
+#ifdef EPFIS_HAS_MMAP
+    impl->fd_ = ::open(path.c_str(), O_RDONLY);
+    if (impl->fd_ < 0) return Status::IoError("cannot open " + path);
+#else
+    impl->file_ = std::fopen(path.c_str(), "rb");
+    if (impl->file_ == nullptr) return Status::IoError("cannot open " + path);
+#endif
+    return impl;
+  }
+
+  ~Impl() {
+#ifdef EPFIS_HAS_MMAP
+    if (fd_ >= 0) ::close(fd_);
+#else
+    if (file_ != nullptr) std::fclose(file_);
+#endif
+  }
+
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
+
+  /// Reads until `len` bytes arrive or EOF, retrying interrupted calls and
+  /// continuing after short reads. Returns the bytes actually read (< len
+  /// only at EOF). `point` names the fault-injection point consulted
+  /// before every underlying read.
+  Result<size_t> ReadFull(void* buffer, size_t len, const char* point) {
+    char* out = static_cast<char*>(buffer);
+    size_t got = 0;
+    int eintr_budget = kEintrRetryBudget;
+    auto exhausted = [this, &eintr_budget] {
+      return Status::IoError(
+          "read of " + path_ + " interrupted too many times (" +
+          std::to_string(kEintrRetryBudget - eintr_budget) + " of " +
+          std::to_string(kEintrRetryBudget) + " retries consumed)");
+    };
+    while (got < len) {
+      uint64_t want = len - got;
+      FaultIoOutcome fault = FaultIoPoint(point, &want);
+      if (!fault.status.ok()) return fault.status;
+      if (fault.eintr) {
+        // Injected interrupted syscall: consume retry budget without
+        // touching the descriptor, exactly like the errno path below.
+        if (--eintr_budget <= 0) return exhausted();
+        continue;
+      }
+#ifdef EPFIS_HAS_MMAP
+      ssize_t n = ::read(fd_, out + got, static_cast<size_t>(want));
+      if (n < 0) {
+        if (errno == EINTR) {
+          if (--eintr_budget > 0) continue;
+          return exhausted();
+        }
+        return Status::IoError("read of " + path_ + " failed");
+      }
+      if (n == 0) break;  // EOF.
+      got += static_cast<size_t>(n);
+#else
+      size_t n = std::fread(out + got, 1, static_cast<size_t>(want), file_);
+      if (n == 0) {
+        if (std::ferror(file_)) {
+          return Status::IoError("read of " + path_ + " failed");
+        }
+        break;  // EOF.
+      }
+      got += n;
+#endif
+    }
+    return got;
+  }
+
+  Status Seek(uint64_t offset) {
+#ifdef EPFIS_HAS_MMAP
+    if (::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
+      return Status::IoError("trace file: rewind failed");
+    }
+#else
+    if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
+      return Status::IoError("trace file: rewind failed");
+    }
+#endif
+    return Status::Ok();
+  }
+
+ private:
+  Impl() = default;
+
+  std::string path_;
+#ifdef EPFIS_HAS_MMAP
+  int fd_ = -1;
+#else
+  std::FILE* file_ = nullptr;
+#endif
+};
+
+FileTraceSource::FileTraceSource(std::unique_ptr<Impl> impl, uint64_t count)
+    : impl_(std::move(impl)), count_(count) {}
+
+FileTraceSource::FileTraceSource(FileTraceSource&&) noexcept = default;
+FileTraceSource& FileTraceSource::operator=(FileTraceSource&&) noexcept =
+    default;
+FileTraceSource::~FileTraceSource() = default;
+
 Result<FileTraceSource> FileTraceSource::Open(const std::string& path) {
-  EPFIS_ASSIGN_OR_RETURN(PageTraceReader reader, PageTraceReader::Open(path));
+  EPFIS_ASSIGN_OR_RETURN(std::unique_ptr<Impl> impl, Impl::Open(path));
+  char header[kPageTraceHeaderSize];
+  EPFIS_ASSIGN_OR_RETURN(
+      size_t got, impl->ReadFull(header, sizeof(header), "trace.read.header"));
+  std::error_code size_error;
+  uint64_t file_size = std::filesystem::file_size(path, size_error);
+  if (size_error) return Status::IoError("cannot stat " + path);
+  EPFIS_ASSIGN_OR_RETURN(uint64_t count,
+                         CheckTraceFile(header, got, file_size));
   static Counter file_opens =
       MetricsRegistry::Global().GetCounter("trace.file_opens");
   file_opens.Increment();
-  return FileTraceSource(std::move(reader));
+  return FileTraceSource(std::move(impl), count);
 }
 
 Result<size_t> FileTraceSource::Next(PageId* buffer, size_t capacity) {
-  return reader_.Read(buffer, capacity);
+  size_t want =
+      static_cast<size_t>(std::min<uint64_t>(capacity, count_ - consumed_));
+  if (want == 0) return size_t{0};
+  EPFIS_ASSIGN_OR_RETURN(
+      size_t got,
+      impl_->ReadFull(buffer, want * sizeof(PageId), "trace.read.body"));
+  // Open saw the whole body, so a short read means the file shrank since.
+  if (got != want * sizeof(PageId)) {
+    return Status::Corruption("trace file: truncated body");
+  }
+  consumed_ += want;
+  return want;
 }
+
+Status FileTraceSource::Reset() {
+  EPFIS_RETURN_IF_ERROR(impl_->Seek(kPageTraceHeaderSize));
+  consumed_ = 0;
+  return Status::Ok();
+}
+
+// ---------------------------------------------------------------------------
+// MmapTraceSource.
+// ---------------------------------------------------------------------------
 
 bool MmapTraceSource::Supported() {
 #ifdef EPFIS_HAS_MMAP
@@ -57,21 +239,20 @@ Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path) {
     return Status::IoError("cannot stat " + path);
   }
   size_t file_size = static_cast<size_t>(st.st_size);
-  if (file_size < kPageTraceHeaderSize) {
-    // Never reaches mmap: mapping 0 bytes is EINVAL on Linux (and UB to
-    // dereference anywhere), and a sub-header file has nothing valid to
-    // map anyway. Mirror the streaming reader's taxonomy exactly: a file
-    // too short to hold the 8 magic bytes (or holding the wrong ones) is
-    // "bad magic"; a good magic with a truncated count is "truncated
-    // header".
-    char magic[8];
-    bool magic_ok = file_size >= sizeof(magic) &&
-                    ::pread(fd, magic, sizeof(magic), 0) ==
-                        static_cast<ssize_t>(sizeof(magic)) &&
-                    std::memcmp(magic, kPageTraceMagic, 8) == 0;
+  char header[kPageTraceHeaderSize];
+  ssize_t got = ::pread(fd, header, sizeof(header), 0);
+  if (got < 0) {
     ::close(fd);
-    return magic_ok ? Status::Corruption("trace file: truncated header")
-                    : Status::Corruption("trace file: bad magic");
+    return Status::IoError("cannot read " + path);
+  }
+  // Checked before mmap, so a zero-length or sub-header file never
+  // reaches it: mapping 0 bytes is EINVAL on Linux (and UB to dereference
+  // anywhere).
+  Result<uint64_t> count =
+      CheckTraceFile(header, static_cast<size_t>(got), file_size);
+  if (!count.ok()) {
+    ::close(fd);
+    return count.status();
   }
   // Injected map failures take the same exit as a real mmap failure so
   // the OpenTraceSource degrade-to-streaming path can be drilled.
@@ -85,22 +266,6 @@ Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path) {
   if (map == MAP_FAILED) return Status::IoError("cannot mmap " + path);
 
   const char* bytes = static_cast<const char*>(map);
-  if (std::memcmp(bytes, kPageTraceMagic, 8) != 0) {
-    ::munmap(map, file_size);
-    return Status::Corruption("trace file: bad magic");
-  }
-  uint64_t count;
-  std::memcpy(&count, bytes + 8, sizeof(count));
-  uint64_t body = file_size - kPageTraceHeaderSize;
-  // Compare via division so a hostile count cannot overflow count * 4.
-  if (count > body / sizeof(PageId)) {
-    ::munmap(map, file_size);
-    return Status::Corruption("trace file: truncated body");
-  }
-  if (body > count * sizeof(PageId)) {
-    ::munmap(map, file_size);
-    return Status::Corruption("trace file: trailing bytes");
-  }
   // 16-byte header keeps the entries PageId-aligned within the
   // page-aligned mapping.
   const PageId* entries =
@@ -121,7 +286,7 @@ Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path) {
   static Counter mmap_bytes = registry.GetCounter("trace.mmap_bytes_mapped");
   mmap_opens.Increment();
   mmap_bytes.Increment(file_size);
-  return MmapTraceSource(map, file_size, entries, count);
+  return MmapTraceSource(map, file_size, entries, *count);
 }
 
 MmapTraceSource::~MmapTraceSource() {

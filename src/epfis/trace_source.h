@@ -77,26 +77,43 @@ class VectorTraceSource final : public TraceSource {
   size_t pos_ = 0;
 };
 
-/// TraceSource over a SavePageTrace file, read in chunks through
-/// PageTraceReader — the whole trace is never resident. Move-only.
+/// TraceSource over a SavePageTrace file, streamed in caller-sized chunks
+/// through a raw descriptor (POSIX fd where available) — the whole trace
+/// is never resident. Move-only.
+///
+/// Open checks the whole file as MmapTraceSource::Open does, with the same
+/// Status taxonomy: Corruption for bad magic, a truncated header, a count
+/// the file cannot hold or trailing bytes. So size_hint() is the exact
+/// entry count, and the path must name a file with a size (a pipe fails
+/// with IoError). A file that shrinks after Open fails Next with the
+/// Corruption "trace file: truncated body".
+///
+/// Reads retry interrupted system calls (EINTR) up to 100 times in a row
+/// and continue after short reads, so a signal-heavy host never surfaces
+/// as spurious Corruption. An exhausted
+/// budget fails with IoError reporting how many retries were consumed.
+/// The I/O boundary carries the `trace.open` / `trace.read.header` /
+/// `trace.read.body` fault-injection points (util/fault.h).
 class FileTraceSource final : public TraceSource {
  public:
   static Result<FileTraceSource> Open(const std::string& path);
 
-  FileTraceSource(FileTraceSource&&) = default;
-  FileTraceSource& operator=(FileTraceSource&&) = default;
+  FileTraceSource(FileTraceSource&&) noexcept;
+  FileTraceSource& operator=(FileTraceSource&&) noexcept;
+  ~FileTraceSource() override;
 
   Result<size_t> Next(PageId* buffer, size_t capacity) override;
-  Status Reset() override { return reader_.Reset(); }
-  std::optional<uint64_t> size_hint() const override {
-    return reader_.count();
-  }
+  Status Reset() override;
+  std::optional<uint64_t> size_hint() const override { return count_; }
 
  private:
-  explicit FileTraceSource(PageTraceReader reader)
-      : reader_(std::move(reader)) {}
+  class Impl;
 
-  PageTraceReader reader_;
+  FileTraceSource(std::unique_ptr<Impl> impl, uint64_t count);
+
+  std::unique_ptr<Impl> impl_;
+  uint64_t count_ = 0;
+  uint64_t consumed_ = 0;
 };
 
 /// TraceSource over a SavePageTrace file mapped read-only into the address
@@ -106,13 +123,9 @@ class FileTraceSource final : public TraceSource {
 /// zero-copy for consumers that can read in place. Move-only; unmaps on
 /// destruction.
 ///
-/// Open validates the same format PageTraceReader does and uses the same
-/// Status taxonomy — Corruption for bad magic, a truncated header or body,
-/// or trailing bytes — except the body errors surface eagerly at Open
-/// (the file length already betrays them) rather than during Read.
-/// Zero-length and sub-header files are rejected before mmap is ever
-/// attempted (mapping 0 bytes is EINVAL), with the identical Status the
-/// streaming reader would produce for the same file.
+/// Open validates the file exactly as FileTraceSource::Open does, with the
+/// same Status for every malformed file. Zero-length and sub-header files
+/// are rejected before mmap is ever attempted (mapping 0 bytes is EINVAL).
 ///
 /// On platforms without mmap, Open fails with FailedPrecondition (see
 /// Supported()); OpenTraceSource below falls back to FileTraceSource.

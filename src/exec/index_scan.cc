@@ -21,8 +21,7 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
                                      const TableHeap& heap,
                                      BufferPool* data_pool,
                                      const KeyRange& range,
-                                     const SargableFilter* filter,
-                                     const IndexScanOptions& options) {
+                                     const SargableFilter* filter) {
   IndexScanResult result;
   uint64_t fetches_before = data_pool->stats().fetches;
   // Distinct data pages (the paper's A). FetchPage rejects kInvalidPageId,
@@ -39,20 +38,14 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
       EPFIS_ASSIGN_OR_RETURN(PageGuard guard,
                              data_pool->FetchPage(entry.rid.page_id));
       accessed.TryEmplace(entry.rid.page_id, true);
-      if (options.collect_trace) {
-        result.page_trace.push_back(entry.rid.page_id);
-      }
-      if (options.verify_records) {
-        SlottedPage page(const_cast<char*>(guard.data()));
-        EPFIS_ASSIGN_OR_RETURN(std::string_view bytes,
-                               page.Get(entry.rid.slot));
-        EPFIS_ASSIGN_OR_RETURN(
-            int64_t key, Record::DeserializeValue(heap.schema(), bytes, 0));
-        if (key != entry.key) {
-          return Status::Corruption(
-              "index entry key does not match stored record at rid " +
-              entry.rid.ToString());
-        }
+      SlottedPage page(const_cast<char*>(guard.data()));
+      EPFIS_ASSIGN_OR_RETURN(std::string_view bytes, page.Get(entry.rid.slot));
+      EPFIS_ASSIGN_OR_RETURN(
+          int64_t key, Record::DeserializeValue(heap.schema(), bytes, 0));
+      if (key != entry.key) {
+        return Status::Corruption(
+            "index entry key does not match stored record at rid " +
+            entry.rid.ToString());
       }
     }
     EPFIS_RETURN_IF_ERROR(it.Next());

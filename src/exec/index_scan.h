@@ -18,30 +18,20 @@ struct IndexScanResult {
   uint64_t records_fetched = 0;    ///< Entries surviving sargable filter.
   uint64_t data_page_fetches = 0;  ///< The paper's F (measured).
   uint64_t data_pages_accessed = 0;  ///< The paper's A (distinct pages).
-  std::vector<PageId> page_trace;  ///< Filled when options request it.
-};
-
-/// Options for RunIndexScan.
-struct IndexScanOptions {
-  /// Collect the data-page reference string (one entry per fetched record).
-  bool collect_trace = false;
-  /// Verify each fetched record's key matches its index entry (integrity
-  /// checking; slightly slower).
-  bool verify_records = true;
 };
 
 /// Executes a partial index scan: iterates index entries within `range` in
 /// key order, applies the optional sargable `filter`, and fetches each
 /// surviving record's data page through `data_pool` (an LRU pool of the
-/// buffer size under test). The measured `data_page_fetches` is the
-/// ground-truth F that every estimator in this repository is judged
-/// against.
+/// buffer size under test), checking that the stored record's key matches
+/// its index entry (Corruption otherwise). The measured
+/// `data_page_fetches` is the ground-truth F that every estimator in this
+/// repository is judged against.
 Result<IndexScanResult> RunIndexScan(const BTree& index,
                                      const TableHeap& heap,
                                      BufferPool* data_pool,
                                      const KeyRange& range,
-                                     const SargableFilter* filter = nullptr,
-                                     const IndexScanOptions& options = {});
+                                     const SargableFilter* filter = nullptr);
 
 /// Collects just the data-page reference string of the scan without
 /// touching the data pool at all (used by the harness, which feeds the

@@ -30,6 +30,9 @@ AccessPathOptimizer::AccessPathOptimizer(const Catalog* catalog,
 
 namespace {
 
+// Extra page I/Os per sorted page: one write and one read of the run files.
+constexpr double kSortIoFactor = 2.0;
+
 // A costed plan as the enumerator hands it to a sink. The index name is a
 // view into the catalog, so Choose copies only the name of the plan it
 // keeps.
@@ -69,7 +72,7 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
   table_scan.type = AccessPlan::Type::kTableScan;
   table_scan.estimated_fetches = table_pages;
   table_scan.sort_cost =
-      query.require_sorted ? options.sort_io_factor * table_pages : 0.0;
+      query.require_sorted ? kSortIoFactor * table_pages : 0.0;
   table_scan.total_cost = table_scan.estimated_fetches + table_scan.sort_cost;
   sink(table_scan);
 
@@ -107,9 +110,8 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
     bool order_matches = !query.require_sorted ||
                          !query.order_column.has_value() ||
                          *query.order_column == query.column;
-    plan.sort_cost = order_matches ? 0.0
-                                   : options.sort_io_factor *
-                                         plan.estimated_fetches;
+    plan.sort_cost =
+        order_matches ? 0.0 : kSortIoFactor * plan.estimated_fetches;
     plan.total_cost = plan.estimated_fetches + plan.sort_cost;
     sink(plan);
 
@@ -125,8 +127,7 @@ Status ForEachPlan(const Catalog& catalog, const OptimizerOptions& options,
       rid_plan.index_name = index->name;
       rid_plan.estimated_fetches = EstimateRidFetchPages(n, table_pages, k);
       rid_plan.sort_cost = query.require_sorted
-                               ? options.sort_io_factor *
-                                     rid_plan.estimated_fetches
+                               ? kSortIoFactor * rid_plan.estimated_fetches
                                : 0.0;
       rid_plan.total_cost = rid_plan.estimated_fetches + rid_plan.sort_cost;
       sink(rid_plan);

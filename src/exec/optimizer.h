@@ -59,12 +59,10 @@ struct AccessPlan {
   std::string ToString() const;
 };
 
-/// Cost model knobs.
+/// Cost model knobs. A plan that must sort its output pays 2 extra page
+/// I/Os per page it produces (write + read of run files); index scans on
+/// the ordering column need no sort.
 struct OptimizerOptions {
-  /// A table scan followed by ORDER BY costs an external sort, modeled as
-  /// `sort_io_factor` extra page I/Os per table page (write + read of run
-  /// files). Index scans on the ordering column need no sort.
-  double sort_io_factor = 2.0;
   /// Consider RID-sort plans. Off by default: §2 of the paper explicitly
   /// assumes "no RID-list sort, union, or intersection before the data
   /// records are fetched"; turning this on enables the §6 extension.

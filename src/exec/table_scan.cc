@@ -18,14 +18,10 @@ Result<TableScanResult> RunTableScan(const TableHeap& heap, BufferPool* pool,
     SlottedPage page(const_cast<char*>(guard.data()));
     uint16_t slots = page.num_slots();
     for (uint16_t slot = 0; slot < slots; ++slot) {
-      auto bytes = page.Get(slot);
-      if (!bytes.ok()) {
-        if (bytes.status().code() == StatusCode::kNotFound) continue;
-        return bytes.status();
-      }
-      EPFIS_ASSIGN_OR_RETURN(int64_t key,
-                             Record::DeserializeValue(
-                                 heap.schema(), bytes.value(), key_column));
+      EPFIS_ASSIGN_OR_RETURN(std::string_view bytes, page.Get(slot));
+      EPFIS_ASSIGN_OR_RETURN(
+          int64_t key,
+          Record::DeserializeValue(heap.schema(), bytes, key_column));
       ++result.records_scanned;
       if (range.Contains(key)) {
         ++result.records_qualifying;

@@ -14,6 +14,12 @@
 namespace epfis {
 namespace {
 
+// For the first kLruCheckScans scans of each dataset, the stack ground
+// truth is cross-checked against a direct LruSimulator run at the smallest
+// buffer size; a mismatch fails the harness (it would mean the ground
+// truth itself is broken).
+constexpr int kLruCheckScans = 2;
+
 // Buffer sizes for one dataset: each configured fraction of T, floored at
 // min_buffer_pages, clamped to [1, T], deduplicated ascending.
 std::vector<uint64_t> BufferSizes(const AccuracyHarnessConfig& config,
@@ -110,7 +116,7 @@ Result<AccuracyHarnessReport> RunAccuracyHarness(
         ScopedTimer timer(replay_ns);
         kernel.AccessAll(slice, static_cast<size_t>(len));
       }
-      if (scan < config.lru_check_scans) {
+      if (scan < kLruCheckScans) {
         std::vector<PageId> slice_copy(slice, slice + len);
         uint64_t direct = CountLruFetches(
             slice_copy, static_cast<size_t>(buffers.front()));

@@ -36,12 +36,6 @@ struct AccuracyHarnessConfig {
   std::vector<double> buffer_fractions = {0.05, 0.1, 0.25, 0.5, 1.0};
   uint64_t min_buffer_pages = 12;
 
-  /// For the first `lru_check_scans` scans of each dataset, the stack
-  /// ground truth is cross-checked against a direct LruSimulator run at
-  /// the smallest buffer size; a mismatch fails the harness (it would
-  /// mean the ground truth itself is broken).
-  int lru_check_scans = 2;
-
   uint64_t seed = 42;
 
   LruFitOptions lru_fit;   ///< Statistics-collection options.

@@ -15,14 +15,6 @@ double ContentionResult::InflationFactor() const {
          static_cast<double>(total_solo);
 }
 
-double ContentionResult::EqualShareModelErrorPct() const {
-  if (total_shared == 0) return 0.0;
-  return 100.0 *
-         (static_cast<double>(total_share_model) -
-          static_cast<double>(total_shared)) /
-         static_cast<double>(total_shared);
-}
-
 Result<ContentionResult> RunContentionExperiment(
     const Dataset& dataset, const std::vector<ScanRange>& scans,
     const ContentionConfig& config) {

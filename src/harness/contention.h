@@ -46,9 +46,6 @@ struct ContentionResult {
 
   /// Fetch inflation caused by sharing: total_shared / total_solo.
   double InflationFactor() const;
-
-  /// Relative error of the equal-share model vs the measurement.
-  double EqualShareModelErrorPct() const;
 };
 
 /// Runs `scans` concurrently against one shared LRU buffer of

@@ -6,7 +6,6 @@
 
 #include "baselines/dc.h"
 #include "baselines/ml.h"
-#include "baselines/naive.h"
 #include "baselines/ot.h"
 #include "baselines/sd.h"
 #include "buffer/stack_distance.h"
@@ -68,16 +67,6 @@ Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
   baselines.push_back(std::make_unique<DcEstimator>(result.trace_stats));
   baselines.push_back(std::make_unique<SdEstimator>(result.trace_stats));
   baselines.push_back(std::make_unique<OtEstimator>(result.trace_stats));
-  if (config.include_naive) {
-    baselines.push_back(std::make_unique<PerfectlyClusteredEstimator>(t));
-    baselines.push_back(
-        std::make_unique<PerfectlyUnclusteredEstimator>(
-            dataset.num_records()));
-    baselines.push_back(
-        std::make_unique<CardenasEstimator>(t, dataset.num_records()));
-    baselines.push_back(
-        std::make_unique<YaoEstimator>(t, dataset.num_records()));
-  }
 
   const size_t num_algos = 1 + baselines.size();  // EPFIS + baselines.
   std::vector<std::vector<double>> sum_est(

@@ -34,10 +34,6 @@ struct ExperimentConfig {
   LruFitOptions lru_fit;
   EstIoOptions est_io;
   uint64_t seed = 7;
-
-  /// Include the naive Clustered/Unclustered/Cardenas/Yao baselines in
-  /// addition to the paper's EPFIS/ML/DC/SD/OT set.
-  bool include_naive = false;
 };
 
 /// Per-algorithm errors per buffer size, in percent.

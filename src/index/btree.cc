@@ -141,157 +141,6 @@ Status BTree::InsertRec(PageId page_id, const IndexEntry& entry, bool* split,
   return Status::Ok();
 }
 
-namespace {
-
-constexpr uint16_t kLeafMin = BTreeNodeView::kLeafCapacity / 2;
-constexpr uint16_t kInternalMin = BTreeNodeView::kInternalCapacity / 2;
-
-}  // namespace
-
-Status BTree::Remove(const IndexEntry& entry) {
-  if (root_ == kInvalidPageId) {
-    return Status::NotFound("Remove from empty tree");
-  }
-  bool underflow = false;
-  EPFIS_RETURN_IF_ERROR(RemoveRec(root_, entry, /*is_root=*/true, &underflow));
-  --num_entries_;
-
-  // Shrink the root: an internal root with no separators has exactly one
-  // child, which becomes the new root. An empty leaf root resets the tree.
-  EPFIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(root_));
-  BTreeNodeView root(const_cast<char*>(guard.data()));
-  if (!root.is_leaf() && root.count() == 0) {
-    root_ = root.ChildAt(0);
-    --height_;
-    --num_nodes_;  // The old root page is abandoned (no free list).
-  } else if (root.is_leaf() && root.count() == 0) {
-    root_ = kInvalidPageId;
-    height_ = 0;
-    --num_nodes_;
-  }
-  return Status::Ok();
-}
-
-Status BTree::Rebalance(BTreeNodeView& parent, uint16_t child_idx) {
-  PageId child_pid = parent.ChildAt(child_idx);
-  EPFIS_ASSIGN_OR_RETURN(PageGuard child_guard, pool_->FetchPage(child_pid));
-  BTreeNodeView child(child_guard.mutable_data());
-  const bool leaf_level = child.is_leaf();
-  const uint16_t min_keys = leaf_level ? kLeafMin : kInternalMin;
-
-  // Try borrowing from the left sibling.
-  if (child_idx > 0) {
-    PageId left_pid = parent.ChildAt(static_cast<uint16_t>(child_idx - 1));
-    EPFIS_ASSIGN_OR_RETURN(PageGuard left_guard, pool_->FetchPage(left_pid));
-    BTreeNodeView left(left_guard.mutable_data());
-    if (left.count() > min_keys) {
-      if (leaf_level) {
-        IndexEntry moved = left.LeafEntryAt(
-            static_cast<uint16_t>(left.count() - 1));
-        left.set_count(static_cast<uint16_t>(left.count() - 1));
-        child.InsertLeafEntryAt(0, moved);
-        parent.SetSeparatorAt(static_cast<uint16_t>(child_idx - 1), moved);
-      } else {
-        // Rotate right through the parent separator.
-        IndexEntry sep =
-            parent.SeparatorAt(static_cast<uint16_t>(child_idx - 1));
-        IndexEntry left_last =
-            left.SeparatorAt(static_cast<uint16_t>(left.count() - 1));
-        PageId left_last_child = left.ChildAt(left.count());
-        left.RemoveSeparatorAt(static_cast<uint16_t>(left.count() - 1));
-        PageId old_first = child.ChildAt(0);
-        child.InsertSeparatorAt(0, sep, old_first);
-        child.SetChildAt(0, left_last_child);
-        parent.SetSeparatorAt(static_cast<uint16_t>(child_idx - 1),
-                              left_last);
-      }
-      return Status::Ok();
-    }
-  }
-
-  // Try borrowing from the right sibling.
-  if (child_idx < parent.count()) {
-    PageId right_pid = parent.ChildAt(static_cast<uint16_t>(child_idx + 1));
-    EPFIS_ASSIGN_OR_RETURN(PageGuard right_guard, pool_->FetchPage(right_pid));
-    BTreeNodeView right(right_guard.mutable_data());
-    if (right.count() > min_keys) {
-      if (leaf_level) {
-        IndexEntry moved = right.LeafEntryAt(0);
-        right.RemoveLeafEntryAt(0);
-        child.InsertLeafEntryAt(child.count(), moved);
-        parent.SetSeparatorAt(child_idx, right.LeafEntryAt(0));
-      } else {
-        IndexEntry sep = parent.SeparatorAt(child_idx);
-        IndexEntry right_first = right.SeparatorAt(0);
-        PageId right_first_child = right.ChildAt(0);
-        child.InsertSeparatorAt(child.count(), sep, right_first_child);
-        right.SetChildAt(0, right.ChildAt(1));
-        right.RemoveSeparatorAt(0);
-        parent.SetSeparatorAt(child_idx, right_first);
-      }
-      return Status::Ok();
-    }
-  }
-
-  // Merge: always the right node of the pair into the left node.
-  uint16_t left_idx =
-      (child_idx > 0) ? static_cast<uint16_t>(child_idx - 1) : child_idx;
-  PageId left_pid = parent.ChildAt(left_idx);
-  PageId right_pid = parent.ChildAt(static_cast<uint16_t>(left_idx + 1));
-  EPFIS_ASSIGN_OR_RETURN(PageGuard left_guard, pool_->FetchPage(left_pid));
-  EPFIS_ASSIGN_OR_RETURN(PageGuard right_guard, pool_->FetchPage(right_pid));
-  BTreeNodeView left(left_guard.mutable_data());
-  BTreeNodeView right(right_guard.mutable_data());
-
-  if (leaf_level) {
-    uint16_t base = left.count();
-    for (uint16_t i = 0; i < right.count(); ++i) {
-      left.SetLeafEntryAt(static_cast<uint16_t>(base + i),
-                          right.LeafEntryAt(i));
-    }
-    left.set_count(static_cast<uint16_t>(base + right.count()));
-    left.set_next_leaf(right.next_leaf());
-  } else {
-    IndexEntry sep = parent.SeparatorAt(left_idx);
-    left.InsertSeparatorAt(left.count(), sep, right.ChildAt(0));
-    for (uint16_t i = 0; i < right.count(); ++i) {
-      left.InsertSeparatorAt(left.count(), right.SeparatorAt(i),
-                             right.ChildAt(static_cast<uint16_t>(i + 1)));
-    }
-  }
-  parent.RemoveSeparatorAt(left_idx);
-  --num_nodes_;  // The right page is abandoned.
-  return Status::Ok();
-}
-
-Status BTree::RemoveRec(PageId page_id, const IndexEntry& entry,
-                        bool is_root, bool* underflow) {
-  *underflow = false;
-  EPFIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(page_id));
-  BTreeNodeView node(guard.mutable_data());
-
-  if (node.is_leaf()) {
-    uint16_t pos = node.LeafLowerBound(entry);
-    if (pos >= node.count() || !(node.LeafEntryAt(pos) == entry)) {
-      return Status::NotFound("index entry not found for key " +
-                              std::to_string(entry.key));
-    }
-    node.RemoveLeafEntryAt(pos);
-    *underflow = !is_root && node.count() < kLeafMin;
-    return Status::Ok();
-  }
-
-  uint16_t child_idx = node.ChildIndexFor(entry);
-  bool child_underflow = false;
-  EPFIS_RETURN_IF_ERROR(RemoveRec(node.ChildAt(child_idx), entry,
-                                  /*is_root=*/false, &child_underflow));
-  if (child_underflow) {
-    EPFIS_RETURN_IF_ERROR(Rebalance(node, child_idx));
-  }
-  *underflow = !is_root && node.count() < kInternalMin;
-  return Status::Ok();
-}
-
 Status BTree::BulkLoad(std::vector<IndexEntry> entries) {
   if (root_ != kInvalidPageId) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");

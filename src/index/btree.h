@@ -38,11 +38,6 @@ class BTree {
   /// Inserts one entry; fails with AlreadyExists on an exact duplicate.
   Status Insert(const IndexEntry& entry);
 
-  /// Removes one entry; fails with NotFound if absent. Underflowing nodes
-  /// are rebalanced by borrowing from or merging with a sibling; the tree
-  /// shrinks in height when the root empties.
-  Status Remove(const IndexEntry& entry);
-
   /// Bulk loads into an *empty* tree; `entries` need not be sorted (they
   /// are sorted in place). Fails on exact duplicates or a non-empty tree.
   Status BulkLoad(std::vector<IndexEntry> entries);
@@ -75,16 +70,6 @@ class BTree {
   /// Recursive insert; on split sets *promoted / *new_right.
   Status InsertRec(PageId page_id, const IndexEntry& entry, bool* split,
                    IndexEntry* promoted, PageId* new_right);
-
-  /// Recursive remove; sets *underflow when the node drops below its
-  /// minimum occupancy and the parent must rebalance.
-  Status RemoveRec(PageId page_id, const IndexEntry& entry, bool is_root,
-                   bool* underflow);
-
-  /// Rebalances `child_idx` of internal node `parent` after an underflow:
-  /// borrow from a rich sibling, else merge with one. Sets *parent_shrunk
-  /// when the parent lost a separator.
-  Status Rebalance(BTreeNodeView& parent, uint16_t child_idx);
 
   /// Descends to the leaf that would contain `entry`.
   Result<PageId> FindLeaf(const IndexEntry& entry) const;

@@ -93,15 +93,6 @@ void BTreeNodeView::InsertLeafEntryAt(uint16_t i, const IndexEntry& entry) {
   set_count(static_cast<uint16_t>(n + 1));
 }
 
-void BTreeNodeView::RemoveLeafEntryAt(uint16_t i) {
-  uint16_t n = count();
-  if (i + 1 < n) {
-    std::memmove(LeafEntryPtr(i), LeafEntryPtr(static_cast<uint16_t>(i + 1)),
-                 static_cast<size_t>(n - i - 1) * kLeafEntrySize);
-  }
-  set_count(static_cast<uint16_t>(n - 1));
-}
-
 uint16_t BTreeNodeView::LeafLowerBound(const IndexEntry& entry) const {
   uint16_t lo = 0, hi = count();
   while (lo < hi) {
@@ -126,15 +117,6 @@ PageId BTreeNodeView::ChildAt(uint16_t i) const {
   return p;
 }
 
-void BTreeNodeView::SetChildAt(uint16_t i, PageId page_id) {
-  if (i == 0) {
-    set_first_child(page_id);
-    return;
-  }
-  std::memcpy(InternalEntryPtr(static_cast<uint16_t>(i - 1)) + 14, &page_id,
-              4);
-}
-
 void BTreeNodeView::InsertSeparatorAt(uint16_t i, const IndexEntry& separator,
                                       PageId right_child) {
   uint16_t n = count();
@@ -147,20 +129,6 @@ void BTreeNodeView::InsertSeparatorAt(uint16_t i, const IndexEntry& separator,
   EncodeEntry(p, separator);
   std::memcpy(p + 14, &right_child, 4);
   set_count(static_cast<uint16_t>(n + 1));
-}
-
-void BTreeNodeView::SetSeparatorAt(uint16_t i, const IndexEntry& separator) {
-  EncodeEntry(InternalEntryPtr(i), separator);
-}
-
-void BTreeNodeView::RemoveSeparatorAt(uint16_t i) {
-  uint16_t n = count();
-  if (i + 1 < n) {
-    std::memmove(InternalEntryPtr(i),
-                 InternalEntryPtr(static_cast<uint16_t>(i + 1)),
-                 static_cast<size_t>(n - i - 1) * kInternalEntrySize);
-  }
-  set_count(static_cast<uint16_t>(n - 1));
 }
 
 uint16_t BTreeNodeView::ChildIndexFor(const IndexEntry& entry) const {

@@ -55,8 +55,6 @@ class BTreeNodeView {
   void SetLeafEntryAt(uint16_t i, const IndexEntry& entry);
   /// Shifts entries [i, count) right and writes `entry` at i.
   void InsertLeafEntryAt(uint16_t i, const IndexEntry& entry);
-  /// Removes entry i, shifting the tail left.
-  void RemoveLeafEntryAt(uint16_t i);
   /// First position whose entry is >= `entry` (count() if none).
   uint16_t LeafLowerBound(const IndexEntry& entry) const;
 
@@ -67,14 +65,9 @@ class BTreeNodeView {
   IndexEntry SeparatorAt(uint16_t i) const;
   /// Child pointer i, 0 <= i <= count(). Child(0) == first_child().
   PageId ChildAt(uint16_t i) const;
-  void SetChildAt(uint16_t i, PageId page_id);
   /// Inserts separator at position i with its right child.
   void InsertSeparatorAt(uint16_t i, const IndexEntry& separator,
                          PageId right_child);
-  /// Overwrites separator i (its right child is unchanged).
-  void SetSeparatorAt(uint16_t i, const IndexEntry& separator);
-  /// Removes separator i together with its right child pointer.
-  void RemoveSeparatorAt(uint16_t i);
   /// Index of the child to descend into for `entry`: the largest i with
   /// SeparatorAt(i-1) <= entry (0 if entry < all separators).
   uint16_t ChildIndexFor(const IndexEntry& entry) const;

@@ -33,9 +33,4 @@ Status DiskManager::WritePage(PageId page_id, const char* data) {
   return Status::Ok();
 }
 
-void DiskManager::ResetCounters() {
-  num_reads_ = 0;
-  num_writes_ = 0;
-}
-
 }  // namespace epfis

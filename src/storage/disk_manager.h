@@ -40,9 +40,6 @@ class DiskManager {
   uint64_t num_reads() const { return num_reads_; }
   uint64_t num_writes() const { return num_writes_; }
 
-  /// Resets the I/O counters (pages are kept). Used between experiment runs.
-  void ResetCounters();
-
  private:
   std::vector<std::unique_ptr<char[]>> pages_;
   uint64_t num_reads_ = 0;

@@ -52,11 +52,4 @@ Result<Schema> Schema::MakeWithRecordsPerPage(std::vector<Column> columns,
   return Make(std::move(columns), static_cast<uint16_t>(record_size));
 }
 
-Result<size_t> Schema::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;
-  }
-  return Status::NotFound("no column named " + name);
-}
-
 }  // namespace epfis

@@ -40,9 +40,6 @@ class Schema {
   /// Serialized record size in bytes (fields + padding).
   uint16_t record_size() const { return record_size_; }
 
-  /// Index of the column named `name`.
-  Result<size_t> ColumnIndex(const std::string& name) const;
-
  private:
   Schema(std::vector<Column> columns, uint16_t record_size)
       : columns_(std::move(columns)), record_size_(record_size) {}

@@ -34,15 +34,6 @@ SlottedPage SlottedPage::Format(char* data) {
 
 uint16_t SlottedPage::num_slots() const { return ReadU16(kNumSlotsOffset); }
 
-uint16_t SlottedPage::num_records() const {
-  uint16_t live = 0;
-  uint16_t n = num_slots();
-  for (uint16_t s = 0; s < n; ++s) {
-    if (ReadU16(SlotOffset(s) + 2) != 0) ++live;
-  }
-  return live;
-}
-
 uint16_t SlottedPage::FreeSpace() const {
   size_t slots_end = SlotOffset(num_slots());
   size_t free_end = ReadU16(kFreeEndOffset);
@@ -56,6 +47,9 @@ bool SlottedPage::HasRoomFor(uint16_t size) const {
 }
 
 Result<uint16_t> SlottedPage::Insert(std::string_view record) {
+  if (record.empty()) {
+    return Status::InvalidArgument("empty record");
+  }
   if (record.size() > UINT16_MAX) {
     return Status::InvalidArgument("record too large for a slot");
   }
@@ -82,22 +76,10 @@ Result<std::string_view> SlottedPage::Get(uint16_t slot) const {
   uint16_t offset = ReadU16(SlotOffset(slot));
   uint16_t size = ReadU16(SlotOffset(slot) + 2);
   if (size == 0) {
-    return Status::NotFound("slot " + std::to_string(slot) + " is deleted");
+    return Status::Corruption("slot " + std::to_string(slot) +
+                              " has zero length");
   }
   return std::string_view(data_ + offset, size);
-}
-
-Status SlottedPage::Delete(uint16_t slot) {
-  if (slot >= num_slots()) {
-    return Status::OutOfRange("slot " + std::to_string(slot) +
-                              " out of range");
-  }
-  if (ReadU16(SlotOffset(slot) + 2) == 0) {
-    return Status::NotFound("slot " + std::to_string(slot) +
-                            " already deleted");
-  }
-  WriteU16(SlotOffset(slot) + 2, 0);
-  return Status::Ok();
 }
 
 }  // namespace epfis

@@ -13,7 +13,7 @@ namespace epfis {
 /// page:
 ///
 ///   [num_slots:u16][free_end:u16][slot 0][slot 1]... ...record data]
-///   slot = [offset:u16][length:u16]        (length 0 marks a deleted slot)
+///   slot = [offset:u16][length:u16]        (length >= 1)
 ///
 /// Records grow downward from the end of the page; the slot array grows
 /// upward after the 4-byte header. The view does not own the buffer; the
@@ -28,25 +28,19 @@ class SlottedPage {
 
   uint16_t num_slots() const;
 
-  /// Number of live (non-deleted) records.
-  uint16_t num_records() const;
-
   /// Bytes available for one more record of any size (including its slot).
   uint16_t FreeSpace() const;
 
   /// True if a record of `size` bytes fits (slot included).
   bool HasRoomFor(uint16_t size) const;
 
-  /// Inserts a record, returning its slot number.
+  /// Inserts a record, returning its slot number. An empty record is
+  /// InvalidArgument: every slot holds at least one byte.
   Result<uint16_t> Insert(std::string_view record);
 
-  /// Returns the record stored in `slot`. Fails for out-of-range or deleted
-  /// slots.
+  /// Returns the record stored in `slot`: OutOfRange for a slot past the
+  /// end, Corruption for a zero-length slot, which Insert never writes.
   Result<std::string_view> Get(uint16_t slot) const;
-
-  /// Marks `slot` deleted (space is not compacted; this mirrors lazy
-  /// deletion in real heaps and none of the experiments delete).
-  Status Delete(uint16_t slot);
 
  private:
   uint16_t ReadU16(size_t offset) const;

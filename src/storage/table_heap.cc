@@ -63,24 +63,4 @@ Result<Record> TableHeap::Get(const Rid& rid) const {
   return Record::Deserialize(schema_, bytes);
 }
 
-Status TableHeap::ForEach(
-    const std::function<bool(const Rid&, const Record&)>& fn) const {
-  for (PageId pid : pages_) {
-    EPFIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(pid));
-    SlottedPage page(const_cast<char*>(guard.data()));
-    uint16_t n = page.num_slots();
-    for (uint16_t slot = 0; slot < n; ++slot) {
-      auto bytes = page.Get(slot);
-      if (!bytes.ok()) {
-        if (bytes.status().code() == StatusCode::kNotFound) continue;
-        return bytes.status();
-      }
-      EPFIS_ASSIGN_OR_RETURN(Record record,
-                             Record::Deserialize(schema_, bytes.value()));
-      if (!fn(Rid{pid, slot}, record)) return Status::Ok();
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace epfis

@@ -2,7 +2,6 @@
 #define EPFIS_STORAGE_TABLE_HEAP_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,11 +59,6 @@ class TableHeap {
 
   /// Reads the record at `rid`.
   Result<Record> Get(const Rid& rid) const;
-
-  /// Invokes `fn(rid, record)` for every record in page/slot order (a table
-  /// scan through the buffer pool). Stops early if `fn` returns false.
-  Status ForEach(
-      const std::function<bool(const Rid&, const Record&)>& fn) const;
 
  private:
   BufferPool* pool_;

@@ -23,10 +23,6 @@ int64_t FenwickTree::RangeSum(size_t lo, size_t hi) const {
   return high - low;
 }
 
-int64_t FenwickTree::Total() const {
-  return tree_.empty() ? 0 : PrefixSum(tree_.size() - 2);
-}
-
 void FenwickTree::Resize(size_t n) {
   if (n + 1 <= tree_.size()) return;
   // Rebuild in O(old + new): down-convert the tree to point values in
@@ -42,16 +38,6 @@ void FenwickTree::Resize(size_t n) {
   }
   tree_.assign(n + 1, 0);
   for (size_t i = 1; i < values.size(); ++i) tree_[i] = values[i];
-  for (size_t i = 1; i <= n; ++i) {
-    size_t parent = i + (i & (~i + 1));
-    if (parent <= n) tree_[parent] += tree_[i];
-  }
-}
-
-void FenwickTree::AssignPrefixOnes(size_t ones, size_t n) {
-  tree_.assign(n + 1, 0);
-  for (size_t i = 1; i <= ones; ++i) tree_[i] = 1;
-  // Standard O(n) bottom-up build: fold each node into its parent.
   for (size_t i = 1; i <= n; ++i) {
     size_t parent = i + (i & (~i + 1));
     if (parent <= n) tree_[parent] += tree_[i];

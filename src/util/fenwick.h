@@ -26,17 +26,8 @@ class FenwickTree {
   /// Sum of positions [lo, hi]; returns 0 if lo > hi.
   int64_t RangeSum(size_t lo, size_t hi) const;
 
-  /// Total sum of all positions.
-  int64_t Total() const;
-
   /// Grows the tree to at least `n` positions, preserving contents.
   void Resize(size_t n);
-
-  /// Discards the contents and reinitializes to `n` positions with
-  /// positions [0, ones) set to 1 and the rest 0, in O(n) — the shape the
-  /// stack-distance kernel needs after compacting live last-access
-  /// positions into a dense prefix. Precondition: ones <= n.
-  void AssignPrefixOnes(size_t ones, size_t n);
 
  private:
   std::vector<int64_t> tree_;  // 1-based internal layout.

@@ -30,12 +30,6 @@ double YaoPages(double n, double pages, double k) {
   return pages * (1.0 - std::exp(log_p));
 }
 
-double WatersHitRatio(double pages, double k) {
-  if (k <= 0.0) return 0.0;
-  double touched = CardenasPages(pages, k);
-  return Clamp(1.0 - touched / k, 0.0, 1.0);
-}
-
 double Clamp(double v, double lo, double hi) {
   return std::max(lo, std::min(hi, v));
 }

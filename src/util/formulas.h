@@ -19,11 +19,6 @@ double CardenasPages(double pages, double k);
 /// domain. Computed with the numerically stable product form.
 double YaoPages(double n, double pages, double k);
 
-/// Waters (1976) hit-ratio approximation: the expected fraction of the k
-/// requested records that land on already-touched pages, derived from
-/// Cardenas's estimate (1 - pages_touched / k). Clamped to [0, 1].
-double WatersHitRatio(double pages, double k);
-
 /// Clamps v into [lo, hi].
 double Clamp(double v, double lo, double hi);
 

@@ -38,17 +38,15 @@ Result<Placement> GeneratePlacement(const SyntheticSpec& spec) {
   EPFIS_RETURN_IF_ERROR(ValidateSpec(spec));
   Rng rng(spec.seed);
 
-  // Duplicate counts per distinct value: generalized Zipf(theta), optionally
-  // decorrelated from key order by a random permutation.
+  // Duplicate counts per distinct value: generalized Zipf(theta),
+  // decorrelated from key order by a seeded random permutation.
   EPFIS_ASSIGN_OR_RETURN(ZipfDistribution zipf,
                          ZipfDistribution::Make(spec.num_distinct,
                                                 spec.theta));
   std::vector<uint64_t> counts = zipf.ApportionCounts(spec.num_records);
-  if (spec.shuffle_counts) {
-    for (size_t i = counts.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(rng.NextBounded(i));
-      std::swap(counts[i - 1], counts[j]);
-    }
+  for (size_t i = counts.size(); i > 1; --i) {
+    size_t j = static_cast<size_t>(rng.NextBounded(i));
+    std::swap(counts[i - 1], counts[j]);
   }
 
   const uint64_t n = spec.num_records;

@@ -30,11 +30,6 @@ struct SyntheticSpec {
   /// Probability a record escapes the window entirely (paper: 5%).
   double noise = 0.05;
 
-  /// When true (default), Zipf duplicate counts are assigned to key values
-  /// in a seeded random permutation so skew is uncorrelated with key order;
-  /// when false, key 1 is the most frequent.
-  bool shuffle_counts = true;
-
   /// When > 0, the table gets a second int64 column whose values are drawn
   /// uniformly from [1, secondary_distinct] independently of the primary
   /// key and of placement, plus a second B-tree index over it — the

@@ -107,17 +107,4 @@ Result<std::vector<KeyPageRef>> Dataset::FullIndexKeyPageTrace() const {
   return trace;
 }
 
-Result<std::vector<PageId>> Dataset::RangePageTrace(int64_t lo,
-                                                    int64_t hi) const {
-  std::vector<PageId> trace;
-  if (lo > hi) return trace;
-  EPFIS_ASSIGN_OR_RETURN(BTreeIterator it,
-                         index_->SeekGE(BTree::MinEntryForKey(lo)));
-  while (it.Valid() && it.entry().key <= hi) {
-    trace.push_back(it.entry().rid.page_id);
-    EPFIS_RETURN_IF_ERROR(it.Next());
-  }
-  return trace;
-}
-
 }  // namespace epfis

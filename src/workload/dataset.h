@@ -84,9 +84,6 @@ class Dataset {
   /// Same, with key values (what the baseline collectors consume).
   Result<std::vector<KeyPageRef>> FullIndexKeyPageTrace() const;
 
-  /// Data-page reference string of a partial scan over keys [lo, hi].
-  Result<std::vector<PageId>> RangePageTrace(int64_t lo, int64_t hi) const;
-
  private:
   Dataset() = default;
 

@@ -6,7 +6,6 @@
 #include "baselines/dc.h"
 #include "baselines/estimator.h"
 #include "baselines/ml.h"
-#include "baselines/naive.h"
 #include "baselines/ot.h"
 #include "baselines/sd.h"
 #include "util/formulas.h"
@@ -176,20 +175,11 @@ TEST(SdTest, UnclusteredUsesCardenasTerm) {
 TEST(SdTest, BufferLargerThanTableCapsAtT) {
   auto stats = CollectBaselineTraceStats(AlternatingRefs(10, 100), 10);
   ASSERT_TRUE(stats.ok());
-  SdEstimator sd(*stats, SdExponentMode::kNOverI);
+  SdEstimator sd(*stats);
   double capped = sd.Estimate({1.0, 50});   // B > T: V = min(U, T).
   double uncapped = sd.Estimate({1.0, 5});  // B <= T: V = U.
   EXPECT_LE(capped, 10.0 + 1e-9);
   EXPECT_GE(uncapped, capped);
-}
-
-TEST(SdTest, ExponentModesDiffer) {
-  auto stats = CollectBaselineTraceStats(AlternatingRefs(100, 10), 100);
-  ASSERT_TRUE(stats.ok());
-  SdEstimator paper(*stats, SdExponentMode::kPaperTOverI);
-  SdEstimator fixed(*stats, SdExponentMode::kNOverI);
-  // T/I = 0.1 vs N/I = 1: different Cardenas terms.
-  EXPECT_NE(paper.Estimate({0.5, 50}), fixed.Estimate({0.5, 50}));
 }
 
 TEST(OtTest, ClusteredIndexCrIsOne) {
@@ -208,34 +198,6 @@ TEST(OtTest, UnclusteredCrIsTOverN) {
   // J3 == N: CR = T/N = 0.1; estimate = sigma*(T + 0.9*(N - T)).
   EXPECT_DOUBLE_EQ(ot.cluster_ratio(), 0.1);
   EXPECT_NEAR(ot.Estimate({1.0, 10}), 100.0 + 0.9 * 900.0, 1e-9);
-}
-
-TEST(NaiveTest, ClusteredAndUnclusteredBounds) {
-  PerfectlyClusteredEstimator clustered(200);
-  PerfectlyUnclusteredEstimator unclustered(5000);
-  EXPECT_DOUBLE_EQ(clustered.Estimate({0.5, 10}), 100.0);
-  EXPECT_DOUBLE_EQ(unclustered.Estimate({0.5, 10}), 2500.0);
-}
-
-TEST(NaiveTest, CardenasAndYaoIgnoreBuffer) {
-  CardenasEstimator cardenas(100, 10000);
-  YaoEstimator yao(100, 10000);
-  for (double sigma : {0.01, 0.2}) {
-    EXPECT_DOUBLE_EQ(cardenas.Estimate({sigma, 5}),
-                     cardenas.Estimate({sigma, 500}));
-    EXPECT_DOUBLE_EQ(yao.Estimate({sigma, 5}), yao.Estimate({sigma, 500}));
-    // Both bounded by T.
-    EXPECT_LE(cardenas.Estimate({sigma, 5}), 100.0);
-    EXPECT_LE(yao.Estimate({sigma, 5}), 100.0);
-  }
-}
-
-TEST(NaiveTest, Names) {
-  EXPECT_EQ(PerfectlyClusteredEstimator(1).name(), "Clustered");
-  EXPECT_EQ(PerfectlyUnclusteredEstimator(1).name(), "Unclustered");
-  EXPECT_EQ(CardenasEstimator(1, 1).name(), "Cardenas");
-  EXPECT_EQ(YaoEstimator(1, 1).name(), "Yao");
-  EXPECT_EQ(MlEstimator(1, 1, 1).name(), "ML");
 }
 
 }  // namespace

@@ -98,14 +98,6 @@ TEST(HistogramTest, SkewedDataStillBoundedError) {
   }
 }
 
-TEST(HistogramTest, EqualitySelectivityUsesBucketDistinct) {
-  std::vector<uint64_t> counts(10, 100);  // 1000 records, 10 keys.
-  auto hist = EquiDepthHistogram::Build(counts, 2);
-  ASSERT_TRUE(hist.ok());
-  EXPECT_NEAR(hist->EstimateEqualitySelectivity(3), 0.1, 1e-9);
-  EXPECT_DOUBLE_EQ(hist->EstimateEqualitySelectivity(99), 0.0);
-}
-
 TEST(HistogramOptimizerTest, EstimateSigmaDrivesPlanChoice) {
   SyntheticSpec spec;
   spec.num_records = 10000;

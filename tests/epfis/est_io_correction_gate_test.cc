@@ -53,14 +53,9 @@ TEST(EstIoCorrectionGateTest, ZeroBufferPagesIsInvalidArgument) {
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kInvalidArgument);
 
-  auto full_scan = EstIo::EstimateFullScan(stats, 0);
-  ASSERT_FALSE(full_scan.ok());
-  EXPECT_EQ(full_scan.status().code(), StatusCode::kInvalidArgument);
-
   // One buffer page is the smallest valid request and must succeed.
   scan.buffer_pages = 1;
   EXPECT_TRUE(EstIo::Estimate(stats, scan).ok());
-  EXPECT_TRUE(EstIo::EstimateFullScan(stats, 1).ok());
 }
 
 struct GateCase {
@@ -123,7 +118,7 @@ TEST(EstIoCorrectionGateTest, NuGateMatchesEquationOneOnBothSides) {
     double damping =
         std::min(1.0, phi / (options.correction_divisor * c.sigma));
     double base =
-        c.sigma * EstIo::EstimateFullScan(stats, c.buffer_pages).value();
+        c.sigma * stats.FullScanFetches(static_cast<double>(c.buffer_pages));
     double expected = base + nu * damping * (1.0 - c.clustering) *
                                  CardenasPages(t, c.sigma * n);
     expected = Clamp(expected, 0.0, c.sigma * n);
@@ -160,7 +155,7 @@ TEST(EstIoCorrectionGateTest, GateAndDampingShareTheSamePhi) {
   auto result = EstIo::Estimate(stats, scan);
   ASSERT_TRUE(result.ok());
 
-  double pf_500 = EstIo::EstimateFullScan(stats, 500).value();
+  double pf_500 = stats.FullScanFetches(500.0);
   // Interpolated on the (300, 6000)-(600, 2500) segment: 6000 - 3500*2/3.
   EXPECT_NEAR(pf_500, 11000.0 / 3.0, 1e-9);
   double expected =

@@ -96,7 +96,7 @@ TEST_P(EstIoPropertyTest, FullScanNonIncreasingInBuffer) {
   IndexStats stats = StatsWithClustering(c);
   double prev = 1e300;
   for (uint64_t b = 20; b <= 2400; b += 20) {
-    double est = EstIo::EstimateFullScan(stats, b).value();
+    double est = stats.FullScanFetches(static_cast<double>(b));
     ASSERT_LE(est, prev + 1e-9) << "b=" << b;
     prev = est;
   }

@@ -45,7 +45,7 @@ double Estimate(const IndexStats& stats, const ScanSpec& scan,
 }
 
 double FullScan(const IndexStats& stats, uint64_t buffer_pages) {
-  return EstIo::EstimateFullScan(stats, buffer_pages).value();
+  return stats.FullScanFetches(static_cast<double>(buffer_pages));
 }
 
 TEST(EstIoTest, FullScanFollowsCurve) {
@@ -223,8 +223,6 @@ TEST(EstIoValidatingTest, RejectsOutOfDomainSargableSelectivity) {
 TEST(EstIoValidatingTest, RejectsZeroBufferPages) {
   IndexStats stats = MakeStats();
   EXPECT_EQ(EstIo::Estimate(stats, ScanSpec{0.5, 1.0, 0}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(EstIo::EstimateFullScan(stats, 0).status().code(),
             StatusCode::kInvalidArgument);
 }
 

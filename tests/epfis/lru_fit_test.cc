@@ -71,26 +71,30 @@ TEST(LruFitTest, DefaultRangeFollowsPaper) {
   auto trace = ClusteredTrace(5000, 2);
   auto stats = RunLruFit(trace, 5000, 100, "x");
   ASSERT_TRUE(stats.ok());
-  // B_min = max(0.01 * 5000, 12) = 50, B_max = T.
+  // B_min = max(0.01 * 5000, 12) = 50, B_max = T, and the curve spans it.
   EXPECT_EQ(stats->b_min, 50u);
   EXPECT_EQ(stats->b_max, 5000u);
+  ASSERT_TRUE(stats->fpf.has_value());
+  EXPECT_DOUBLE_EQ(stats->fpf->min_x(), 50.0);
+  EXPECT_DOUBLE_EQ(stats->fpf->max_x(), 5000.0);
 
   auto small = RunLruFit(ClusteredTrace(100, 2), 100, 10, "y");
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small->b_min, 12u);  // 0.01 * 100 = 1 < B_sml = 12.
-}
 
-TEST(LruFitTest, DbaOverridesRespected) {
-  LruFitOptions options;
-  options.b_min_override = 30;
-  options.b_max_override = 90;
-  auto stats = RunLruFit(ClusteredTrace(100, 3), 100, 10, "x", options);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->b_min, 30u);
-  EXPECT_EQ(stats->b_max, 90u);
-  ASSERT_TRUE(stats->fpf.has_value());
-  EXPECT_DOUBLE_EQ(stats->fpf->min_x(), 30.0);
-  EXPECT_DOUBLE_EQ(stats->fpf->max_x(), 90.0);
+  // Online LRU-Fit models the same sizes. B_sml is capped at T on a table
+  // smaller than 12 pages, and an empty table has no range.
+  auto sizes = ModeledBufferSizes(5000, BufferSchedule::kPaperLinear);
+  ASSERT_TRUE(sizes.ok());
+  EXPECT_EQ(sizes->front(), 50u);
+  EXPECT_EQ(sizes->back(), 5000u);
+  auto tiny = ModeledBufferSizes(5, BufferSchedule::kPaperLinear);
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(*tiny, std::vector<uint64_t>{5});
+  EXPECT_EQ(ModeledBufferSizes(0, BufferSchedule::kPaperLinear)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LruFitTest, SegmentCountBounded) {

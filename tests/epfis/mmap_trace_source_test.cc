@@ -1,12 +1,12 @@
-// Edge-case taxonomy tests for the two file-backed trace readers:
-// PageTraceReader (ifstream, lazy body validation) and MmapTraceSource
-// (mmap, eager validation at Open). Both must classify every malformed
-// file identically — same StatusCode — even though the mmap reader
-// surfaces body errors at Open while the streaming reader surfaces them
-// on the Read that trips over them.
+// Edge-case taxonomy tests for the two file-backed trace readers,
+// FileTraceSource (streaming) and MmapTraceSource, and for LoadPageTrace,
+// which drains OpenTraceSource. Both readers check the whole file at Open
+// through one function, so they classify every malformed file
+// identically, and LoadPageTrace reports exactly OpenTraceSource's Status.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -48,21 +48,11 @@ class TempTraceFile {
   std::string path_;
 };
 
-// Status the streaming reader assigns to `path`, wherever it surfaces:
-// at Open or on any Read (draining the whole file).
-Status StreamingVerdict(const std::string& path) {
-  auto reader = PageTraceReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  PageId buf[64];
-  for (;;) {
-    auto n = reader->Read(buf, 64);
-    if (!n.ok()) return n.status();
-    if (*n == 0) return Status::Ok();
-  }
-}
-
-Status MmapVerdict(const std::string& path) {
-  auto source = MmapTraceSource::Open(path);
+// Status a source assigns to its file, wherever it surfaces: at Open or
+// on any Next (draining the whole file).
+template <typename Source>
+Status Verdict(const std::string& path) {
+  auto source = Source::Open(path);
   if (!source.ok()) return source.status();
   PageId buf[64];
   for (;;) {
@@ -70,6 +60,23 @@ Status MmapVerdict(const std::string& path) {
     if (!n.ok()) return n.status();
     if (*n == 0) return Status::Ok();
   }
+}
+
+Status StreamingVerdict(const std::string& path) {
+  return Verdict<FileTraceSource>(path);
+}
+
+Status MmapVerdict(const std::string& path) {
+  return Verdict<MmapTraceSource>(path);
+}
+
+// The third verdict: LoadPageTrace must report exactly what
+// OpenTraceSource reports for the same file, message and code alike.
+Status LoadVerdict(const std::string& path) {
+  Status loaded = LoadPageTrace(path).status();
+  Status opened = OpenTraceSource(path).status();
+  EXPECT_EQ(loaded.ToString(), opened.ToString()) << path;
+  return loaded;
 }
 
 TEST(MmapTraceSourceTest, SupportedOnThisPlatform) {
@@ -133,6 +140,7 @@ TEST(MmapTraceSourceTest, MissingFileIsIoErrorInBothReaders) {
   const std::string path = "/tmp/epfis_no_such_trace_mmap.bin";
   EXPECT_EQ(MmapVerdict(path).code(), StatusCode::kIoError);
   EXPECT_EQ(StreamingVerdict(path).code(), StatusCode::kIoError);
+  EXPECT_EQ(LoadVerdict(path).code(), StatusCode::kIoError);
 }
 
 TEST(MmapTraceSourceTest, EmptyTraceIsValidInBothReaders) {
@@ -140,6 +148,7 @@ TEST(MmapTraceSourceTest, EmptyTraceIsValidInBothReaders) {
   ASSERT_TRUE(SavePageTrace({}, file.path()).ok());
   EXPECT_TRUE(MmapVerdict(file.path()).ok());
   EXPECT_TRUE(StreamingVerdict(file.path()).ok());
+  EXPECT_TRUE(LoadVerdict(file.path()).ok());
   auto source = MmapTraceSource::Open(file.path());
   ASSERT_TRUE(source.ok());
   EXPECT_EQ(*source->size_hint(), 0u);
@@ -153,6 +162,23 @@ TEST(MmapTraceSourceTest, TruncatedBodyIsCorruptionInBothReaders) {
   file.Truncate(2);  // Chop into the last entry.
   EXPECT_EQ(MmapVerdict(file.path()).code(), StatusCode::kCorruption);
   EXPECT_EQ(StreamingVerdict(file.path()).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadVerdict(file.path()).code(), StatusCode::kCorruption);
+
+  // A header count the body cannot hold, up to counts whose byte size
+  // overflows 64 bits, is the same truncated body in every verdict, never
+  // a huge allocation or a length error.
+  for (uint64_t count : {uint64_t{4}, uint64_t{1} << 62, UINT64_MAX}) {
+    SCOPED_TRACE(count);
+    std::string bytes(kPageTraceMagic, 8);
+    bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    bytes.append(3 * sizeof(PageId), '\0');
+    file.WriteRaw(bytes);
+    Status stream_status = StreamingVerdict(file.path());
+    EXPECT_EQ(stream_status.ToString(),
+              Status::Corruption("trace file: truncated body").ToString());
+    EXPECT_EQ(MmapVerdict(file.path()).ToString(), stream_status.ToString());
+    EXPECT_EQ(LoadVerdict(file.path()).ToString(), stream_status.ToString());
+  }
 }
 
 TEST(MmapTraceSourceTest, TrailingBytesAreCorruptionInBothReaders) {
@@ -161,6 +187,7 @@ TEST(MmapTraceSourceTest, TrailingBytesAreCorruptionInBothReaders) {
   file.AppendRaw("xx");
   EXPECT_EQ(MmapVerdict(file.path()).code(), StatusCode::kCorruption);
   EXPECT_EQ(StreamingVerdict(file.path()).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadVerdict(file.path()).code(), StatusCode::kCorruption);
 }
 
 TEST(MmapTraceSourceTest, ForeignMagicIsCorruptionInBothReaders) {
@@ -170,6 +197,7 @@ TEST(MmapTraceSourceTest, ForeignMagicIsCorruptionInBothReaders) {
   file.WriteRaw(foreign);
   EXPECT_EQ(MmapVerdict(file.path()).code(), StatusCode::kCorruption);
   EXPECT_EQ(StreamingVerdict(file.path()).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadVerdict(file.path()).code(), StatusCode::kCorruption);
 }
 
 TEST(MmapTraceSourceTest, TruncatedHeaderIsCorruptionInBothReaders) {
@@ -177,6 +205,7 @@ TEST(MmapTraceSourceTest, TruncatedHeaderIsCorruptionInBothReaders) {
   file.WriteRaw("EPFT");  // Shorter than the magic itself.
   EXPECT_EQ(MmapVerdict(file.path()).code(), StatusCode::kCorruption);
   EXPECT_EQ(StreamingVerdict(file.path()).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadVerdict(file.path()).code(), StatusCode::kCorruption);
 }
 
 // Regression: a zero-length file used to reach mmap itself, and mapping 0
@@ -192,6 +221,7 @@ TEST(MmapTraceSourceTest, ZeroLengthFileIsBadMagicInBothReaders) {
   EXPECT_EQ(mmap_status.code(), StatusCode::kCorruption);
   EXPECT_EQ(stream_status.code(), StatusCode::kCorruption);
   EXPECT_EQ(mmap_status.ToString(), stream_status.ToString());
+  EXPECT_EQ(LoadVerdict(file.path()).ToString(), stream_status.ToString());
 }
 
 TEST(MmapTraceSourceTest, GoodMagicTruncatedCountInBothReaders) {
@@ -206,6 +236,7 @@ TEST(MmapTraceSourceTest, GoodMagicTruncatedCountInBothReaders) {
   EXPECT_EQ(mmap_status.code(), StatusCode::kCorruption);
   EXPECT_EQ(stream_status.code(), StatusCode::kCorruption);
   EXPECT_EQ(mmap_status.ToString(), stream_status.ToString());
+  EXPECT_EQ(LoadVerdict(file.path()).ToString(), stream_status.ToString());
   EXPECT_NE(mmap_status.ToString().find("truncated header"),
             std::string::npos)
       << mmap_status.ToString();
@@ -219,6 +250,7 @@ TEST(MmapTraceSourceTest, HeaderOnlyFileIsAValidEmptyTrace) {
   file.WriteRaw(bytes);
   EXPECT_TRUE(MmapVerdict(file.path()).ok());
   EXPECT_TRUE(StreamingVerdict(file.path()).ok());
+  EXPECT_TRUE(LoadVerdict(file.path()).ok());
 }
 
 TEST(OpenTraceSourceTest, PicksAWorkingSourceAndPropagatesCorruption) {

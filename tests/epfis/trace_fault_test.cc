@@ -33,18 +33,6 @@ class TraceFaultTest : public testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  std::vector<PageId> ReadAll(PageTraceReader& reader) {
-    std::vector<PageId> out;
-    PageId buf[64];
-    for (;;) {
-      auto n = reader.Read(buf, 64);
-      EXPECT_TRUE(n.ok()) << n.status().message();
-      if (!n.ok() || *n == 0) break;
-      out.insert(out.end(), buf, buf + *n);
-    }
-    return out;
-  }
-
   // A point's lifetime fire count. DisarmAll does not reset it, so tests
   // assert the change across the action they drive, which keeps them
   // independent of the tests that ran before them in the process.
@@ -79,9 +67,9 @@ TEST_F(TraceFaultTest, ShortReadsAreTransparentlyContinued) {
   FaultInjector::Global().Arm("trace.read.body", spec);
 
   const uint64_t fired = Fires("trace.read.body");
-  auto reader = PageTraceReader::Open(path_);
-  ASSERT_TRUE(reader.ok()) << reader.status().message();
-  EXPECT_EQ(ReadAll(*reader), trace_);
+  auto source = FileTraceSource::Open(path_);
+  ASSERT_TRUE(source.ok()) << source.status().message();
+  EXPECT_EQ(ReadAll(*source), trace_);
   EXPECT_GT(Fires("trace.read.body") - fired, 0u);
 }
 
@@ -90,9 +78,9 @@ TEST_F(TraceFaultTest, ShortReadsOnHeaderToo) {
   spec.kind = FaultKind::kShortRead;
   spec.short_io_bytes = 1;
   FaultInjector::Global().Arm("trace.read.header", spec);
-  auto reader = PageTraceReader::Open(path_);
-  ASSERT_TRUE(reader.ok()) << reader.status().message();
-  EXPECT_EQ(reader->count(), trace_.size());
+  auto source = FileTraceSource::Open(path_);
+  ASSERT_TRUE(source.ok()) << source.status().message();
+  EXPECT_EQ(source->size_hint(), trace_.size());
 }
 
 // The EINTR satellite: a finite burst of interrupted reads is retried;
@@ -105,9 +93,9 @@ TEST_F(TraceFaultTest, FiniteEintrBurstIsRetried) {
   FaultInjector::Global().Arm("trace.read.body", spec);
 
   const uint64_t fired = Fires("trace.read.body");
-  auto reader = PageTraceReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(ReadAll(*reader), trace_);
+  auto source = FileTraceSource::Open(path_);
+  ASSERT_TRUE(source.ok());
+  EXPECT_EQ(ReadAll(*source), trace_);
   EXPECT_EQ(Fires("trace.read.body") - fired, 7u);
 }
 
@@ -117,10 +105,10 @@ TEST_F(TraceFaultTest, UnboundedEintrStormFailsWithIoError) {
   FaultInjector::Global().Arm("trace.read.body", spec);
 
   const uint64_t fired = Fires("trace.read.body");
-  auto reader = PageTraceReader::Open(path_);
-  ASSERT_TRUE(reader.ok());
+  auto source = FileTraceSource::Open(path_);
+  ASSERT_TRUE(source.ok());
   PageId buf[64];
-  Result<size_t> n = reader->Read(buf, 64);
+  Result<size_t> n = source->Next(buf, 64);
   ASSERT_FALSE(n.ok());
   EXPECT_EQ(n.status().code(), StatusCode::kIoError);
   EXPECT_NE(n.status().message().find("interrupted"), std::string::npos);
@@ -137,9 +125,9 @@ TEST_F(TraceFaultTest, OpenAndSaveFaultPointsSurface) {
   one_shot.max_fires = 1;
 
   FaultInjector::Global().Arm("trace.open", one_shot);
-  EXPECT_EQ(PageTraceReader::Open(path_).status().code(),
+  EXPECT_EQ(FileTraceSource::Open(path_).status().code(),
             StatusCode::kIoError);
-  EXPECT_TRUE(PageTraceReader::Open(path_).ok());  // Clean retry.
+  EXPECT_TRUE(FileTraceSource::Open(path_).ok());  // Clean retry.
 
   FaultInjector::Global().Arm("trace.save.open", one_shot);
   EXPECT_EQ(SavePageTrace(trace_, dir_ + "/t2.bin").code(),
@@ -196,14 +184,25 @@ TEST_F(TraceFaultTest, StreamingFallbackOpenFailsOnceThenRecovers) {
   EXPECT_EQ(ReadAll(**source), trace_);
 }
 
+// LoadPageTrace drains OpenTraceSource: with mmap failing, it streams
+// through the hardened reader and absorbs its short reads too.
 TEST_F(TraceFaultTest, LoadPageTraceSharesHardenedPath) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kShortRead;
-  spec.short_io_bytes = 5;
-  FaultInjector::Global().Arm("trace.read.body", spec);
+  FaultSpec short_reads;
+  short_reads.kind = FaultKind::kShortRead;
+  short_reads.short_io_bytes = 5;
+  FaultInjector::Global().Arm("trace.read.body", short_reads);
+  FaultInjector::Global().Arm("trace.mmap.map", FaultSpec{});
+
+  const uint64_t mapped = Fires("trace.mmap.map");
+  const uint64_t fired = Fires("trace.read.body");
   auto loaded = LoadPageTrace(path_);
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(*loaded, trace_);
+  if (MmapTraceSource::Supported()) {
+    EXPECT_EQ(Fires("trace.mmap.map") - mapped, 1u);
+  }
+  // Only the streaming reader consults the body read point.
+  EXPECT_GT(Fires("trace.read.body") - fired, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -70,21 +71,29 @@ TEST(FileTraceSourceTest, MissingFileFails) {
   EXPECT_FALSE(FileTraceSource::Open("/tmp/epfis_no_such_trace.bin").ok());
 }
 
-TEST(PageTraceReaderTest, DetectsTruncatedBody) {
+// Open checks the body's length, so a file truncated before Open fails
+// there; a file that shrinks after Open fails the Next that runs short.
+TEST(FileTraceSourceTest, DetectsTruncatedBody) {
   const std::string path = "/tmp/epfis_truncated_trace.bin";
-  ASSERT_TRUE(SavePageTrace({1, 2, 3, 4, 5}, path).ok());
-  // Chop off the last entry's bytes.
-  {
+  auto chop = [&path] {  // Chops off the last entry's bytes.
     std::FILE* f = std::fopen(path.c_str(), "r+");
     ASSERT_NE(f, nullptr);
     long size = (std::fseek(f, 0, SEEK_END), std::ftell(f));
     ASSERT_EQ(ftruncate(fileno(f), size - 2), 0);
     std::fclose(f);
-  }
-  auto reader = PageTraceReader::Open(path);
-  ASSERT_TRUE(reader.ok());
+  };
+  ASSERT_TRUE(SavePageTrace({1, 2, 3, 4, 5}, path).ok());
+  chop();
+  EXPECT_EQ(FileTraceSource::Open(path).status().ToString(),
+            Status::Corruption("trace file: truncated body").ToString());
+
+  ASSERT_TRUE(SavePageTrace({1, 2, 3, 4, 5}, path).ok());
+  auto source = FileTraceSource::Open(path);
+  ASSERT_TRUE(source.ok());
+  chop();
   PageId buf[16];
-  EXPECT_FALSE(reader->Read(buf, 16).ok());
+  EXPECT_EQ(source->Next(buf, 16).status().ToString(),
+            Status::Corruption("trace file: truncated body").ToString());
   std::remove(path.c_str());
 }
 
@@ -123,17 +132,15 @@ TEST(LruFitOptionsTest, ValidateCatchesBadOptions) {
   zero_segments.num_segments = 0;
   EXPECT_EQ(zero_segments.Validate().code(), StatusCode::kInvalidArgument);
 
-  LruFitOptions zero_b_sml;
-  zero_b_sml.b_sml = 0;
-  EXPECT_EQ(zero_b_sml.Validate().code(), StatusCode::kInvalidArgument);
-
-  LruFitOptions inverted;
-  inverted.b_min_override = 100;
-  inverted.b_max_override = 50;
-  EXPECT_EQ(inverted.Validate().code(), StatusCode::kInvalidArgument);
+  for (double rate : {0.0, -0.5, 1.5, std::nan("")}) {
+    LruFitOptions bad_rate;
+    bad_rate.sample_rate = rate;
+    EXPECT_EQ(bad_rate.Validate().code(), StatusCode::kInvalidArgument)
+        << rate;
+  }
 
   // RunLruFit surfaces the same error before touching the trace.
-  auto stats = RunLruFit({1, 2, 3}, 10, 3, "x", inverted);
+  auto stats = RunLruFit({1, 2, 3}, 10, 3, "x", zero_segments);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }

@@ -1,7 +1,8 @@
-// Fuzz target: the trace header parser and body reader. The input bytes
-// are staged into a scratch file (the reader is fd-based) and opened;
-// a malformed header or truncated body must fail with Corruption/IoError
-// and a well-formed one must stream without overrunning the buffer.
+// Fuzz target: the trace file check and the streaming body reader. The
+// input bytes are staged into a scratch file (the reader is fd-based) and
+// opened; a malformed header or body length must fail with
+// Corruption/IoError and a well-formed one must stream without overrunning
+// the buffer.
 #include <unistd.h>
 
 #include <cstddef>
@@ -10,7 +11,7 @@
 #include <fstream>
 #include <string>
 
-#include "epfis/trace_io.h"
+#include "epfis/trace_source.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   static const std::string path = "/tmp/epfis_fuzz_trace_" +
@@ -20,11 +21,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     out.write(reinterpret_cast<const char*>(data),
               static_cast<std::streamsize>(size));
   }
-  auto reader = epfis::PageTraceReader::Open(path);
-  if (reader.ok()) {
+  auto source = epfis::FileTraceSource::Open(path);
+  if (source.ok()) {
     epfis::PageId buf[256];
     for (int i = 0; i < 64; ++i) {
-      auto n = reader->Read(buf, 256);
+      auto n = source->Next(buf, 256);
       if (!n.ok() || *n == 0) break;
     }
   }

@@ -110,16 +110,6 @@ TEST(ExperimentTest, DeterministicAcrossRuns) {
   }
 }
 
-TEST(ExperimentTest, IncludeNaiveAddsFourAlgorithms) {
-  auto dataset = MakeDataset(0.2);
-  ExperimentConfig config = SmallConfig();
-  config.num_scans = 10;
-  config.include_naive = true;
-  auto result = RunErrorExperiment(*dataset, config);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->algorithms.size(), 9u);
-}
-
 TEST(ExperimentTest, StatsAreConsistentWithDataset) {
   auto dataset = MakeDataset(0.1);
   auto result = RunErrorExperiment(*dataset, SmallConfig());

@@ -173,7 +173,7 @@ TEST_F(IntegrationTest, FullScanEstimateMatchesMeasuredFullScan) {
     auto run = RunIndexScan(*dataset_->index(), *dataset_->table(),
                             pool.get(), KeyRange::All());
     ASSERT_TRUE(run.ok());
-    double est = EstIo::EstimateFullScan(*stats, b).value();
+    double est = stats->FullScanFetches(static_cast<double>(b));
     double actual = static_cast<double>(run->data_page_fetches);
     // The 6-segment fit tracks the measured curve within a few percent.
     EXPECT_NEAR(est, actual, 0.05 * actual + 20.0) << "b=" << b;

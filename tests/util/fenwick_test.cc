@@ -13,7 +13,6 @@ namespace {
 TEST(FenwickTest, EmptyTreeSumsToZero) {
   FenwickTree tree(10);
   EXPECT_EQ(tree.PrefixSum(9), 0);
-  EXPECT_EQ(tree.Total(), 0);
 }
 
 TEST(FenwickTest, PointUpdatesAndPrefixSums) {
@@ -26,7 +25,6 @@ TEST(FenwickTest, PointUpdatesAndPrefixSums) {
   EXPECT_EQ(tree.PrefixSum(3), 8);
   EXPECT_EQ(tree.PrefixSum(6), 8);
   EXPECT_EQ(tree.PrefixSum(7), 6);
-  EXPECT_EQ(tree.Total(), 6);
 }
 
 TEST(FenwickTest, RangeSum) {
@@ -66,7 +64,7 @@ TEST(FenwickTest, ResizePreservesContents) {
   EXPECT_EQ(tree.size(), 16u);
   EXPECT_EQ(tree.RangeSum(0, 3), 8);
   tree.Add(10, 2);
-  EXPECT_EQ(tree.Total(), 10);
+  EXPECT_EQ(tree.PrefixSum(15), 10);
 }
 
 TEST(FenwickTest, ResizeSmallerIsNoOp) {
@@ -99,28 +97,6 @@ TEST(FenwickTest, ResizePreservesRandomContents) {
     tree.Resize(n);
     naive.resize(n, 0);
     ASSERT_EQ(tree.size(), n);
-  }
-}
-
-TEST(FenwickTest, AssignPrefixOnesBuildsDensePrefix) {
-  FenwickTree tree(4);
-  tree.Add(2, 9);  // Old contents must be discarded.
-  for (size_t ones : {0u, 1u, 5u, 12u}) {
-    tree.AssignPrefixOnes(ones, 12);
-    EXPECT_EQ(tree.size(), 12u);
-    EXPECT_EQ(tree.Total(), static_cast<int64_t>(ones)) << ones;
-    for (size_t i = 0; i < 12; ++i) {
-      EXPECT_EQ(tree.RangeSum(i, i), i < ones ? 1 : 0)
-          << "ones=" << ones << " i=" << i;
-      EXPECT_EQ(tree.PrefixSum(i),
-                static_cast<int64_t>(std::min(i + 1, ones)))
-          << "ones=" << ones << " i=" << i;
-    }
-    // Updates after the bulk build behave like ordinary Adds.
-    if (ones > 0) {
-      tree.Add(0, -1);
-      EXPECT_EQ(tree.Total(), static_cast<int64_t>(ones) - 1);
-    }
   }
 }
 

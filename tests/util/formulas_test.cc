@@ -79,19 +79,6 @@ TEST(YaoTest, SinglePerPageIsMinOfKAndT) {
   EXPECT_NEAR(YaoPages(10, 10, 15), 10.0, 1e-9);
 }
 
-TEST(WatersTest, HitRatioBounds) {
-  for (double k : {1.0, 10.0, 1000.0}) {
-    double h = WatersHitRatio(100, k);
-    EXPECT_GE(h, 0.0);
-    EXPECT_LE(h, 1.0);
-  }
-  EXPECT_EQ(WatersHitRatio(100, 0), 0.0);
-}
-
-TEST(WatersTest, ManyRecordsMostlyHits) {
-  EXPECT_GT(WatersHitRatio(10, 10000), 0.99);
-}
-
 TEST(ClampTest, Clamps) {
   EXPECT_EQ(Clamp(5, 0, 10), 5);
   EXPECT_EQ(Clamp(-5, 0, 10), 0);

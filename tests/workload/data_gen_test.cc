@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <numeric>
 #include <set>
 
+#include "exec/index_scan.h"
+#include "util/zipf.h"
 #include "workload/gwl.h"
 
 namespace epfis {
@@ -131,10 +135,15 @@ TEST(GeneratePlacementTest, NoiseReducesClustering) {
 TEST(GeneratePlacementTest, SkewedCountsWithTheta) {
   SyntheticSpec spec = SmallSpec();
   spec.theta = 0.86;
-  spec.shuffle_counts = false;  // Rank 1 = key 1 most frequent.
   auto placement = GeneratePlacement(spec);
   ASSERT_TRUE(placement.ok());
-  EXPECT_GT(placement->key_counts.front(), placement->key_counts.back());
+  // The counts are the Zipf apportionment in a seeded key order.
+  std::vector<uint64_t> sorted = placement->key_counts;
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  auto zipf = ZipfDistribution::Make(spec.num_distinct, spec.theta);
+  ASSERT_TRUE(zipf.ok());
+  EXPECT_EQ(sorted, zipf->ApportionCounts(spec.num_records));
+  EXPECT_GT(sorted.front(), sorted.back());
   for (uint64_t c : placement->key_counts) EXPECT_GE(c, 1u);
 }
 
@@ -232,7 +241,8 @@ TEST(DatasetTest, RangePageTraceMatchesFullTraceSlice) {
 
   auto full = (*dataset)->FullIndexKeyPageTrace();
   ASSERT_TRUE(full.ok());
-  auto range = (*dataset)->RangePageTrace(10, 20);
+  auto range =
+      CollectScanTrace(*(*dataset)->index(), KeyRange::Closed(10, 20));
   ASSERT_TRUE(range.ok());
 
   std::vector<PageId> expected;
