@@ -34,6 +34,8 @@
 //   --json=PATH          output JSON path    (default BENCH_online.json)
 //   --gate-detect-intervals=N  fail unless detect <= N   (default 0=off)
 //   --gate-fresh-err=E   fail unless fresh err <= E      (default 0=off)
+//   --gate-ingest-mrefs=X  fail unless refs/s ingested >= X million
+//                          (default 0=off)
 //
 // Acceptance target (ISSUE 8): drift detected within 2 refresh
 // intervals of the shift; the republished curve beats the stale one.
@@ -112,6 +114,7 @@ int main(int argc, char** argv) {
   const int gate_detect =
       static_cast<int>(args.GetInt("gate-detect-intervals", 0));
   const double gate_fresh = args.GetDouble("gate-fresh-err", 0.0);
+  const double gate_ingest_mrefs = args.GetDouble("gate-ingest-mrefs", 0.0);
   ExitOnBadArgs(args);
 
   if (pages == 0 || phase_refs == 0 || window == 0 || interval == 0 ||
@@ -228,6 +231,7 @@ int main(int argc, char** argv) {
   double stale_err = MeanRelErr(*stale, *reference);
   double fresh_err = MeanRelErr(*fresh, *reference);
   double total_refs = static_cast<double>(2 * phase_refs);
+  double ingest_mrefs = total_refs / total_s / 1e6;
 
   TablePrinter table({"metric", "value"});
   table.AddRow().Cell("refs/s ingested").Cell(total_refs / total_s, 0);
@@ -264,6 +268,11 @@ int main(int argc, char** argv) {
     gates_ok = false;
     std::cerr << "GATE FAIL: fresh error " << fresh_err << " above "
               << gate_fresh << '\n';
+  }
+  if (gate_ingest_mrefs > 0 && ingest_mrefs < gate_ingest_mrefs) {
+    gates_ok = false;
+    std::cerr << "GATE FAIL: ingested " << ingest_mrefs
+              << " M refs/s, floor is " << gate_ingest_mrefs << '\n';
   }
   if (fresh_err >= stale_err) {
     gates_ok = false;

@@ -1,5 +1,6 @@
 #include "buffer/decayed_window.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -24,23 +25,35 @@ void DecayedReuseWindow::Absorb(const StackDistanceHistogram& hist,
   const uint64_t delta_total =
       cur_total > prev_total_ ? cur_total - prev_total_ : 0;
 
-  if (delta_total > 0 && absorbs_ > 0) {
-    const double lambda =
-        std::exp(-static_cast<double>(delta_total) /
-                 static_cast<double>(window_refs_));
-    for (double& w : decayed_hist_) w *= lambda;
-    cold_ *= lambda;
-    sampled_ *= lambda;
-    total_ *= lambda;
-  }
+  // The weights decay only between two absorbs that the stream advanced
+  // across; multiplying by 1.0 otherwise leaves every weight bit-exact.
+  const double lambda =
+      delta_total > 0 && absorbs_ > 0
+          ? std::exp(-static_cast<double>(delta_total) /
+                     static_cast<double>(window_refs_))
+          : 1.0;
+  cold_ *= lambda;
+  sampled_ *= lambda;
+  total_ *= lambda;
 
-  if (cur.size() > decayed_hist_.size()) decayed_hist_.resize(cur.size(), 0.0);
-  if (cur.size() > prev_hist_.size()) prev_hist_.resize(cur.size(), 0);
-  for (size_t d = 1; d < cur.size(); ++d) {
-    // Cumulative counts are monotone (see class comment); the delta is the
-    // emission since the previous Absorb.
-    decayed_hist_[d] += static_cast<double>(cur[d] - prev_hist_[d]);
-    prev_hist_[d] = cur[d];
+  // One descending pass decays each bin, adds the kernel's delta (the
+  // cumulative counts are monotone, see class comment) and records the
+  // running sum from the top bin down, so tail_[d] is the weight at
+  // distances >= d, summed in the order a top-down walk would add it.
+  const size_t bins = std::max(cur.size(), decayed_hist_.size());
+  decayed_hist_.resize(bins, 0.0);
+  prev_hist_.resize(bins, 0);
+  tail_.resize(bins + 1, 0.0);  // tail_[bins] stays 0: nothing above.
+  double tail = 0.0;
+  for (size_t d = bins; d-- > 1;) {
+    double w = decayed_hist_[d] * lambda;
+    if (d < cur.size()) {
+      w += static_cast<double>(cur[d] - prev_hist_[d]);
+      prev_hist_[d] = cur[d];
+    }
+    decayed_hist_[d] = w;
+    tail += w;
+    tail_[d] = tail;
   }
 
   cold_ += static_cast<double>(cur_cold - prev_cold_);
@@ -54,12 +67,9 @@ void DecayedReuseWindow::Absorb(const StackDistanceHistogram& hist,
 }
 
 double DecayedReuseWindow::TailWeight(uint64_t buffer_size) const {
-  double tail = 0.0;
-  for (size_t d = decayed_hist_.size(); d-- > 0;) {
-    if (static_cast<uint64_t>(d) <= buffer_size) break;
-    tail += decayed_hist_[d];
-  }
-  return tail;
+  // tail_ holds one entry past the top bin, so b + 1 stays in range for
+  // every b below the bin count.
+  return buffer_size < decayed_hist_.size() ? tail_[buffer_size + 1] : 0.0;
 }
 
 double DecayedReuseWindow::TailWeightAt(double buffer_size) const {

@@ -38,7 +38,8 @@ class DecayedReuseWindow {
   explicit DecayedReuseWindow(uint64_t window_refs);
 
   /// Folds everything the kernel emitted since the previous Absorb into
-  /// the decayed window. `hist` and `summary` must come from the same
+  /// the decayed window, in one O(bins) pass that also rebuilds the tail
+  /// sums TailWeight reads. `hist` and `summary` must come from the same
   /// kernel this window has been tracking (cumulative counts only grow);
   /// the first call absorbs the whole history with weight 1.
   void Absorb(const StackDistanceHistogram& hist,
@@ -46,9 +47,6 @@ class DecayedReuseWindow {
 
   /// Decayed weight of all references (sampled or not) in the window.
   double total_weight() const { return total_; }
-
-  /// Decayed weight of references that passed the sampling filter.
-  double sampled_weight() const { return sampled_; }
 
   /// Decayed weight of first-touch (cold) sampled references.
   double cold_weight() const { return cold_; }
@@ -58,7 +56,8 @@ class DecayedReuseWindow {
 
   /// Decayed weight of sampled re-references whose reuse distance
   /// exceeds `buffer_size` — the window analog of
-  /// histogram.Fetches(b) - cold_misses().
+  /// histogram.Fetches(b) - cold_misses(). O(1): Absorb keeps the tail
+  /// sums, so reading a curve at |sizes| points costs |sizes| lookups.
   double TailWeight(uint64_t buffer_size) const;
 
   /// Fractional-boundary tail: linearly interpolates between the integer
@@ -74,14 +73,17 @@ class DecayedReuseWindow {
   /// counter mirrors it).
   uint64_t absorbs() const { return absorbs_; }
 
-  uint64_t window_refs() const { return window_refs_; }
-
  private:
   uint64_t window_refs_;
   uint64_t absorbs_ = 0;
 
   // Decayed accumulators (emission domain, see class comment).
   std::vector<double> decayed_hist_;  // Bucket d >= 1: re-ref distances.
+  // tail_[d] = decayed weight at distances >= d, for 1 <= d below
+  // decayed_hist_.size(); the one entry past the top bin is 0. Each is
+  // summed from the top bin down, the order the published knots' bits
+  // depend on.
+  std::vector<double> tail_;
   double cold_ = 0.0;
   double sampled_ = 0.0;
   double total_ = 0.0;

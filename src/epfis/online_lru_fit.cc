@@ -186,6 +186,9 @@ Status OnlineLruFit::Refresh() {
   static Counter refreshes = registry.GetCounter("online.refreshes");
   static Counter publishes = registry.GetCounter("online.publishes");
   static Gauge drift_ppm = registry.GetGauge("online.drift_error_ppm");
+  static LatencyHistogram refresh_ns =
+      registry.GetHistogram("online.refresh_ns");
+  ScopedTimer timer(refresh_ns);
 
   // Restart the interval clock first: the kernel has already absorbed the
   // references, so a failed refresh retries at the *next* interval — the

@@ -74,7 +74,6 @@ class DriftDetector {
 
   int streak() const { return streak_; }
   double last_error() const { return last_error_; }
-  const DriftDetectorOptions& options() const { return options_; }
 
  private:
   DriftDetectorOptions options_;
@@ -169,7 +168,8 @@ class OnlineLruFit {
   }
 
   /// Forces a refresh now (shutdown flush, tests). Also restarts the
-  /// interval clock.
+  /// interval clock. Every refresh, forced or not, records its duration
+  /// in the `online.refresh_ns` histogram.
   Status Refresh();
 
   /// The live curve materialized as a catalog entry: windowed FPF knots
@@ -177,9 +177,6 @@ class OnlineLruFit {
   /// Fails before the first absorb (no live data yet).
   Result<IndexStats> BuildStats() const;
 
-  const std::string& index_name() const { return index_name_; }
-  const OnlineLruFitOptions& options() const { return options_; }
-  const DecayedReuseWindow& window() const { return window_; }
   const DriftDetector& detector() const { return detector_; }
 
   /// Total references ingested.

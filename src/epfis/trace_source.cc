@@ -262,8 +262,10 @@ Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path) {
     return map_fault;
   }
   void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // The mapping keeps the file alive.
-  if (map == MAP_FAILED) return Status::IoError("cannot mmap " + path);
+  if (map == MAP_FAILED) {
+    ::close(fd);
+    return Status::IoError("cannot mmap " + path);
+  }
 
   const char* bytes = static_cast<const char*>(map);
   // 16-byte header keeps the entries PageId-aligned within the
@@ -286,11 +288,12 @@ Result<MmapTraceSource> MmapTraceSource::Open(const std::string& path) {
   static Counter mmap_bytes = registry.GetCounter("trace.mmap_bytes_mapped");
   mmap_opens.Increment();
   mmap_bytes.Increment(file_size);
-  return MmapTraceSource(map, file_size, entries, *count);
+  return MmapTraceSource(fd, map, file_size, entries, *count);
 }
 
 MmapTraceSource::~MmapTraceSource() {
   if (map_ != nullptr) ::munmap(map_, map_len_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 #else  // !EPFIS_HAS_MMAP
@@ -305,7 +308,8 @@ MmapTraceSource::~MmapTraceSource() = default;
 #endif  // EPFIS_HAS_MMAP
 
 MmapTraceSource::MmapTraceSource(MmapTraceSource&& other) noexcept
-    : map_(std::exchange(other.map_, nullptr)),
+    : fd_(std::exchange(other.fd_, -1)),
+      map_(std::exchange(other.map_, nullptr)),
       map_len_(std::exchange(other.map_len_, 0)),
       entries_(std::exchange(other.entries_, nullptr)),
       count_(std::exchange(other.count_, 0)),
@@ -315,7 +319,9 @@ MmapTraceSource& MmapTraceSource::operator=(MmapTraceSource&& other) noexcept {
   if (this != &other) {
 #ifdef EPFIS_HAS_MMAP
     if (map_ != nullptr) ::munmap(map_, map_len_);
+    if (fd_ >= 0) ::close(fd_);
 #endif
+    fd_ = std::exchange(other.fd_, -1);
     map_ = std::exchange(other.map_, nullptr);
     map_len_ = std::exchange(other.map_len_, 0);
     entries_ = std::exchange(other.entries_, nullptr);
@@ -329,6 +335,18 @@ Result<size_t> MmapTraceSource::Next(PageId* buffer, size_t capacity) {
   size_t n = static_cast<size_t>(
       std::min<uint64_t>(capacity, count_ - pos_));
   if (n > 0) {
+#ifdef EPFIS_HAS_MMAP
+    // Open saw the whole body, but the file may have shrunk since, and
+    // copying from a page it no longer backs raises SIGBUS.
+    struct stat st;
+    if (::fstat(fd_, &st) != 0) {
+      return Status::IoError("trace file: stat failed");
+    }
+    if (static_cast<uint64_t>(st.st_size) <
+        kPageTraceHeaderSize + (pos_ + n) * sizeof(PageId)) {
+      return Status::Corruption("trace file: truncated body");
+    }
+#endif
     std::memcpy(buffer, entries_ + pos_, n * sizeof(PageId));
     pos_ += n;
   }

@@ -119,13 +119,16 @@ class FileTraceSource final : public TraceSource {
 /// TraceSource over a SavePageTrace file mapped read-only into the address
 /// space: the kernel's page cache backs the trace directly, so Next is a
 /// straight memcpy out of the mapping with no ifstream buffering between
-/// the file and the simulator, and `entries()` exposes the whole trace
-/// zero-copy for consumers that can read in place. Move-only; unmaps on
+/// the file and the simulator. Move-only; unmaps and closes the file on
 /// destruction.
 ///
 /// Open validates the file exactly as FileTraceSource::Open does, with the
 /// same Status for every malformed file. Zero-length and sub-header files
 /// are rejected before mmap is ever attempted (mapping 0 bytes is EINVAL).
+/// The descriptor stays open so that every Next can fstat it before its
+/// copy: a file that shrinks after Open fails Next with the Corruption
+/// "trace file: truncated body", as FileTraceSource does, instead of the
+/// copy faulting (SIGBUS) on pages the file no longer backs.
 ///
 /// On platforms without mmap, Open fails with FailedPrecondition (see
 /// Supported()); OpenTraceSource below falls back to FileTraceSource.
@@ -147,15 +150,16 @@ class MmapTraceSource final : public TraceSource {
   }
   std::optional<uint64_t> size_hint() const override { return count_; }
 
-  /// The whole trace, resident via the mapping (zero-copy consumption).
-  const PageId* entries() const { return entries_; }
-  uint64_t count() const { return count_; }
-
  private:
-  MmapTraceSource(void* map, size_t map_len, const PageId* entries,
+  MmapTraceSource(int fd, void* map, size_t map_len, const PageId* entries,
                   uint64_t count)
-      : map_(map), map_len_(map_len), entries_(entries), count_(count) {}
+      : fd_(fd),
+        map_(map),
+        map_len_(map_len),
+        entries_(entries),
+        count_(count) {}
 
+  int fd_ = -1;
   void* map_ = nullptr;
   size_t map_len_ = 0;
   const PageId* entries_ = nullptr;

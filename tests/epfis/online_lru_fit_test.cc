@@ -8,6 +8,7 @@
 #include <cmath>
 #include <latch>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "epfis/est_io.h"
 #include "epfis/lru_fit.h"
 #include "epfis/online_lru_fit.h"
+#include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/random.h"
 #include "util/zipf.h"
@@ -120,6 +122,107 @@ TEST(DecayedReuseWindowTest, TailWeightAtInterpolatesBetweenBuckets) {
   }
   EXPECT_DOUBLE_EQ(window.TailWeightAt(6.5), 0.0);
   EXPECT_DOUBLE_EQ(window.TailWeightAt(-1.0), window.TailWeight(0));
+}
+
+// The window's arithmetic written out as plain loops: decay every bin,
+// add the kernel's delta, then sum each tail from the top bin down. The
+// published knots depend on that summation order, so the window must
+// match this bit for bit.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(uint64_t window_refs) : window_refs_(window_refs) {}
+
+  void Absorb(const StackDistanceHistogram& hist, uint64_t total_refs) {
+    const std::vector<uint64_t>& cur = hist.hist();
+    uint64_t delta_total = total_refs - prev_total_;
+    if (delta_total > 0 && absorbs_ > 0) {
+      double lambda = std::exp(-static_cast<double>(delta_total) /
+                               static_cast<double>(window_refs_));
+      for (double& w : bins_) w *= lambda;
+    }
+    if (cur.size() > bins_.size()) bins_.resize(cur.size(), 0.0);
+    if (cur.size() > prev_.size()) prev_.resize(cur.size(), 0);
+    for (size_t d = 1; d < cur.size(); ++d) {
+      bins_[d] += static_cast<double>(cur[d] - prev_[d]);
+      prev_[d] = cur[d];
+    }
+    prev_total_ = total_refs;
+    ++absorbs_;
+  }
+
+  double Tail(uint64_t b) const {
+    double tail = 0.0;
+    for (size_t d = bins_.size(); d-- > 0 && d > b;) tail += bins_[d];
+    return tail;
+  }
+
+  double TailAt(double b) const {
+    uint64_t k = static_cast<uint64_t>(std::floor(b));
+    double frac = b - std::floor(b);
+    double tail = Tail(k);
+    if (k + 1 < bins_.size()) tail -= frac * bins_[k + 1];
+    return tail < 0.0 ? 0.0 : tail;
+  }
+
+  size_t top_bin() const { return bins_.empty() ? 0 : bins_.size() - 1; }
+
+ private:
+  uint64_t window_refs_;
+  uint64_t absorbs_ = 0;
+  uint64_t prev_total_ = 0;
+  std::vector<double> bins_;
+  std::vector<uint64_t> prev_;
+};
+
+TEST(DecayedReuseWindowTest, TailsMatchATopDownReferenceBitForBit) {
+  constexpr uint64_t kInterval = 1'000;  // Stream references per absorb.
+  struct Case {
+    uint64_t window_refs;
+    bool sampled;  // Only 1 in 8 stream references reaches the histogram.
+  };
+  // 400 is below the interval, so each absorb decays by e^-2.5.
+  const Case cases[] = {
+      {400, false}, {3'000, false}, {50'000, false}, {3'000, true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("window_refs=" + std::to_string(c.window_refs) +
+                 (c.sampled ? " sampled" : " exact"));
+    Rng rng(c.window_refs + (c.sampled ? 1 : 0));
+    DecayedReuseWindow window(c.window_refs);
+    ReferenceWindow reference(c.window_refs);
+    StackDistanceHistogram hist;
+    SamplingSummary summary;
+    uint64_t top = 3;
+    for (int absorb = 0; absorb < 24; ++absorb) {
+      // Absorb 10 sees no new references: a repeat absorb must not decay.
+      if (absorb != 10) {
+        top += 1 + rng.NextBounded(9);  // A new top bin every absorb.
+        uint64_t refs = c.sampled ? kInterval / 8 : kInterval;
+        uint64_t at_top = 1 + rng.NextBounded(5);
+        uint64_t cold = rng.NextBounded(20);
+        hist.AddDistances(top, at_top);
+        hist.AddColdMisses(cold);
+        for (uint64_t i = at_top + cold; i < refs; ++i) {
+          hist.AddDistance(1 + rng.NextBounded(top));
+        }
+        summary.total_refs += kInterval;
+        summary.sampled_refs = hist.accesses();
+        summary.effective_rate = c.sampled ? 0.125 : 1.0;
+      }
+      window.Absorb(hist, summary);
+      reference.Absorb(hist, summary.total_refs);
+      ASSERT_EQ(reference.top_bin(), top);
+
+      for (uint64_t b = 0; b <= top + 2; ++b) {
+        ASSERT_EQ(window.TailWeight(b), reference.Tail(b))
+            << "absorb " << absorb << " b=" << b;
+        for (double frac : {0.0, 0.25, 0.5}) {
+          double at = static_cast<double>(b) + frac;
+          ASSERT_EQ(window.TailWeightAt(at), reference.TailAt(at))
+              << "absorb " << absorb << " b=" << at;
+        }
+      }
+    }
+  }
 }
 
 TEST(DriftDetectorTest, PatienceOneTriggersOnFirstExcursion) {
@@ -348,6 +451,33 @@ TEST(OnlineLruFitTest, BootstrapPublishesIntoEmptyCatalog) {
   EXPECT_EQ(stats->window_refs, 8000u);
   EXPECT_EQ(stats->drift_error, 0.0);  // Nothing to drift from.
 }
+
+#if EPFIS_METRICS_ENABLED
+TEST(OnlineLruFitTest, EachRefreshAddsOneRefreshTimeSample) {
+  std::vector<PageId> trace = MakeZipfTrace(8000, 200, 0.7, 5);
+  StatsCatalog catalog;
+  OnlineLruFitOptions options;
+  options.table_pages = 200;
+  options.window_refs = 8000;
+  options.refresh_interval = 2000;
+  OnlineLruFit engine("ix_timed", options, &catalog);
+
+  MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  ASSERT_TRUE(engine.Ingest(trace).ok());
+  ASSERT_TRUE(engine.Refresh().ok());
+  MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+
+  ASSERT_EQ(engine.refreshes(), 5u);  // Four intervals and the forced one.
+  auto refresh_ns = [](const MetricsSnapshot& snap) {
+    auto it = snap.histograms.find("online.refresh_ns");
+    return it == snap.histograms.end() ? HistogramSnapshot{} : it->second;
+  };
+  HistogramSnapshot was = refresh_ns(before);
+  HistogramSnapshot now = refresh_ns(after);
+  EXPECT_EQ(now.count - was.count, engine.refreshes());
+  EXPECT_GT(now.sum, was.sum);
+}
+#endif  // EPFIS_METRICS_ENABLED
 
 TEST(OnlineLruFitTest, PhaseShiftTriggersDriftRepublish) {
   // Phase 1: hard Zipf skew (theta 0.9). Phase 2: near-uniform references

@@ -97,6 +97,34 @@ TEST(FileTraceSourceTest, DetectsTruncatedBody) {
   std::remove(path.c_str());
 }
 
+// The mmap reader pages the file in lazily, so a file truncated after
+// Open must fail the next Next as the streaming reader does, not fault
+// (SIGBUS) on a page the file no longer backs: first a cut halfway
+// through the chunk about to be copied, then one to 4 KiB.
+TEST(OpenTraceSourceTest, FileTruncatedAfterOpenFailsNextWithCorruption) {
+  const std::string path = "/tmp/epfis_trace_source_shrink.bin";
+  ASSERT_TRUE(SavePageTrace(std::vector<PageId>(1'000'000, 7), path).ok());
+  auto source = OpenTraceSource(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_NE(dynamic_cast<MmapTraceSource*>(source->get()), nullptr);
+  std::vector<PageId> buf(1 << 16);
+  auto first = (*source)->Next(buf.data(), buf.size());
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, buf.size());
+
+  const std::string truncated =
+      Status::Corruption("trace file: truncated body").ToString();
+  off_t mid_chunk = static_cast<off_t>(kPageTraceHeaderSize +
+                                       buf.size() * 3 / 2 * sizeof(PageId));
+  for (off_t size : {mid_chunk, off_t{4096}}) {
+    ASSERT_EQ(truncate(path.c_str(), size), 0);
+    EXPECT_EQ((*source)->Next(buf.data(), buf.size()).status().ToString(),
+              truncated)
+        << "file cut to " << size << " bytes";
+  }
+  std::remove(path.c_str());
+}
+
 TEST(RunLruFitTest, TraceSourceMatchesVectorOverload) {
   Rng rng(17);
   std::vector<PageId> trace;
