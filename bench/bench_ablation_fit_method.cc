@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "epfis/lru_fit.h"
 #include "util/polynomial.h"
 #include "util/table_printer.h"
@@ -75,13 +75,13 @@ int Run(int argc, char** argv) {
     }
 
     // Dense ground truth: every 1% of T.
-    StackDistanceSimulator sim(trace->size());
-    sim.AccessAll(*trace);
+    StackDistanceKernel kernel(trace->size());
+    kernel.AccessAll(*trace);
     double seg_max = 0, seg_sum = 0, p6_max = 0, p6_sum = 0, p13_max = 0,
            p13_sum = 0;
     int cells = 0;
     for (uint64_t b = b_min; b <= t; b += std::max<uint64_t>(1, t / 100)) {
-      double actual = static_cast<double>(sim.Fetches(b));
+      double actual = static_cast<double>(kernel.Fetches(b));
       if (actual <= 0) continue;
       double x = static_cast<double>(b);
       double e_seg = std::fabs(segments->Eval(x) - actual) / actual;

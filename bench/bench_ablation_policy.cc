@@ -14,9 +14,8 @@
 #include "buffer/clock_replacer.h"
 #include "buffer/lru_replacer.h"
 #include "buffer/policy_simulator.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "epfis/epfis.h"
-#include "exec/index_scan.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 
@@ -46,6 +45,7 @@ int Run(int argc, char** argv) {
     uint64_t t = (*dataset)->num_pages();
 
     auto full_trace = (*dataset)->FullIndexPageTrace().value();
+    auto entries = (*dataset)->IndexEntries().value();
     IndexStats stats = RunLruFit(full_trace, t, (*dataset)->num_distinct(),
                                  "idx")
                            .value();
@@ -54,11 +54,9 @@ int Run(int argc, char** argv) {
     ScanGenerator gen(dataset->get(), options.seed + 1);
     ScanRange scan = gen.FromFraction(0.20);
     auto trace =
-        CollectScanTrace(*(*dataset)->index(),
-                         KeyRange::Closed(scan.lo_key, scan.hi_key))
-            .value();
-    StackDistanceSimulator lru_sim(trace.size() + 1);
-    lru_sim.AccessAll(trace);
+        SliceScanTrace(**dataset, entries, scan.lo_key, scan.hi_key).value();
+    StackDistanceKernel lru_kernel(trace.size());
+    lru_kernel.AccessAll(trace);
 
     std::cout << "--- K = " << k << " (sigma = " << scan.sigma << ", "
               << trace.size() << " refs) ---\n";
@@ -67,7 +65,7 @@ int Run(int argc, char** argv) {
     for (double frac : {0.05, 0.15, 0.30, 0.60, 0.90}) {
       uint64_t b = std::max<uint64_t>(
           1, static_cast<uint64_t>(frac * static_cast<double>(t)));
-      uint64_t lru = lru_sim.Fetches(b);
+      uint64_t lru = lru_kernel.Fetches(b);
       uint64_t clock = CountPolicyFetches(
           trace, b, std::make_unique<ClockReplacer>());
       double est =

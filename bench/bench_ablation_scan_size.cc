@@ -11,8 +11,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
-#include "exec/index_scan.h"
+#include "buffer/stack_distance_kernel.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 
@@ -44,10 +43,8 @@ int Run(int argc, char** argv) {
 
     ExperimentConfig config = PaperExperimentConfig(options);
     // Statistics once.
-    auto key_trace = (*dataset)->FullIndexKeyPageTrace().value();
-    std::vector<PageId> page_trace;
-    page_trace.reserve(key_trace.size());
-    for (const KeyPageRef& ref : key_trace) page_trace.push_back(ref.page);
+    auto page_trace = (*dataset)->FullIndexPageTrace().value();
+    auto entries = (*dataset)->IndexEntries().value();
     IndexStats stats =
         RunLruFit(page_trace, t, (*dataset)->num_distinct(), "idx",
                   config.lru_fit)
@@ -64,12 +61,11 @@ int Run(int argc, char** argv) {
       for (int s = 0; s < scans; ++s) {
         ScanRange scan = gen.FromFraction(r);
         auto trace =
-            CollectScanTrace(*(*dataset)->index(),
-                             KeyRange::Closed(scan.lo_key, scan.hi_key))
+            SliceScanTrace(**dataset, entries, scan.lo_key, scan.hi_key)
                 .value();
-        StackDistanceSimulator sim(trace.size() + 1);
-        sim.AccessAll(trace);
-        sum_actual += static_cast<double>(sim.Fetches(buffer));
+        StackDistanceKernel kernel(trace.size());
+        kernel.AccessAll(trace);
+        sum_actual += static_cast<double>(kernel.Fetches(buffer));
         sum_est += EstIo::Estimate(stats, {scan.sigma, 1.0, buffer},
                                    config.est_io)
                        .value();

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "util/table_printer.h"
 #include "workload/data_gen.h"
 
@@ -53,8 +53,8 @@ int Run(int argc, char** argv) {
       std::cerr << trace.status().ToString() << '\n';
       return 1;
     }
-    StackDistanceSimulator sim(trace->size());
-    sim.AccessAll(*trace);
+    StackDistanceKernel kernel(trace->size());
+    kernel.AccessAll(*trace);
     uint64_t t = (*dataset)->num_pages();
 
     std::cout << "--- K = " << k << " ---\n";
@@ -79,7 +79,7 @@ int Run(int argc, char** argv) {
       double fit_err = 0;
       for (uint64_t b = result->stats.b_min; b <= t;
            b += std::max<uint64_t>(1, t / 100)) {
-        double actual = static_cast<double>(sim.Fetches(b));
+        double actual = static_cast<double>(kernel.Fetches(b));
         if (actual <= 0) continue;
         fit_err = std::max(
             fit_err, std::fabs(result->stats.FullScanFetches(

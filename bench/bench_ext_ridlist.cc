@@ -12,9 +12,8 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "epfis/epfis.h"
-#include "exec/index_scan.h"
 #include "exec/multi_index.h"
 #include "exec/rid_list.h"
 #include "util/table_printer.h"
@@ -45,6 +44,7 @@ int Run(int argc, char** argv) {
   double t = static_cast<double>(dataset.num_pages());
 
   auto trace = dataset.FullIndexPageTrace().value();
+  auto entries = dataset.IndexEntries().value();
   IndexStats stats =
       RunLruFit(trace, dataset.num_pages(), dataset.num_distinct(), "idx")
           .value();
@@ -55,9 +55,11 @@ int Run(int argc, char** argv) {
   double sigma = static_cast<double>(dataset.RecordsInRange(1, hi)) / n;
 
   RidList list = RidList::FromIndexRange(*dataset.index(), range).value();
-  auto scan_trace = CollectScanTrace(*dataset.index(), range).value();
-  StackDistanceSimulator sim(scan_trace.size() + 1);
-  sim.AccessAll(scan_trace);
+  auto scan_trace = SliceScanTrace(dataset, entries, range.EffectiveLo(),
+                                   range.EffectiveHi())
+                        .value();
+  StackDistanceKernel kernel(scan_trace.size());
+  kernel.AccessAll(scan_trace);
 
   std::cout << "Part 1: ordered index scan vs RID-sort fetch (sigma="
             << sigma << ", k=" << list.size() << " records)\n";
@@ -71,7 +73,7 @@ int Run(int argc, char** argv) {
         FetchRidList(*dataset.table(), pool.get(), list).value();
     part1.AddRow()
         .Cell(b)
-        .Cell(sim.Fetches(b))
+        .Cell(kernel.Fetches(b))
         .Cell(EstIo::Estimate(stats, {sigma, 1.0, b}).value(), 1)
         .Cell(rid.data_page_fetches)
         .Cell(rid_est, 1);

@@ -4,9 +4,10 @@
 // workload and 5%..90% buffer sweep.
 //
 // Paper parameters: N = 10^6, I = 10^4, R = 40, theta in {0, 0.86},
-// K in {0, 0.05, 0.10, 0.20, 0.50, 1}, noise 5%. The default --scale=0.05
-// shrinks N and I proportionally (50k records) so the full grid runs in
-// about a minute on one core; pass --paper-scale for the full sizes.
+// K in {0, 0.05, 0.10, 0.20, 0.50, 1}, noise 5%. The default --scale=0.1
+// shrinks N and I proportionally (100k records) so the full grid runs in
+// a few seconds on one core; --paper-scale runs the full sizes, in about
+// 30 s in a Release build.
 //
 // Extra flags: --theta=..., --k=... restrict the grid; --r=... overrides
 // records-per-page (the paper also ran R = 20 and 80 with similar

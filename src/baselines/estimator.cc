@@ -5,21 +5,21 @@
 namespace epfis {
 
 Result<BaselineTraceStats> CollectBaselineTraceStats(
-    const std::vector<KeyPageRef>& refs, uint64_t table_pages) {
-  if (refs.empty()) {
+    const std::vector<IndexEntry>& entries, uint64_t table_pages) {
+  if (entries.empty()) {
     return Status::InvalidArgument("baseline stats: empty index trace");
   }
   BaselineTraceStats stats;
   stats.table_pages = table_pages;
-  stats.table_records = refs.size();
+  stats.table_records = entries.size();
 
   LruSimulator one(1);
   LruSimulator three(3);
 
   // Per-key first/last page for DC's cluster counter.
-  int64_t current_key = refs.front().key;
-  PageId first_page = refs.front().page;
-  PageId last_page = refs.front().page;
+  int64_t current_key = entries.front().key;
+  PageId first_page = entries.front().rid.page_id;
+  PageId last_page = first_page;
   PageId prev_key_last_page = 0;
   bool have_prev_key = false;
 
@@ -34,19 +34,21 @@ Result<BaselineTraceStats> CollectBaselineTraceStats(
     ++stats.distinct_keys;
   };
 
-  for (size_t i = 0; i < refs.size(); ++i) {
-    if (i > 0 && refs[i].key < refs[i - 1].key) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const int64_t key = entries[i].key;
+    const PageId page = entries[i].rid.page_id;
+    if (i > 0 && key < entries[i - 1].key) {
       return Status::InvalidArgument(
           "baseline stats: trace not in key order");
     }
-    if (refs[i].key != current_key) {
+    if (key != current_key) {
       close_key();
-      current_key = refs[i].key;
-      first_page = refs[i].page;
+      current_key = key;
+      first_page = page;
     }
-    last_page = refs[i].page;
-    one.Access(refs[i].page);
-    three.Access(refs[i].page);
+    last_page = page;
+    one.Access(page);
+    three.Access(page);
   }
   close_key();
 

@@ -6,17 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "storage/page.h"
+#include "index/index_entry.h"
 #include "util/result.h"
 
 namespace epfis {
-
-/// One index entry reduced to what the classic estimators look at: the key
-/// value and the data page its record lives on, in key-sequence order.
-struct KeyPageRef {
-  int64_t key = 0;
-  PageId page = kInvalidPageId;
-};
 
 /// Statistics the §3 baseline algorithms derive from a single key-order
 /// scan of the index entries (their analogue of LRU-Fit's pass):
@@ -33,10 +26,12 @@ struct BaselineTraceStats {
   uint64_t j3 = 0;
 };
 
-/// Collects BaselineTraceStats in one pass. `refs` must be sorted by key
-/// (the natural order of a full index scan). Fails if empty.
+/// Collects BaselineTraceStats in one pass over the index entries, which
+/// must be sorted by key (the order Dataset::IndexEntries returns). The
+/// estimators look only at each entry's key and data page. Fails if
+/// empty.
 Result<BaselineTraceStats> CollectBaselineTraceStats(
-    const std::vector<KeyPageRef>& refs, uint64_t table_pages);
+    const std::vector<IndexEntry>& entries, uint64_t table_pages);
 
 /// What a baseline estimator is asked to cost: a partial scan with range
 /// selectivity sigma under a buffer of `buffer_pages`. (None of the §3

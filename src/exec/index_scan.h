@@ -34,8 +34,9 @@ Result<IndexScanResult> RunIndexScan(const BTree& index,
                                      const SargableFilter* filter = nullptr);
 
 /// Collects just the data-page reference string of the scan without
-/// touching the data pool at all (used by the harness, which feeds the
-/// trace to the stack simulator to obtain F for many buffer sizes at once).
+/// touching the data pool at all: a walk of the tree, the oracle that the
+/// harnesses' slices of the key-ordered entries (SliceScanTrace) are
+/// tested against.
 Result<std::vector<PageId>> CollectScanTrace(
     const BTree& index, const KeyRange& range,
     const SargableFilter* filter = nullptr);

@@ -7,6 +7,7 @@
 
 #include "buffer/lru_simulator.h"
 #include "buffer/stack_distance_kernel.h"
+#include "harness/experiment.h"
 #include "obs/metrics.h"
 #include "util/random.h"
 #include "workload/data_gen.h"
@@ -19,23 +20,6 @@ namespace {
 // buffer size; a mismatch fails the harness (it would mean the ground
 // truth itself is broken).
 constexpr int kLruCheckScans = 2;
-
-// Buffer sizes for one dataset: each configured fraction of T, floored at
-// min_buffer_pages, clamped to [1, T], deduplicated ascending.
-std::vector<uint64_t> BufferSizes(const AccuracyHarnessConfig& config,
-                                  uint64_t table_pages) {
-  std::vector<uint64_t> sizes;
-  for (double fraction : config.buffer_fractions) {
-    double want = fraction * static_cast<double>(table_pages);
-    uint64_t b = std::max<uint64_t>(
-        config.min_buffer_pages,
-        static_cast<uint64_t>(std::llround(std::max(want, 1.0))));
-    sizes.push_back(std::min<uint64_t>(std::max<uint64_t>(b, 1), table_pages));
-  }
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-  return sizes;
-}
 
 // The paper evaluates small and large scans separately; alternate between
 // the two mixes so every (sigma, B) bucket gets samples.
@@ -97,7 +81,8 @@ Result<AccuracyHarnessReport> RunAccuracyHarness(
     report.datasets.push_back(AccuracyDatasetReport{
         spec.window_fraction, table_pages, n, stats.clustering});
 
-    std::vector<uint64_t> buffers = BufferSizes(config, table_pages);
+    std::vector<uint64_t> buffers = SweepBufferSizes(
+        table_pages, config.buffer_fractions, config.min_buffer_pages);
     Rng rng(config.seed * 7919 + d);
     for (int scan = 0; scan < config.scans_per_dataset; ++scan) {
       double sigma_target = DrawSigma(rng, scan);

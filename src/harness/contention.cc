@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "buffer/lru_simulator.h"
-#include "buffer/stack_distance.h"
-#include "exec/index_scan.h"
+#include "buffer/stack_distance_kernel.h"
+#include "harness/experiment.h"
 #include "util/random.h"
 
 namespace epfis {
@@ -26,21 +26,23 @@ Result<ContentionResult> RunContentionExperiment(
   }
   const size_t m = scans.size();
 
-  // Collect each stream's reference string and its solo baselines.
+  // Slice each stream's reference string from the index entries, and
+  // take its solo baselines from one kernel pass.
+  EPFIS_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
+                         dataset.IndexEntries());
   std::vector<std::vector<PageId>> traces(m);
   ContentionResult result;
   result.streams.resize(m);
   uint64_t share = std::max<uint64_t>(1, config.buffer_pages / m);
   for (size_t s = 0; s < m; ++s) {
-    EPFIS_ASSIGN_OR_RETURN(
-        traces[s],
-        CollectScanTrace(*dataset.index(),
-                         KeyRange::Closed(scans[s].lo_key, scans[s].hi_key)));
-    StackDistanceSimulator sim(traces[s].size() + 1);
-    sim.AccessAll(traces[s]);
+    EPFIS_ASSIGN_OR_RETURN(traces[s],
+                           SliceScanTrace(dataset, entries, scans[s].lo_key,
+                                          scans[s].hi_key));
+    StackDistanceKernel kernel(traces[s].size());
+    kernel.AccessAll(traces[s]);
     result.streams[s].references = traces[s].size();
-    result.streams[s].solo_fetches = sim.Fetches(config.buffer_pages);
-    result.streams[s].share_fetches = sim.Fetches(share);
+    result.streams[s].solo_fetches = kernel.Fetches(config.buffer_pages);
+    result.streams[s].share_fetches = kernel.Fetches(share);
     result.total_solo += result.streams[s].solo_fetches;
     result.total_share_model += result.streams[s].share_fetches;
   }

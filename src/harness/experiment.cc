@@ -8,27 +8,52 @@
 #include "baselines/ml.h"
 #include "baselines/ot.h"
 #include "baselines/sd.h"
-#include "buffer/stack_distance.h"
-#include "exec/index_scan.h"
-#include "exec/predicate.h"
+#include "buffer/stack_distance_kernel.h"
 
 namespace epfis {
 
-std::vector<uint64_t> SweepBufferSizes(uint64_t table_pages,
-                                       const ExperimentConfig& config) {
-  std::vector<uint64_t> sizes;
-  double t = static_cast<double>(table_pages);
-  for (double frac = config.buffer_frac_start;
-       frac <= config.buffer_frac_end + 1e-9;
-       frac += config.buffer_frac_step) {
-    uint64_t b = static_cast<uint64_t>(std::llround(frac * t));
-    b = std::max(b, config.min_buffer_pages);
-    b = std::max<uint64_t>(b, 1);
-    b = std::min(b, table_pages);
-    if (sizes.empty() || b > sizes.back()) sizes.push_back(b);
+std::vector<double> PaperBufferFractions() {
+  std::vector<double> fractions;
+  for (double frac = 0.05; frac <= 0.90 + 1e-9; frac += 0.05) {
+    fractions.push_back(frac);
   }
-  if (sizes.empty()) sizes.push_back(std::max<uint64_t>(1, table_pages));
+  return fractions;
+}
+
+std::vector<uint64_t> SweepBufferSizes(uint64_t table_pages,
+                                       const std::vector<double>& fractions,
+                                       uint64_t min_buffer_pages) {
+  std::vector<uint64_t> sizes;
+  for (double fraction : fractions) {
+    double want = fraction * static_cast<double>(table_pages);
+    uint64_t b = std::max<uint64_t>(
+        min_buffer_pages,
+        static_cast<uint64_t>(std::llround(std::max(want, 1.0))));
+    sizes.push_back(std::min(b, table_pages));
+  }
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
   return sizes;
+}
+
+Result<std::vector<PageId>> SliceScanTrace(
+    const Dataset& dataset, const std::vector<IndexEntry>& entries,
+    int64_t lo, int64_t hi, const SargableFilter* filter) {
+  const uint64_t first =
+      dataset.RecordsInRange(1, std::max<int64_t>(lo, 1) - 1);
+  const uint64_t count = dataset.RecordsInRange(lo, hi);
+  if (first + count > entries.size()) {
+    return Status::InvalidArgument(
+        "scan slice: fewer index entries than the key counts");
+  }
+  std::vector<PageId> trace;
+  trace.reserve(count);
+  for (uint64_t i = first; i < first + count; ++i) {
+    if (filter == nullptr || filter->Keep(entries[i])) {
+      trace.push_back(entries[i].rid.page_id);
+    }
+  }
+  return trace;
 }
 
 Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
@@ -38,7 +63,8 @@ Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
   }
   const uint64_t t = dataset.num_pages();
   ExperimentResult result;
-  result.buffer_sizes = SweepBufferSizes(t, config);
+  result.buffer_sizes =
+      SweepBufferSizes(t, PaperBufferFractions(), config.min_buffer_pages);
   result.buffer_pct.reserve(result.buffer_sizes.size());
   for (uint64_t b : result.buffer_sizes) {
     result.buffer_pct.push_back(100.0 * static_cast<double>(b) /
@@ -47,18 +73,20 @@ Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
   const size_t num_buffers = result.buffer_sizes.size();
 
   // --- Statistics collection (once per dataset, as in the paper) ---
-  EPFIS_ASSIGN_OR_RETURN(std::vector<KeyPageRef> key_trace,
-                         dataset.FullIndexKeyPageTrace());
+  EPFIS_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
+                         dataset.IndexEntries());
   std::vector<PageId> page_trace;
-  page_trace.reserve(key_trace.size());
-  for (const KeyPageRef& ref : key_trace) page_trace.push_back(ref.page);
+  page_trace.reserve(entries.size());
+  for (const IndexEntry& entry : entries) {
+    page_trace.push_back(entry.rid.page_id);
+  }
 
   EPFIS_ASSIGN_OR_RETURN(
       result.stats,
       RunLruFit(page_trace, t, dataset.num_distinct(), dataset.name(),
                 config.lru_fit));
   EPFIS_ASSIGN_OR_RETURN(result.trace_stats,
-                         CollectBaselineTraceStats(key_trace, t));
+                         CollectBaselineTraceStats(entries, t));
 
   // --- Estimators under comparison ---
   std::vector<std::unique_ptr<Estimator>> baselines;
@@ -84,21 +112,22 @@ Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
   // --- The 200 random scans ---
   ScanGenerator generator(&dataset, config.seed);
   for (int scan_idx = 0; scan_idx < config.num_scans; ++scan_idx) {
-    ScanRange scan = generator.Next(config.mix, config.p_small);
-    KeyRange range = KeyRange::Closed(scan.lo_key, scan.hi_key);
+    ScanRange scan = generator.Next(config.mix);
 
-    // Ground truth: the scan's reference string once, fetch counts for all
-    // buffer sizes from the stack simulator (identical to running one LRU
-    // pool per size — asserted by integration tests).
+    // Ground truth: the scan's reference string, sliced from the entries,
+    // and fetch counts for all buffer sizes from one kernel pass
+    // (identical to running one LRU pool per size — asserted by
+    // integration tests).
     EPFIS_ASSIGN_OR_RETURN(
         std::vector<PageId> trace,
-        CollectScanTrace(*dataset.index(), range,
-                         filter.has_value() ? &*filter : nullptr));
-    StackDistanceSimulator sim(trace.size() + 1);
-    sim.AccessAll(trace);
+        SliceScanTrace(dataset, entries, scan.lo_key, scan.hi_key,
+                       filter.has_value() ? &*filter : nullptr));
+    StackDistanceKernel kernel(trace.size());
+    kernel.AccessAll(trace);
     std::vector<double> actual(num_buffers);
     for (size_t j = 0; j < num_buffers; ++j) {
-      actual[j] = static_cast<double>(sim.Fetches(result.buffer_sizes[j]));
+      actual[j] =
+          static_cast<double>(kernel.Fetches(result.buffer_sizes[j]));
       sum_actual[j] += actual[j];
     }
 

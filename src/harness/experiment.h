@@ -7,6 +7,7 @@
 
 #include "baselines/estimator.h"
 #include "epfis/epfis.h"
+#include "exec/predicate.h"
 #include "workload/dataset.h"
 #include "workload/scan_gen.h"
 
@@ -16,15 +17,12 @@ namespace epfis {
 struct ExperimentConfig {
   /// Number of random scans (paper: 200).
   int num_scans = 200;
+  /// kMixed draws a small or a large scan with probability 0.5 each, as
+  /// the paper does.
   ScanMix mix = ScanMix::kMixed;
-  double p_small = 0.5;
 
-  /// Buffer sweep: fractions of T in [start, end] stepped by `step`
-  /// (paper: 5%..90% step 5%), with each size floored at
-  /// `min_buffer_pages` (paper: 300) and capped at T.
-  double buffer_frac_start = 0.05;
-  double buffer_frac_step = 0.05;
-  double buffer_frac_end = 0.90;
+  /// Floor of every swept buffer size (paper: 300). The sweep itself is
+  /// the paper's, PaperBufferFractions() of T, each size capped at T.
   uint64_t min_buffer_pages = 300;
 
   /// Optional sargable-predicate selectivity applied to every scan
@@ -63,16 +61,35 @@ struct ExperimentResult {
 
 /// Runs the paper's §5 protocol on one dataset: collect statistics once
 /// (LRU-Fit + baseline counters), draw `num_scans` random scans, obtain
-/// ground-truth fetch counts a_i(B) for every swept buffer size via the
-/// stack simulator over each scan's reference string, and aggregate the
-/// error metric per algorithm per buffer size.
+/// ground-truth fetch counts a_i(B) for every swept buffer size from one
+/// StackDistanceKernel pass over each scan's reference string (a
+/// SliceScanTrace of the index entries), and aggregate the error metric
+/// per algorithm per buffer size.
 Result<ExperimentResult> RunErrorExperiment(const Dataset& dataset,
                                             const ExperimentConfig& config);
 
-/// The swept buffer sizes for a table of `table_pages` pages under
-/// `config` (deduplicated, ascending).
+/// The paper's buffer sweep as fractions of T: 5% to 90% in steps of 5%,
+/// accumulated step by step.
+std::vector<double> PaperBufferFractions();
+
+/// Buffer sizes for a table of `table_pages` pages: each of `fractions`
+/// of T, floored at `min_buffer_pages`, clamped to [1, T], deduplicated
+/// and ascending.
 std::vector<uint64_t> SweepBufferSizes(uint64_t table_pages,
-                                       const ExperimentConfig& config);
+                                       const std::vector<double>& fractions,
+                                       uint64_t min_buffer_pages);
+
+/// The data-page reference string of the index scan over keys [lo, hi]
+/// with `filter`'s rejects dropped, sliced from `entries`, the dataset's
+/// IndexEntries(). Keys are dense, so the scan reads the
+/// RecordsInRange(lo, hi) entries that start at entry
+/// RecordsInRange(1, lo − 1); the result equals CollectScanTrace over the
+/// dataset's index for the same range and filter, without walking the
+/// tree again. InvalidArgument if `entries` is shorter than the key counts
+/// say.
+Result<std::vector<PageId>> SliceScanTrace(
+    const Dataset& dataset, const std::vector<IndexEntry>& entries,
+    int64_t lo, int64_t hi, const SargableFilter* filter = nullptr);
 
 }  // namespace epfis
 

@@ -26,13 +26,10 @@ class BTree {
   /// Creates an empty tree whose nodes live in `pool`'s disk.
   explicit BTree(BufferPool* pool, std::string name = "index");
 
-  /// Smallest/largest possible entry for a key: use as inclusive/exclusive
-  /// seek targets when translating key-range predicates to entry ranges.
+  /// Smallest possible entry for a key: the seek target of a key-range
+  /// predicate's lower bound.
   static IndexEntry MinEntryForKey(int64_t key) {
     return IndexEntry{key, Rid{0, 0}};
-  }
-  static IndexEntry MaxEntryForKey(int64_t key) {
-    return IndexEntry{key, Rid{kInvalidPageId, UINT16_MAX}};
   }
 
   /// Inserts one entry; fails with AlreadyExists on an exact duplicate.

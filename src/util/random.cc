@@ -41,11 +41,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  return lo + static_cast<int64_t>(
-                  NextBounded(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double Rng::NextDouble() {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;

@@ -21,9 +21,6 @@ class Rng {
   /// Precondition: bound > 0.
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

@@ -43,7 +43,7 @@ Result<std::unique_ptr<Dataset>> Dataset::Create(
   dataset->index_disk_ = std::make_unique<DiskManager>();
   // The generation-time data pool holds the whole table: placement writes
   // are random within a sliding window, and measurement never uses this
-  // pool (traces + the stack simulator do), so favor generation speed.
+  // pool (traces and the kernel do), so favor generation speed.
   uint64_t estimated_pages = (total + records_per_page - 1) / records_per_page;
   dataset->data_pool_ = std::make_unique<BufferPool>(
       dataset->data_disk_.get(), static_cast<size_t>(estimated_pages) + 64);
@@ -96,15 +96,15 @@ Result<std::vector<PageId>> Dataset::FullIndexPageTrace() const {
   return trace;
 }
 
-Result<std::vector<KeyPageRef>> Dataset::FullIndexKeyPageTrace() const {
-  std::vector<KeyPageRef> trace;
-  trace.reserve(index_->num_entries());
+Result<std::vector<IndexEntry>> Dataset::IndexEntries() const {
+  std::vector<IndexEntry> entries;
+  entries.reserve(index_->num_entries());
   EPFIS_ASSIGN_OR_RETURN(BTreeIterator it, index_->Begin());
   while (it.Valid()) {
-    trace.push_back(KeyPageRef{it.entry().key, it.entry().rid.page_id});
+    entries.push_back(it.entry());
     EPFIS_RETURN_IF_ERROR(it.Next());
   }
-  return trace;
+  return entries;
 }
 
 }  // namespace epfis

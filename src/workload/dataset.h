@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "baselines/estimator.h"
 #include "buffer/buffer_pool.h"
 #include "index/btree.h"
+#include "index/index_entry.h"
 #include "storage/disk_manager.h"
 #include "storage/table_heap.h"
 #include "util/result.h"
@@ -81,8 +81,11 @@ class Dataset {
   /// reference string LRU-Fit consumes.
   Result<std::vector<PageId>> FullIndexPageTrace() const;
 
-  /// Same, with key values (what the baseline collectors consume).
-  Result<std::vector<KeyPageRef>> FullIndexKeyPageTrace() const;
+  /// Every index entry in key order, from one walk of the B-tree. Keys
+  /// are dense, so the entries with key in [lo, hi] are the
+  /// RecordsInRange(lo, hi) entries starting at RecordsInRange(1, lo − 1):
+  /// every range scan's reference string is a slice of this vector.
+  Result<std::vector<IndexEntry>> IndexEntries() const;
 
  private:
   Dataset() = default;

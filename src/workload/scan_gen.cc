@@ -76,10 +76,10 @@ ScanRange ScanGenerator::Large() {
 
 ScanRange ScanGenerator::Full() { return FromFraction(1.0); }
 
-ScanRange ScanGenerator::Next(ScanMix mix, double p_small) {
+ScanRange ScanGenerator::Next(ScanMix mix) {
   switch (mix) {
     case ScanMix::kMixed:
-      return rng_.NextBernoulli(p_small) ? Small() : Large();
+      return rng_.NextBernoulli(0.5) ? Small() : Large();
     case ScanMix::kSmallOnly:
       return Small();
     case ScanMix::kLargeOnly:

@@ -44,8 +44,9 @@ class ScanGenerator {
   /// Full scan of the whole key domain.
   ScanRange Full();
 
-  /// Draws from `mix` (for kMixed, small with probability p_small).
-  ScanRange Next(ScanMix mix, double p_small = 0.5);
+  /// Draws from `mix` (for kMixed, small or large with probability 0.5
+  /// each, as in the paper).
+  ScanRange Next(ScanMix mix);
 
   /// A scan covering at least fraction `r` of the records, built per the
   /// paper's procedure. r is clamped to (0, 1].

@@ -13,14 +13,20 @@
 namespace epfis {
 namespace {
 
+// An index entry reduced to what the baselines read: a key and the data
+// page its record lives on.
+IndexEntry Ref(int64_t key, PageId page) {
+  return IndexEntry{key, Rid{page, 0}};
+}
+
 // A perfectly clustered index: key i on page i/10, 10 records per key
 // sequence page.
-std::vector<KeyPageRef> ClusteredRefs(int pages, int per_page) {
-  std::vector<KeyPageRef> refs;
+std::vector<IndexEntry> ClusteredRefs(int pages, int per_page) {
+  std::vector<IndexEntry> refs;
   int64_t key = 0;
   for (int p = 0; p < pages; ++p) {
     for (int r = 0; r < per_page; ++r) {
-      refs.push_back(KeyPageRef{key++, static_cast<PageId>(p)});
+      refs.push_back(Ref(key++, static_cast<PageId>(p)));
     }
   }
   return refs;
@@ -28,12 +34,12 @@ std::vector<KeyPageRef> ClusteredRefs(int pages, int per_page) {
 
 // A worst-case unclustered index: consecutive keys alternate pages far
 // apart, so every reference jumps.
-std::vector<KeyPageRef> AlternatingRefs(int pages, int rounds) {
-  std::vector<KeyPageRef> refs;
+std::vector<IndexEntry> AlternatingRefs(int pages, int rounds) {
+  std::vector<IndexEntry> refs;
   int64_t key = 0;
   for (int r = 0; r < rounds; ++r) {
     for (int p = 0; p < pages; ++p) {
-      refs.push_back(KeyPageRef{key++, static_cast<PageId>(p)});
+      refs.push_back(Ref(key++, static_cast<PageId>(p)));
     }
   }
   return refs;
@@ -41,7 +47,7 @@ std::vector<KeyPageRef> AlternatingRefs(int pages, int rounds) {
 
 TEST(CollectBaselineStatsTest, RejectsEmptyAndUnsorted) {
   EXPECT_FALSE(CollectBaselineTraceStats({}, 10).ok());
-  std::vector<KeyPageRef> bad = {{5, 0}, {3, 1}};
+  std::vector<IndexEntry> bad = {Ref(5, 0), Ref(3, 1)};
   EXPECT_FALSE(CollectBaselineTraceStats(bad, 10).ok());
 }
 
@@ -71,7 +77,8 @@ TEST(CollectBaselineStatsTest, AlternatingWorstCase) {
 TEST(CollectBaselineStatsTest, DuplicateKeysGroupedForCc) {
   // Two keys: key 0 ends on page 5, key 1 starts on page 2 (< 5, no CC
   // increment), so CC = 1 (only the first key counts).
-  std::vector<KeyPageRef> refs = {{0, 1}, {0, 5}, {1, 2}, {1, 9}};
+  std::vector<IndexEntry> refs = {Ref(0, 1), Ref(0, 5), Ref(1, 2),
+                                 Ref(1, 9)};
   auto stats = CollectBaselineTraceStats(refs, 10);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->distinct_keys, 2u);
@@ -142,9 +149,9 @@ TEST(DcTest, PerfectlyClusteredEstimatesSigmaT) {
 
 TEST(DcTest, ClusterRatioCappedAtOne) {
   // T >> I makes the log term large; CR must cap at 1, estimate = sigma*T.
-  std::vector<KeyPageRef> refs;
+  std::vector<IndexEntry> refs;
   for (int p = 0; p < 100; ++p) {
-    refs.push_back(KeyPageRef{p / 20, static_cast<PageId>(p)});
+    refs.push_back(Ref(p / 20, static_cast<PageId>(p)));
   }
   auto stats = CollectBaselineTraceStats(refs, 100);
   ASSERT_TRUE(stats.ok());

@@ -36,7 +36,8 @@ ExperimentConfig SmallConfig() {
 
 TEST(SweepBufferSizesTest, PaperDefaults) {
   ExperimentConfig config;  // min 300, 5%..90% step 5%.
-  auto sizes = SweepBufferSizes(20000, config);
+  auto sizes =
+      SweepBufferSizes(20000, PaperBufferFractions(), config.min_buffer_pages);
   ASSERT_EQ(sizes.size(), 18u);
   EXPECT_EQ(sizes.front(), 1000u);  // 5% of 20000.
   EXPECT_EQ(sizes.back(), 18000u);  // 90%.
@@ -44,7 +45,8 @@ TEST(SweepBufferSizesTest, PaperDefaults) {
 
 TEST(SweepBufferSizesTest, SmallTableClampsToMinBuffer) {
   ExperimentConfig config;
-  auto sizes = SweepBufferSizes(1000, config);
+  auto sizes =
+      SweepBufferSizes(1000, PaperBufferFractions(), config.min_buffer_pages);
   // max(300, 0.05*1000) = 300 for the first several fractions; dedup
   // leaves 300 once, then 350, 400, ..., 900.
   EXPECT_EQ(sizes.front(), 300u);
@@ -56,7 +58,8 @@ TEST(SweepBufferSizesTest, SmallTableClampsToMinBuffer) {
 
 TEST(SweepBufferSizesTest, NeverExceedsTableSize) {
   ExperimentConfig config;
-  auto sizes = SweepBufferSizes(200, config);
+  auto sizes =
+      SweepBufferSizes(200, PaperBufferFractions(), config.min_buffer_pages);
   for (uint64_t b : sizes) EXPECT_LE(b, 200u);
 }
 

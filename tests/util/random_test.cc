@@ -45,20 +45,6 @@ TEST(RngTest, NextBoundedCoversAllResidues) {
   }
 }
 
-TEST(RngTest, NextInRangeInclusive) {
-  Rng rng(5);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    int64_t v = rng.NextInRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo = saw_lo || v == -3;
-    saw_hi = saw_hi || v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, NextDoubleInHalfOpenUnitInterval) {
   Rng rng(11);
   double sum = 0.0;

@@ -7,9 +7,13 @@
 #include <numeric>
 #include <set>
 
+#include "buffer/stack_distance.h"
+#include "buffer/stack_distance_kernel.h"
 #include "exec/index_scan.h"
+#include "harness/experiment.h"
 #include "util/zipf.h"
 #include "workload/gwl.h"
+#include "workload/scan_gen.h"
 
 namespace epfis {
 namespace {
@@ -175,17 +179,17 @@ TEST(MaterializeDatasetTest, DatasetMatchesPlacement) {
   // page ordinal i materializes as PageId i (pages appended in order),
   // except entries within one key are RID-sorted. Compare multisets per
   // key instead of the exact sequence.
-  auto key_trace = (*dataset)->FullIndexKeyPageTrace();
-  ASSERT_TRUE(key_trace.ok());
-  ASSERT_EQ(key_trace->size(), spec.num_records);
+  auto entries = (*dataset)->IndexEntries();
+  ASSERT_TRUE(entries.ok());
+  ASSERT_EQ(entries->size(), spec.num_records);
 
   size_t rec = 0;
   for (uint64_t key = 0; key < placement->key_counts.size(); ++key) {
     std::multiset<PageId> expected, actual;
     for (uint64_t c = 0; c < placement->key_counts[key]; ++c, ++rec) {
       expected.insert(placement->page_of_record[rec]);
-      actual.insert((*key_trace)[rec].page);
-      EXPECT_EQ((*key_trace)[rec].key, static_cast<int64_t>(key) + 1);
+      actual.insert((*entries)[rec].rid.page_id);
+      EXPECT_EQ((*entries)[rec].key, static_cast<int64_t>(key) + 1);
     }
     ASSERT_EQ(expected, actual) << "key " << key;
   }
@@ -198,8 +202,6 @@ TEST(MaterializeDatasetTest, RecordsReadBackWithCorrectKeys) {
   auto dataset = GenerateSynthetic(spec);
   ASSERT_TRUE(dataset.ok());
   // Spot-check: every index entry points at a record storing its key.
-  auto trace = (*dataset)->FullIndexKeyPageTrace();
-  ASSERT_TRUE(trace.ok());
   uint64_t checked = 0;
   auto it = (*dataset)->index()->Begin();
   ASSERT_TRUE(it.ok());
@@ -233,23 +235,51 @@ TEST(DatasetTest, CumCountsAndRangeQueries) {
 }
 
 TEST(DatasetTest, RangePageTraceMatchesFullTraceSlice) {
+  // The fact the harnesses' ground truth rests on: a range scan's
+  // reference string is a slice of the key-ordered index entries, kept
+  // entry by entry under a sargable predicate, and the kernel's fetch
+  // counts on it equal the reference simulator's at every swept size.
   SyntheticSpec spec = SmallSpec();
-  spec.num_records = 2000;
-  spec.num_distinct = 100;
+  spec.num_records = 20000;
+  spec.theta = 0.86;  // Skewed key counts, so the slice offsets vary.
+  spec.window_fraction = 0.3;
   auto dataset = GenerateSynthetic(spec);
   ASSERT_TRUE(dataset.ok());
+  auto entries = (*dataset)->IndexEntries();
+  ASSERT_TRUE(entries.ok());
 
-  auto full = (*dataset)->FullIndexKeyPageTrace();
-  ASSERT_TRUE(full.ok());
-  auto range =
-      CollectScanTrace(*(*dataset)->index(), KeyRange::Closed(10, 20));
-  ASSERT_TRUE(range.ok());
-
-  std::vector<PageId> expected;
-  for (const KeyPageRef& ref : *full) {
-    if (ref.key >= 10 && ref.key <= 20) expected.push_back(ref.page);
+  const int64_t last = static_cast<int64_t>((*dataset)->num_distinct());
+  std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {1, 1}, {last, last}, {1, last}, {-5, 3}, {last - 2, last + 9}, {7, 6}};
+  ScanGenerator gen(dataset->get(), 3);
+  for (int i = 0; i < 120; ++i) {
+    ScanRange scan = gen.Next(ScanMix::kMixed);
+    ranges.emplace_back(scan.lo_key, scan.hi_key);
   }
-  EXPECT_EQ(*range, expected);
+  std::vector<uint64_t> sizes =
+      SweepBufferSizes((*dataset)->num_pages(), PaperBufferFractions(), 1);
+  SargableFilter sargable(0.3, 11);
+  const SargableFilter* filters[] = {nullptr, &sargable};
+  for (const SargableFilter* filter : filters) {
+    for (const auto& [lo, hi] : ranges) {
+      auto slice = SliceScanTrace(**dataset, *entries, lo, hi, filter);
+      auto walk = CollectScanTrace(*(*dataset)->index(),
+                                   KeyRange::Closed(lo, hi), filter);
+      ASSERT_TRUE(slice.ok() && walk.ok());
+      ASSERT_EQ(*slice, *walk) << "keys [" << lo << ", " << hi << "]";
+      StackDistanceKernel kernel(slice->size());
+      kernel.AccessAll(*slice);
+      StackDistanceSimulator reference(walk->size() + 1);
+      reference.AccessAll(*walk);
+      for (uint64_t b : sizes) {
+        ASSERT_EQ(kernel.Fetches(b), reference.Fetches(b))
+            << "keys [" << lo << ", " << hi << "], B = " << b;
+      }
+    }
+  }
+  // Entries that fall short of the key counts are refused, not overread.
+  entries->pop_back();
+  EXPECT_FALSE(SliceScanTrace(**dataset, *entries, 1, last).ok());
 }
 
 TEST(DatasetTest, CreateValidatesKeyCounts) {

@@ -145,7 +145,7 @@ TEST_F(ScanGenTest, MixedDrawsBothSizes) {
   ScanGenerator gen(dataset_.get(), 8);
   int small = 0, large = 0;
   for (int i = 0; i < 300; ++i) {
-    ScanRange scan = gen.Next(ScanMix::kMixed, 0.5);
+    ScanRange scan = gen.Next(ScanMix::kMixed);
     if (scan.sigma <= 0.25) {
       ++small;
     } else {
